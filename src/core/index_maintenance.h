@@ -48,6 +48,15 @@ struct MaintenanceStats {
   size_t aff_blocks = 0;
   size_t splits = 0;
   size_t merges = 0;
+
+  MaintenanceStats& operator+=(const MaintenanceStats& other) {
+    applied += other.applied;
+    skipped += other.skipped;
+    aff_blocks += other.aff_blocks;
+    splits += other.splits;
+    merges += other.merges;
+    return *this;
+  }
 };
 
 // Applies one update; returns false (and leaves everything unchanged) when

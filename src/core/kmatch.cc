@@ -46,15 +46,21 @@ bool LabelsInclude(Graph::EdgeLabelView sup, Graph::EdgeLabelView sub) {
 // Read-only state shared by every root-partition search of one query:
 // the matching order, its optimistic suffix bounds, and the inputs.
 // `exec` (possibly null) is the query's shared deadline / cancellation
-// block; each worker polls it through its own CancelCheck.
+// block; each worker polls it through its own CancelCheck.  `ids`
+// (possibly null = identity) maps target nodes to the ids matches report;
+// the pool orders ties by those ids, so the top-K is exact in the caller's
+// id space rather than the target's.
 struct SearchContext {
   const Graph& query;
   const Graph& target;
   const std::vector<std::vector<Candidate>>& candidates;
   const QueryOptions& options;
   const ExecControl* exec;
+  const std::vector<NodeId>* ids;
   std::vector<NodeId> order;
   std::vector<double> suffix_best;
+
+  NodeId Reported(NodeId v) const { return ids == nullptr ? v : (*ids)[v]; }
 };
 
 // Query-node matching order: start at the node with the fewest candidates,
@@ -158,11 +164,12 @@ class Searcher {
   bool truncated() const { return truncated_; }
 
   // Moves the pool entries this subtree discovered (those mapping order[0]
-  // to `root_node`) into `out`, preserving pool order.
+  // to target node `root_node`) into `out`, preserving pool order.
   void ExtractOwn(NodeId root_node, std::vector<Match>* out) {
     NodeId first = ctx_.order[0];
+    NodeId reported = ctx_.Reported(root_node);
     for (Match& m : pool_) {
-      if (m.mapping[first] == root_node) out->push_back(std::move(m));
+      if (m.mapping[first] == reported) out->push_back(std::move(m));
     }
   }
 
@@ -208,7 +215,7 @@ class Searcher {
     Match m;
     m.mapping.assign(ctx_.query.num_nodes(), kInvalidNode);
     for (size_t i = 0; i < ctx_.order.size(); ++i) {
-      m.mapping[ctx_.order[i]] = assign_[ctx_.order[i]];
+      m.mapping[ctx_.order[i]] = ctx_.Reported(assign_[ctx_.order[i]]);
     }
     // Canonical score: per-node similarities summed in query-node-id order,
     // NOT in matching order.  The matching order depends on candidate-list
@@ -302,13 +309,12 @@ void MergeTopK(std::vector<Match>* best, std::vector<Match>&& own, size_t k) {
   if (k > 0 && best->size() > k) best->resize(k);
 }
 
-}  // namespace
-
-std::vector<Match> KMatchOnGraph(
+// KMatchOnGraph with matches reported through `ids` (see SearchContext).
+std::vector<Match> SearchTopK(
     const Graph& query, const Graph& target,
     const std::vector<std::vector<Candidate>>& candidates,
-    const QueryOptions& options, KMatchStats* stats,
-    const ExecControl* exec) {
+    const QueryOptions& options, KMatchStats* stats, const ExecControl* exec,
+    const std::vector<NodeId>* ids) {
   if (stats != nullptr) {
     *stats = KMatchStats();
   }
@@ -319,7 +325,7 @@ std::vector<Match> KMatchOnGraph(
     if (candidates[u].empty()) return {};
   }
 
-  SearchContext ctx{query, target, candidates, options, exec, {}, {}};
+  SearchContext ctx{query, target, candidates, options, exec, ids, {}, {}};
   BuildOrder(&ctx);
   BuildSuffixBounds(&ctx);
   const std::vector<Candidate>& roots = candidates[ctx.order[0]];
@@ -429,21 +435,33 @@ std::vector<Match> KMatchOnGraph(
   return best;
 }
 
+}  // namespace
+
+std::vector<Match> KMatchOnGraph(
+    const Graph& query, const Graph& target,
+    const std::vector<std::vector<Candidate>>& candidates,
+    const QueryOptions& options, KMatchStats* stats,
+    const ExecControl* exec) {
+  return SearchTopK(query, target, candidates, options, stats, exec, nullptr);
+}
+
 std::vector<Match> KMatch(const Graph& query, const FilterResult& filter,
                           const QueryOptions& options, KMatchStats* stats,
-                          const ExecControl* exec) {
+                          const ExecControl* exec,
+                          const std::vector<NodeId>* id_map) {
   if (stats != nullptr) {
     *stats = KMatchStats();
   }
   if (filter.no_match) return {};
-  std::vector<Match> local = KMatchOnGraph(
-      query, filter.gv.graph, filter.candidates, options, stats, exec);
-  for (Match& m : local) {
-    for (NodeId& v : m.mapping) {
-      v = filter.gv.to_original[v];
-    }
+  const std::vector<NodeId>* ids = &filter.gv.to_original;
+  std::vector<NodeId> mapped;
+  if (id_map != nullptr) {
+    mapped.reserve(ids->size());
+    for (NodeId v : *ids) mapped.push_back((*id_map)[v]);
+    ids = &mapped;
   }
-  return local;
+  return SearchTopK(query, filter.gv.graph, filter.candidates, options,
+                    stats, exec, ids);
 }
 
 }  // namespace osq

@@ -43,6 +43,7 @@
 #include "core/match.h"
 #include "core/options.h"
 #include "graph/graph.h"
+#include "graph/types.h"
 
 namespace osq {
 
@@ -73,17 +74,22 @@ struct KMatchStats {
 // graph node ids (translated via filter.gv.to_original) and are sorted by
 // MatchBetter.  With options.k == 0 all matches are returned.
 //
+// `id_map` (optional) maps original ids one step further, to the ids the
+// caller reports: a shard passes its shard-local -> global table.  The
+// top-K is exact under MatchBetter on the MAPPED ids, so matches tied at
+// the k-th score are kept by the caller's order, not the data graph's.
+//
 // `exec` (optional) carries the query's deadline / cancellation state;
 // the search polls it cooperatively (amortized over ~256 steps, see
 // common/deadline.h) and, when it fires, returns the valid matches found
 // so far with stats->stopped set.  A stopped result is a subset of the
 // unconstrained one and therefore timing-dependent — the bit-identical
 // determinism contract (DESIGN.md §7) applies only to runs that complete.
-[[nodiscard]] std::vector<Match> KMatch(const Graph& query,
-                                        const FilterResult& filter,
-                                        const QueryOptions& options,
-                                        KMatchStats* stats = nullptr,
-                                        const ExecControl* exec = nullptr);
+[[nodiscard]] std::vector<Match> KMatch(
+    const Graph& query, const FilterResult& filter,
+    const QueryOptions& options, KMatchStats* stats = nullptr,
+    const ExecControl* exec = nullptr,
+    const std::vector<NodeId>* id_map = nullptr);
 
 // Lower-level entry point used by baselines and tests: matches `query`
 // against `target` given explicit candidate lists (target-local ids,

@@ -98,18 +98,14 @@ struct QueryOptions {
   CancelToken cancel;
 };
 
-// Parameters of the concurrent serving layer (serve/query_service.h).
+// Parameters of the serving front end both serving tiers share
+// (serve/serving_core.h).
 struct ServeOptions {
   // Capacity (entries) of the versioned LRU result cache keyed by
   // QuerySignature; 0 disables caching entirely.  Each entry stores one
-  // full QueryResult, so memory is bounded by capacity * k matches.
+  // full QueryResult, so memory is bounded by capacity * k matches.  Only
+  // complete results with an OK status are cached.
   size_t cache_capacity = 256;
-  // Also cache QueryResults whose status is non-OK (rejected queries).
-  // They are deterministic too, but a stream of distinct malformed
-  // queries would evict useful entries, so default off.  Partial results
-  // (deadline_exceeded / cancelled) are NEVER cached regardless of this
-  // flag — they are timing-dependent and must not be served as complete.
-  bool cache_errors = false;
   // Admission control: maximum queries evaluating concurrently (0 =
   // unlimited).  When the limit is reached, further queries are shed
   // immediately with Status kUnavailable (ServedResult::shed) instead of

@@ -53,24 +53,34 @@ QueryEngine& QueryEngine::operator=(QueryEngine&& other) noexcept {
 }
 
 QueryResult QueryEngine::Query(const Graph& query,
-                               const QueryOptions& options) const {
+                               const QueryOptions& options,
+                               const EvalInputs& inputs) const {
   QueryResult result;
   result.status = ValidateQuery(query);
   if (!result.status.ok()) {
     return result;
   }
-  // One control block per query: the absolute deadline is fixed here so
-  // filtering and verification share the same budget.
+  // One control block per query: the absolute deadline is fixed here (or
+  // by the caller) so filtering and verification share the same budget.
   ExecControl exec;
-  exec.deadline = Deadline::AfterMillis(options.deadline_ms);
+  exec.deadline = inputs.deadline != nullptr
+                      ? *inputs.deadline
+                      : Deadline::AfterMillis(options.deadline_ms);
   exec.cancel = options.cancel;
+  // A stop that is already due must not buy a fresh round of work: the
+  // amortized in-loop polls would let a small graph run to completion
+  // before the first stride fires (e.g. a shard that starts after its
+  // siblings spent the shared deadline).
+  result.completeness = exec.Check();
+  if (!result.complete()) return result;
   WallTimer timer;
-  FilterResult filter = GviewFilter(*index_, query, options, &exec);
+  FilterResult filter = GviewFilter(*index_, query, options, &exec,
+                                    inputs.restriction, inputs.sims);
   result.filter_ms = timer.ElapsedMillis();
   result.filter_stats = filter.stats;
   timer.Restart();
-  result.matches =
-      KMatch(query, filter, options, &result.verify_stats, &exec);
+  result.matches = KMatch(query, filter, options, &result.verify_stats,
+                          &exec, inputs.ids);
   result.verify_ms = timer.ElapsedMillis();
   result.completeness =
       MergeStopReason(filter.stats.stopped, result.verify_stats.stopped);

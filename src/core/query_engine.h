@@ -56,6 +56,22 @@ struct QueryResult {
   bool complete() const { return completeness == StopReason::kNone; }
 };
 
+// Inputs to one evaluation that the caller fixes outside QueryOptions.  A
+// plain Query leaves them empty; the sharded tier's per-shard call sets
+// all of them (shard/shard_engine.h).
+struct EvalInputs {
+  // Absolute deadline shared with sibling evaluations; null = a budget of
+  // options.deadline_ms counted from the call.
+  const Deadline* deadline = nullptr;
+  // Passed through to GviewFilter (core/filtering.h).
+  const PivotRestriction* restriction = nullptr;
+  const QuerySimTables* sims = nullptr;
+  // ids[v] is the id reported for data node v; passed to KMatch as its
+  // id_map, so ties at the k-th score break on these ids.  Null = the
+  // data graph's own ids.
+  const std::vector<NodeId>* ids = nullptr;
+};
+
 class QueryEngine {
  public:
   // Takes ownership of the graphs; the index is built immediately.
@@ -82,11 +98,14 @@ class QueryEngine {
   const IndexBuildStats& build_stats() const { return build_stats_; }
   double index_build_ms() const { return index_build_ms_; }
 
-  // Evaluates `query` (paper's KMatch over the Gview-extracted G_v).
-  // [[nodiscard]]: QueryResult carries the error status; dropping it
-  // would silently swallow failures.
+  // Evaluates `query` (paper's KMatch over the Gview-extracted G_v).  An
+  // evaluation whose deadline has already passed, or whose token is
+  // already cancelled, returns at once with that completeness and no work
+  // done.  [[nodiscard]]: QueryResult carries the error status; dropping
+  // it would silently swallow failures.
   [[nodiscard]] QueryResult Query(const Graph& query,
-                                  const QueryOptions& options) const;
+                                  const QueryOptions& options,
+                                  const EvalInputs& inputs = {}) const;
 
   // Convenience: parses `pattern` (see query/pattern_parser.h, e.g.
   // "(t:tourists)-[guide]->(m:museum)") against `dict` and evaluates it.
@@ -106,7 +125,7 @@ class QueryEngine {
   // mutating call that changed the graph (an ApplyUpdates batch counts
   // once, no matter how many updates it contains; no-op calls do not
   // count).  The serving layer uses it as the snapshot version for cache
-  // invalidation (serve/query_service.h).
+  // invalidation (serve/serving_core.h).
   uint64_t version() const { return version_; }
 
  private:

@@ -3,11 +3,12 @@
 // IngestPipeline (ingest_pipeline.h) batches a stream of GraphUpdates and
 // hands each batch to an UpdateSink, which must apply it ATOMICALLY with
 // respect to concurrent readers: one ApplyBatch call is one snapshot cut.
-// Both serving tiers already provide exactly that contract through their
-// ApplyUpdates entry points (exclusive snapshot lock, one version advance
-// per batch), so the adapters here are thin non-owning wrappers.  The
-// indirection keeps src/ingest/ free of a hard dependency on the sharded
-// tier and gives tests a seam for counting/faulting batch applications.
+// Both serving tiers already provide exactly that contract through the
+// serving core's ApplyUpdates (exclusive snapshot lock, one version
+// advance per batch), so the adapter here is a thin non-owning wrapper.
+// The indirection keeps src/ingest/ free of a hard dependency on the
+// sharded tier and gives tests a seam for counting/faulting batch
+// applications.
 
 #ifndef OSQ_INGEST_UPDATE_SINK_H_
 #define OSQ_INGEST_UPDATE_SINK_H_
@@ -31,10 +32,14 @@ class UpdateSink {
       const std::vector<GraphUpdate>& batch) = 0;
 };
 
-// Sink over the single-engine serving tier.  Does not own the service.
-class QueryServiceSink final : public UpdateSink {
+// Sink over either serving tier (QueryService or ShardedQueryService):
+// one ApplyBatch is one ApplyUpdates call, i.e. one exclusive section and
+// one consistent cut — on the sharded tier the batch is router-split per
+// shard inside it.  Does not own the service.
+template <class Service>
+class ServiceSink final : public UpdateSink {
  public:
-  explicit QueryServiceSink(QueryService* service) : service_(service) {}
+  explicit ServiceSink(Service* service) : service_(service) {}
 
   MaintenanceStats ApplyBatch(
       const std::vector<GraphUpdate>& batch) override {
@@ -42,8 +47,11 @@ class QueryServiceSink final : public UpdateSink {
   }
 
  private:
-  QueryService* service_;
+  Service* service_;
 };
+
+using QueryServiceSink = ServiceSink<QueryService>;
+using ShardedServiceSink = ServiceSink<ShardedQueryService>;
 
 class IngestPipeline;
 
@@ -53,22 +61,6 @@ class IngestPipeline;
 // the one sanctioned ingest<->serving bridge (osq-layering); the rest of
 // src/ingest stays free of serving-tier includes.
 void AugmentServeStats(const IngestPipeline& pipeline, ServeStats* stats);
-
-// Sink over the sharded coordinator: the batch is router-split per shard
-// and still applied under one exclusive section = one consistent cut.
-class ShardedServiceSink final : public UpdateSink {
- public:
-  explicit ShardedServiceSink(ShardedQueryService* service)
-      : service_(service) {}
-
-  MaintenanceStats ApplyBatch(
-      const std::vector<GraphUpdate>& batch) override {
-    return service_->ApplyUpdates(batch);
-  }
-
- private:
-  ShardedQueryService* service_;
-};
 
 }  // namespace osq
 

@@ -1,62 +1,27 @@
-// QueryService — concurrent serving layer over QueryEngine.
+// QueryService — the single-engine serving tier: the shared serving front
+// end (serve/serving_core.h) over one QueryEngine.
 //
 // QueryEngine::Query is const but unsynchronized: calling it while
-// ApplyUpdate mutates the graph/index is a data race.  QueryService wraps
-// one engine behind a reader/writer snapshot protocol so N client threads
-// query concurrently while update batches apply atomically:
-//
-//   * Readers hold a std::shared_mutex in shared mode for the whole
-//     evaluation — every query observes exactly one snapshot version,
-//     never a half-applied batch (no torn reads).
-//   * Writers hold it exclusively; each mutating call that changes the
-//     graph advances the snapshot version by one ("one batch = one
-//     version"), making pre/post states of a batch distinguishable.
-//   * Writer fairness: glibc's shared_mutex prefers readers, so a stream
-//     of closed-loop readers can keep the shared side continuously held
-//     and starve a writer indefinitely.  A write-intent gate (a plain
-//     mutex) bounds the writer's wait: writers take the gate first and
-//     hold it across the exclusive acquisition, while every reader
-//     briefly passes through the gate before taking the shared lock.
-//     Once a writer owns the gate no NEW reader can reach the shared
-//     lock, so the writer waits only for the readers already past the
-//     gate to drain — bounded by in-flight query latency, independent of
-//     read arrival rate.
-//   * Results are memoized in a versioned LRU cache (serve/result_cache.h)
-//     keyed by the canonical query signature.  An entry is served only if
-//     its version stamp equals the version the reader observes under the
-//     shared lock, so a stale result can never be returned; updates also
-//     eagerly invalidate superseded entries.  A cache hit returns a
-//     bit-identical copy of the cold QueryResult (including the cold run's
-//     phase timings and stats).
-//
-// Observability: every request records lock wait and end-to-end latency
-// into ServeStats (hit/miss/degraded split, p50/p90/p99); Stats()
-// snapshots them at any time without stopping traffic.  See DESIGN.md §8.
-//
-// Overload protection (DESIGN.md §9): ServeOptions::max_inflight bounds
-// concurrently admitted queries; excess requests are shed immediately with
-// StatusCode::kUnavailable, never touching the lock, engine or cache.
-// ServeOptions::default_deadline_ms applies a deadline to requests that do
-// not carry their own; degraded results (deadline_exceeded / cancelled)
-// are returned to the caller but never inserted into the cache, so a
-// cache hit is always a complete result.
+// ApplyUpdate mutates the graph/index is a data race.  The front end puts
+// the engine behind its reader/writer snapshot protocol, so N client
+// threads query concurrently while update batches apply atomically, and
+// adds the versioned result cache, admission control and ServeStats.  The
+// version is the engine's own mutation counter (QueryEngine::version()):
+// one mutating batch advances it by one.  See DESIGN.md §8.
 
 #ifndef OSQ_SERVE_QUERY_SERVICE_H_
 #define OSQ_SERVE_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <shared_mutex>
+#include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "core/index_maintenance.h"
 #include "core/options.h"
 #include "core/query_engine.h"
 #include "graph/graph.h"
 #include "serve/result_cache.h"
-#include "serve/serve_stats.h"
+#include "serve/serving_core.h"
 
 namespace osq {
 
@@ -77,104 +42,47 @@ struct ServedResult {
   double serve_us = 0.0;
 };
 
-class QueryService {
+// The ServingCore backend over one engine.
+class EngineBackend {
+ public:
+  using Served = ServedResult;
+
+  explicit EngineBackend(QueryEngine engine) : engine_(std::move(engine)) {}
+
+  VersionVector Version() const {
+    return VersionVector::Scalar(engine_.version());
+  }
+  void Evaluate(const Graph& query, const QueryOptions& options,
+                Served* served) const {
+    served->result = engine_.Query(query, options);
+  }
+  MaintenanceStats ApplyUpdates(const std::vector<GraphUpdate>& updates) {
+    return engine_.ApplyUpdates(updates);
+  }
+  NodeId AddNode(LabelId label) { return engine_.AddNode(label); }
+
+  const QueryEngine& engine() const { return engine_; }
+
+ private:
+  QueryEngine engine_;
+};
+
+class QueryService : public ServingCore<EngineBackend> {
  public:
   // Takes ownership of a fully built engine.
   explicit QueryService(QueryEngine engine,
-                        const ServeOptions& options = ServeOptions{});
+                        const ServeOptions& options = ServeOptions{})
+      : ServingCore(EngineBackend(std::move(engine)), options) {}
 
-  QueryService(const QueryService&) = delete;
-  QueryService& operator=(const QueryService&) = delete;
-
-  // Evaluates `query` against the current snapshot.  Safe to call from
-  // any number of threads concurrently with each other and with the
-  // mutating calls below.  [[nodiscard]]: the result carries the status
-  // (including Unavailable shed signals) — dropping it hides overload.
-  [[nodiscard]] ServedResult Query(const Graph& query,
-                                   const QueryOptions& options);
-
-  // Mutations.  Each call that changes the graph applies atomically with
-  // respect to Query (readers see all of it or none of it) and advances
-  // the snapshot version by one.
-  bool ApplyUpdate(const GraphUpdate& update,
-                   MaintenanceStats* stats = nullptr);
-  // [[nodiscard]]: the stats carry the applied/skipped split — dropping
-  // them hides a batch that silently no-opped.
-  [[nodiscard]] MaintenanceStats ApplyUpdates(
-      const std::vector<GraphUpdate>& updates);
-  NodeId AddNode(LabelId label);
-
-  // Current snapshot version; starts at 0 for a freshly wrapped engine.
-  uint64_t version() const {
-    return version_.load(std::memory_order_acquire);
-  }
-
-  // Point-in-time counters; callable concurrently with traffic.
-  ServeStats Stats() const;
-
-  size_t cache_size() const { return cache_.size(); }
-
-  // Queries currently admitted and executing (cache probe + engine).
-  // Instantaneous gauge; useful for tests and load monitoring.
-  size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
+  // Current snapshot version: the wrapped engine's version, so 0 for a
+  // freshly built one.
+  uint64_t version() const { return version_sum(); }
 
   // Direct engine access for setup / inspection.  NOT synchronized —
   // callers must guarantee no concurrent Query/Apply* is in flight.
   const QueryEngine& engine_unsynchronized() const {
-    // NOLINTNEXTLINE(osq-guarded-access): documented escape hatch — callers forbid concurrent traffic
-    return engine_;
+    return backend_unsynchronized().engine();
   }
-
- private:
-  // Bookkeeping shared by the mutating entry points; called with `mu_`
-  // held exclusively.  `applied` counts edge updates that actually changed
-  // the graph; node additions go through FinishNodeAddLocked so the
-  // edge-churn and node-growth metrics stay separable.
-  void FinishWriteLocked(size_t applied, size_t skipped) OSQ_REQUIRES(mu_);
-  void FinishNodeAddLocked() OSQ_REQUIRES(mu_);
-  // Advances the snapshot version and sweeps the result cache; shared
-  // tail of the two Finish* paths.
-  void AdvanceVersionLocked() OSQ_REQUIRES(mu_);
-
-  ServeOptions options_;
-  // Write-intent gate: see the fairness note in the class comment.
-  // Ordering is always gate THEN mu_; readers never hold both.
-  std::mutex writer_gate_ OSQ_ACQUIRED_BEFORE(mu_);
-  mutable std::shared_mutex mu_;  // guards engine_ (readers shared)
-  QueryEngine engine_ OSQ_GUARDED_BY(mu_);
-  std::atomic<uint64_t> version_{0};
-  // Internally synchronized (own mutex) — deliberately not GUARDED_BY.
-  ResultCache cache_;
-
-  // Admission gauge: queries past the shed check and not yet finished.
-  std::atomic<size_t> inflight_{0};
-  // Writers pending or writing: incremented before a writer queues on the
-  // gate, decremented after its locks release.  Readers sample it to
-  // classify themselves into the write-burst latency split.
-  std::atomic<uint64_t> writers_pending_{0};
-
-  // Counters (relaxed; see serve_stats.h for the rationale).
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> complete_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> shard_unavailable_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> update_batches_{0};
-  std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> nodes_added_{0};
-  std::atomic<uint64_t> read_wait_tenth_us_{0};
-  std::atomic<uint64_t> write_wait_tenth_us_{0};
-  std::atomic<uint64_t> write_apply_tenth_us_{0};
-  LatencyHistogram hit_latency_;
-  LatencyHistogram miss_latency_;
-  LatencyHistogram degraded_latency_;
-  LatencyHistogram burst_read_latency_;
 };
 
 }  // namespace osq

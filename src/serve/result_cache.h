@@ -65,6 +65,14 @@ struct VersionVector {
     return VersionVector{{version}};
   }
 
+  // Total of the components: the scalar a one-engine stamp carries, or
+  // the applied batches summed over shards.
+  uint64_t sum() const {
+    uint64_t total = 0;
+    for (uint64_t component : v) total += component;
+    return total;
+  }
+
   friend bool operator==(const VersionVector& a, const VersionVector& b) {
     return a.v == b.v;
   }

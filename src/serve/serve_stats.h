@@ -1,11 +1,12 @@
-// Observability for the serving layer (serve/query_service.h).
+// Observability for the serving layer (serve/serving_core.h).
 //
-// QueryService records every request into lock-free log-bucketed latency
-// histograms (one for cache hits, one for cold queries) plus a set of
-// monotonic counters; Snapshot() folds them into a plain ServeStats value
-// with interpolated percentiles.  All recording uses relaxed atomics —
-// counters are independent monotone facts, not synchronization — so the
-// hot path never takes a lock for stats and stays ThreadSanitizer-clean.
+// The serving core records every request into lock-free log-bucketed
+// latency histograms (cache hits, cold queries, degraded queries, reads
+// during a write) plus a set of monotonic counters; Stats() folds them
+// into a plain ServeStats value with interpolated percentiles.  All
+// recording uses relaxed atomics — counters are independent monotone
+// facts, not synchronization — so the hot path never takes a lock for
+// stats and stays ThreadSanitizer-clean.
 
 #ifndef OSQ_SERVE_SERVE_STATS_H_
 #define OSQ_SERVE_SERVE_STATS_H_
@@ -38,7 +39,7 @@ struct LatencySummary {
   double max_us = 0.0;
 };
 
-// A point-in-time snapshot of a QueryService's counters.
+// A point-in-time snapshot of a serving tier's counters.
 //
 // Accounting invariant (pinned by serve_stats_test):
 //
@@ -81,7 +82,9 @@ struct ServeStats {
   uint64_t update_batches = 0;
   uint64_t updates_applied = 0;
   uint64_t nodes_added = 0;
-  // Snapshot version at snapshot time (monotone, bumped per batch).
+  // Snapshot version at snapshot time (monotone, bumped per batch): the
+  // engine's version on one engine, the per-shard versions summed on the
+  // sharded tier.
   uint64_t version = 0;
   // Total time requests spent waiting to acquire the reader (resp. writer)
   // side of the snapshot lock, microseconds.

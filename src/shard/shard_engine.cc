@@ -1,12 +1,6 @@
 #include "shard/shard_engine.h"
 
-#include <algorithm>
-#include <utility>
-
-#include "common/timer.h"
 #include "core/filtering.h"
-#include "core/kmatch.h"
-#include "graph/query_graph.h"
 
 namespace osq {
 
@@ -29,26 +23,6 @@ QueryResult ShardEngine::Query(const Graph& query, NodeId pivot,
                                const QueryOptions& options,
                                const Deadline& deadline,
                                const QuerySimTables* shared_sims) const {
-  QueryResult result;
-  result.status = ValidateQuery(query);
-  if (!result.status.ok()) return result;
-
-  // Mirror QueryEngine::Query: one control block carries the absolute
-  // deadline (fixed by the coordinator) so filtering and verification on
-  // every shard share one budget.
-  ExecControl exec;
-  exec.deadline = deadline;
-  exec.cancel = options.cancel;
-  // A shard that starts past the shared deadline (stalled sibling, queue
-  // delay) must not burn a fresh budget: report the degradation without
-  // doing any work.  The amortized in-loop polls would otherwise let a
-  // small shard run to completion before the first stride fires.
-  StopReason early = exec.Check();
-  if (early != StopReason::kNone) {
-    result.completeness = early;
-    return result;
-  }
-  WallTimer timer;
   // The ownership restriction is pushed INTO the filter: seeding the pivot
   // from owned nodes only lets both refinement fixpoints propagate the cut
   // to the other query nodes, so per-shard filter cost tracks the shard's
@@ -57,41 +31,16 @@ QueryResult ShardEngine::Query(const Graph& query, NodeId pivot,
   PivotRestriction restriction;
   restriction.query_node = pivot;
   restriction.allowed = &owned_;
-  FilterResult filter = GviewFilter(engine_.index(), query, options, &exec,
-                                    &restriction, shared_sims);
-  result.filter_ms = timer.ElapsedMillis();
-  result.filter_stats = filter.stats;
-
-  // Belt-and-braces dedup: the restriction above already confined pivot
-  // candidates to owned nodes; keep the explicit erase so ownership never
-  // silently leaks even if the filter path changes.  Candidate node ids
-  // are G_v-local; hop through gv.to_original to shard-local ids.
-  if (!filter.no_match && pivot < filter.candidates.size()) {
-    std::vector<Candidate>& pivots = filter.candidates[pivot];
-    pivots.erase(std::remove_if(pivots.begin(), pivots.end(),
-                                [&](const Candidate& c) {
-                                  NodeId local =
-                                      filter.gv.to_original[c.node];
-                                  return owned_[local] == 0;
-                                }),
-                 pivots.end());
-  }
-
-  timer.Restart();
-  result.matches = KMatch(query, filter, options, &result.verify_stats, &exec);
-  result.verify_ms = timer.ElapsedMillis();
-  result.completeness =
-      MergeStopReason(filter.stats.stopped, result.verify_stats.stopped);
-
-  // KMatch translated G_v-local to shard-local ids; lift to global ids so
-  // the coordinator's merge compares matches in one shared namespace.
-  // Scores are canonical per-label sums, already shard-invariant.
-  for (Match& m : result.matches) {
-    for (NodeId& v : m.mapping) {
-      if (v != kInvalidNode) v = to_global_[v];
-    }
-  }
-  return result;
+  // Matches come back in global ids, and the shard keeps its top k by
+  // global id: halo growth appends members out of global order, so
+  // shard-local ids would break ties at the k-th score differently from
+  // one engine over the whole graph.
+  EvalInputs inputs;
+  inputs.deadline = &deadline;
+  inputs.restriction = &restriction;
+  inputs.sims = shared_sims;
+  inputs.ids = &to_global_;
+  return engine_.Query(query, options, inputs);
 }
 
 void ShardEngine::AddNodeGlobal(NodeId global, LabelId label, bool owned) {

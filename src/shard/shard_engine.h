@@ -5,15 +5,16 @@
 // rule): it owns one QueryEngine built over the shard's induced subgraph
 // and translates between the shard's local id space and global ids.
 //
-// Query(query, pivot, options) runs the standard filter-and-verify
-// pipeline on the shard with ONE extra step: the pivot query node's
-// candidate list is restricted to nodes this shard *owns* before
-// verification.  Every global match maps the pivot to exactly one data
-// node, and that node is owned by exactly one shard — so the restriction
+// Query(query, pivot, options) runs the engine's own filter-and-verify
+// pipeline (QueryEngine::Query) with ONE extra input: the pivot query
+// node's candidates are restricted to nodes this shard *owns*.  Every
+// global match maps the pivot to exactly one data node, and that node is
+// owned by exactly one shard — so the restriction
 // partitions the global match set across shards with no duplicates and no
 // gaps (halo replication guarantees the rest of each match is present;
 // see shard/partitioner.h).  Returned matches use GLOBAL node ids and
-// canonical scores, so the coordinator's merge is bit-identical to a
+// canonical scores, and the shard's top-K is exact under MatchBetter on
+// those global ids, so the coordinator's merge is bit-identical to a
 // single-engine evaluation.
 
 #ifndef OSQ_SHARD_SHARD_ENGINE_H_

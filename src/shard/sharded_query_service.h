@@ -18,10 +18,10 @@
 // cache stamps entries with the full vector — one stale shard component
 // invalidates the entry (serve/result_cache.h).
 //
-// Writer fairness mirrors serve/query_service.h: a write-intent gate (a
-// plain mutex writers hold across the exclusive acquisition and readers
-// briefly pass through) bounds a routed batch's wait to the drain time of
-// already-admitted readers, regardless of read arrival rate.
+// The serving front end — admission, the write-intent gate and snapshot
+// lock, the result cache and ServeStats — is the same ServingCore the
+// single-engine QueryService runs (serve/serving_core.h); ShardSet below
+// is its backend.
 //
 // Degradation: the service-level deadline propagates to every shard; the
 // first shard to exceed it cancels its siblings (their results come back
@@ -29,28 +29,23 @@
 // asked to cancel) and completeness is max-precedence-merged.  A shard
 // failed by the ShardFaultHook test seam contributes
 // StopReason::kShardUnavailable; partial results are returned but never
-// cached.  Admission control (max_inflight) sheds before the lock,
-// exactly like the single-engine QueryService.
+// cached.
 
 #ifndef OSQ_SHARD_SHARDED_QUERY_SERVICE_H_
 #define OSQ_SHARD_SHARDED_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
-#include <shared_mutex>
+#include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/status.h"
 #include "core/index_maintenance.h"
 #include "core/options.h"
 #include "graph/graph.h"
 #include "ontology/ontology_graph.h"
 #include "serve/result_cache.h"
-#include "serve/serve_stats.h"
+#include "serve/serving_core.h"
 #include "shard/partitioner.h"
 #include "shard/shard_engine.h"
 
@@ -75,107 +70,65 @@ struct ShardedServedResult {
 // instead of hanging).  Install before serving traffic.
 using ShardFaultHook = std::function<Status(size_t shard)>;
 
-class ShardedQueryService {
+// The ServingCore backend over N shards: scatter-gather evaluation with
+// pivot admission, routed updates, and the fault-injection seam.
+class ShardSet {
  public:
+  using Served = ShardedServedResult;
+
   // Partitions `g` per `shard_options` and builds one engine per shard.
   // `g` and `ontology` are copied (each shard owns its slice).
-  ShardedQueryService(const Graph& g, const OntologyGraph& ontology,
-                      const IndexOptions& index_options,
-                      const ShardOptions& shard_options,
-                      const ServeOptions& serve_options = ServeOptions{});
+  ShardSet(const Graph& g, const OntologyGraph& ontology,
+           const IndexOptions& index_options,
+           const ShardOptions& shard_options);
 
-  ShardedQueryService(const ShardedQueryService&) = delete;
-  ShardedQueryService& operator=(const ShardedQueryService&) = delete;
-
-  // Scatter-gather evaluation against the current snapshot cut.  Safe to
-  // call concurrently with itself and with the mutating calls below.
-  // Queries whose pivot eccentricity exceeds the configured halo_radius
-  // are rejected with kInvalidArgument (a shard could miss match nodes).
-  [[nodiscard]] ShardedServedResult Query(const Graph& query,
-                                          const QueryOptions& options);
-
-  // Mutations: routed to the owning shard(s) and applied atomically with
-  // respect to Query — readers see the whole routed batch or none of it.
-  bool ApplyUpdate(const GraphUpdate& update);
-  // [[nodiscard]]: the stats carry the applied/skipped split — dropping
-  // them hides a batch that silently no-opped.
-  [[nodiscard]] MaintenanceStats ApplyUpdates(
-      const std::vector<GraphUpdate>& updates);
+  // Per-shard snapshot cut.
+  VersionVector Version() const;
+  // Scatter-gather evaluation.  Queries whose pivot eccentricity exceeds
+  // the configured halo_radius are rejected with kInvalidArgument (a
+  // shard could miss match nodes).
+  void Evaluate(const Graph& query, const QueryOptions& options,
+                Served* served) const;
+  // Routed to the owning shard(s); the caller holds the snapshot lock, so
+  // readers see the whole routed batch or none of it.
+  MaintenanceStats ApplyUpdates(const std::vector<GraphUpdate>& updates);
   NodeId AddNode(LabelId label);
 
-  // Current per-shard snapshot cut.
-  VersionVector version() const;
-
-  // Point-in-time counters; ServeStats::version reports the sum of the
-  // vector's components (total applied batches across shards).
-  ServeStats Stats() const;
-
-  size_t num_shards() const {
-    // NOLINTNEXTLINE(osq-guarded-access): shard count is fixed at construction; only contents are guarded
-    return shards_.size();
-  }
-  size_t cache_size() const { return cache_.size(); }
-  size_t inflight() const {
-    return inflight_.load(std::memory_order_relaxed);
-  }
-
-  // Install the fault-injection seam.  Not synchronized against in-flight
-  // queries — call before serving traffic (tests only).
   void set_fault_hook(ShardFaultHook hook) { fault_hook_ = std::move(hook); }
 
  private:
   // Delegation target: the public constructor computes the plan once and
   // hands it to both the shard engines and the router.
-  ShardedQueryService(const Graph& g, const OntologyGraph& ontology,
-                      const IndexOptions& index_options,
-                      const ShardPlan& plan,
-                      const ServeOptions& serve_options);
+  ShardSet(const Graph& g, const OntologyGraph& ontology,
+           const IndexOptions& index_options, const ShardPlan& plan);
 
-  VersionVector CurrentVersionLocked() const OSQ_REQUIRES_SHARED(mu_);
-  void ApplyDeltasLocked(const std::vector<ShardDelta>& deltas)
-      OSQ_REQUIRES(mu_);
-  void FinishWriteLocked(size_t applied) OSQ_REQUIRES(mu_);
-  void FinishNodeAddLocked() OSQ_REQUIRES(mu_);
-  void InvalidateCacheLocked() OSQ_REQUIRES(mu_);
-  QueryResult ScatterGather(const Graph& query, const QueryOptions& options,
-                            size_t* shards_failed) OSQ_REQUIRES_SHARED(mu_);
+  void ApplyDeltas(const std::vector<ShardDelta>& deltas);
 
   ShardOptions shard_options_;
-  ServeOptions options_;
-  // Write-intent gate; ordering is always gate THEN mu_ (see class note).
-  std::mutex writer_gate_ OSQ_ACQUIRED_BEFORE(mu_);
-  mutable std::shared_mutex mu_;  // guards shards_ + router_ (readers shared)
-  std::vector<ShardEngine> shards_ OSQ_GUARDED_BY(mu_);
-  UpdateRouter router_ OSQ_GUARDED_BY(mu_);
-  // Internally synchronized (own mutex) — deliberately not GUARDED_BY.
-  ResultCache cache_;
-  // Installed before traffic starts (see set_fault_hook) — unguarded.
+  std::vector<ShardEngine> shards_;
+  UpdateRouter router_;
   ShardFaultHook fault_hook_;
+};
 
-  std::atomic<size_t> inflight_{0};
-  // Writers pending or writing (burst classification; see query_service.h).
-  std::atomic<uint64_t> writers_pending_{0};
+class ShardedQueryService : public ServingCore<ShardSet> {
+ public:
+  ShardedQueryService(const Graph& g, const OntologyGraph& ontology,
+                      const IndexOptions& index_options,
+                      const ShardOptions& shard_options,
+                      const ServeOptions& serve_options = ServeOptions{})
+      : ServingCore(ShardSet(g, ontology, index_options, shard_options),
+                    serve_options) {}
 
-  // Counters (relaxed; see serve/serve_stats.h for the rationale).
-  std::atomic<uint64_t> queries_{0};
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
-  std::atomic<uint64_t> complete_{0};
-  std::atomic<uint64_t> deadline_exceeded_{0};
-  std::atomic<uint64_t> cancelled_{0};
-  std::atomic<uint64_t> shard_unavailable_{0};
-  std::atomic<uint64_t> shed_{0};
-  std::atomic<uint64_t> invalidations_{0};
-  std::atomic<uint64_t> update_batches_{0};
-  std::atomic<uint64_t> updates_applied_{0};
-  std::atomic<uint64_t> nodes_added_{0};
-  std::atomic<uint64_t> read_wait_tenth_us_{0};
-  std::atomic<uint64_t> write_wait_tenth_us_{0};
-  std::atomic<uint64_t> write_apply_tenth_us_{0};
-  LatencyHistogram hit_latency_;
-  LatencyHistogram miss_latency_;
-  LatencyHistogram degraded_latency_;
-  LatencyHistogram burst_read_latency_;
+  // Current per-shard snapshot cut; never waits behind a writer.
+  VersionVector version() const { return version_vector(); }
+
+  size_t num_shards() const { return version_vector().v.size(); }
+
+  // Install the fault-injection seam.  Not synchronized against in-flight
+  // queries — call before serving traffic (tests only).
+  void set_fault_hook(ShardFaultHook hook) {
+    backend_unsynchronized().set_fault_hook(std::move(hook));
+  }
 };
 
 }  // namespace osq

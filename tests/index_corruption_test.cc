@@ -285,12 +285,21 @@ TEST(IndexCorruptionTest, SaveLoadAgainstDifferentGraphIsRejected) {
 constexpr size_t kV2HeaderBytes = 40;
 constexpr size_t kV2EntryBytes = 24;
 
+// A scratch file named after the running test: ctest runs every test in
+// its own process, in parallel, so one shared name let concurrent tests
+// overwrite each other's bytes.
+std::string PerTestPath(const std::string& stem) {
+  return testing::TempDir() + "/" + stem + "_" +
+         testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".snp";
+}
+
 std::string BuildValidSnapshotBytes() {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 2;
   QueryEngine engine(f.g, f.o, options);
-  const std::string path = testing::TempDir() + "/osq_v2_corruption_base.snp";
+  const std::string path = PerTestPath("osq_v2_corruption_base");
   EXPECT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::stringstream ss;
@@ -325,7 +334,7 @@ void FixPayloadHash(std::string* bytes) {
 }
 
 Status LoadSnapshotBytes(const std::string& bytes) {
-  const std::string path = testing::TempDir() + "/osq_v2_corruption_case.snp";
+  const std::string path = PerTestPath("osq_v2_corruption_case");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

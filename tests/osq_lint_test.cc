@@ -240,6 +240,18 @@ TEST(OsqLintFixtureTest, CleanGuardedAccess) {
   EXPECT_TRUE(LintFixture("clean_guarded_access.cc").empty());
 }
 
+TEST(OsqLintFixtureTest, BadGuardedAccessInClassTemplate) {
+  std::vector<Violation> vs = LintFixture("bad_guarded_access_template.cc");
+  // An unguarded read in the class body, plus a shared-mode write and an
+  // unguarded read in members defined outside it (`Box<T>::Name`).
+  EXPECT_EQ(CountRule(vs, "osq-guarded-access"), 3u);
+  EXPECT_EQ(vs.size(), 3u);
+}
+
+TEST(OsqLintFixtureTest, CleanGuardedAccessInClassTemplate) {
+  EXPECT_TRUE(LintFixture("clean_guarded_access_template.cc").empty());
+}
+
 TEST(OsqLintFixtureTest, BadLockOrder) {
   std::vector<Violation> vs = LintFixture("bad_lock_order.cc");
   // The seeded serving-tier hazard (gate taken after the snapshot lock)

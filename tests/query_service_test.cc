@@ -242,18 +242,6 @@ TEST(QueryServiceTest, ErrorResultsNotCachedByDefault) {
   EXPECT_EQ(service.cache_size(), 0u);
 }
 
-TEST(QueryServiceTest, ErrorResultsCachedWhenOptedIn) {
-  test::TravelFixture f = test::MakeTravelFixture();
-  ServeOptions serve;
-  serve.cache_errors = true;
-  QueryService service = MakeTravelService(&f, serve);
-  Graph empty;
-  ASSERT_FALSE(service.Query(empty, TravelOptions()).result.status.ok());
-  ServedResult second = service.Query(empty, TravelOptions());
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_FALSE(second.result.status.ok());
-}
-
 TEST(ResultCacheTest, LookupTimeStaleDropsAreCounted) {
   // A stale entry found at Lookup is dropped on the spot; the drop must be
   // recorded (it was previously invisible, under-reporting invalidations).

@@ -1,4 +1,5 @@
-// Pins the ServeStats accounting invariant (serve_stats.h):
+// Pins the ServeStats accounting invariant (serve_stats.h) on both serving
+// tiers:
 //
 //   queries == cache_hits + cache_misses
 //   total_requests() == queries + shed
@@ -11,13 +12,17 @@
 
 #include "serve/serve_stats.h"
 
+#include <cstdint>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/index_maintenance.h"
 #include "serve/query_service.h"
+#include "shard/sharded_query_service.h"
 #include "test_util.h"
 
 namespace osq {
@@ -78,32 +83,64 @@ TEST(ServeStatsTest, ToStringRendersNewFields) {
   EXPECT_NE(out.find("ingest:"), std::string::npos);
 }
 
-// The invariant on a live service: admitted queries split exactly into
-// hits and misses, every admitted query records exactly one latency
-// sample, and mutations keep edge vs node counters separate.
-TEST(ServeStatsTest, LiveServiceCountersReconcile) {
+// The two serving tiers over the travel fixture; the sharded one splits it
+// across three hash shards.
+template <class Service>
+std::unique_ptr<Service> MakeService(test::TravelFixture* f);
+
+template <>
+std::unique_ptr<QueryService> MakeService(test::TravelFixture* f) {
+  return std::make_unique<QueryService>(
+      QueryEngine(std::move(f->g), std::move(f->o), IndexOptions{}),
+      ServeOptions{});
+}
+
+template <>
+std::unique_ptr<ShardedQueryService> MakeService(test::TravelFixture* f) {
+  ShardOptions so;
+  so.num_shards = 3;
+  return std::make_unique<ShardedQueryService>(f->g, f->o, IndexOptions{},
+                                               so);
+}
+
+uint64_t VersionSum(const QueryService& s) { return s.version(); }
+uint64_t VersionSum(const ShardedQueryService& s) {
+  return s.version().sum();
+}
+
+template <class Service>
+class LiveServeStatsTest : public ::testing::Test {};
+
+using ServingTiers = ::testing::Types<QueryService, ShardedQueryService>;
+TYPED_TEST_SUITE(LiveServeStatsTest, ServingTiers);
+
+// The invariant on a live service of either tier: admitted queries split
+// exactly into hits and misses, every admitted query records exactly one
+// latency sample, and mutations keep edge vs node counters separate.
+TYPED_TEST(LiveServeStatsTest, LiveServiceCountersReconcile) {
   test::TravelFixture f = test::MakeTravelFixture();
   Graph query = f.query;
   QueryOptions qo;
   qo.theta = 0.9;
   qo.k = 10;
-  QueryService service(
-      QueryEngine(std::move(f.g), std::move(f.o), IndexOptions{}),
-      ServeOptions{});
+  std::unique_ptr<TypeParam> service = MakeService<TypeParam>(&f);
 
-  ASSERT_TRUE(service.Query(query, qo).result.status.ok());  // miss
-  ASSERT_TRUE(service.Query(query, qo).result.status.ok());  // hit
-  (void)service.AddNode(f.guide);
+  ASSERT_TRUE(service->Query(query, qo).result.status.ok());  // miss
+  ASSERT_TRUE(service->Query(query, qo).result.status.ok());  // hit
+  (void)service->AddNode(f.guide);
   MaintenanceStats ms;
   ASSERT_TRUE(
-      service.ApplyUpdate(GraphUpdate::Insert(f.ct, f.hp, f.fav), &ms));
-  ASSERT_TRUE(service.Query(query, qo).result.status.ok());  // miss again
+      service->ApplyUpdate(GraphUpdate::Insert(f.ct, f.hp, f.fav), &ms));
+  EXPECT_EQ(ms.applied, 1u);
+  ASSERT_TRUE(service->Query(query, qo).result.status.ok());  // miss again
 
-  ServeStats s = service.Stats();
+  ServeStats s = service->Stats();
   EXPECT_EQ(s.queries, 3u);
   EXPECT_EQ(s.cache_hits, 1u);
   EXPECT_EQ(s.cache_misses, 2u);
   EXPECT_EQ(s.queries, s.cache_hits + s.cache_misses);
+  EXPECT_EQ(s.queries, s.complete + s.deadline_exceeded + s.cancelled +
+                           s.shard_unavailable);
   EXPECT_EQ(s.shed, 0u);
   EXPECT_EQ(s.total_requests(), s.queries);
   EXPECT_EQ(s.queries, s.hit_latency.count + s.miss_latency.count +
@@ -112,7 +149,15 @@ TEST(ServeStatsTest, LiveServiceCountersReconcile) {
   EXPECT_EQ(s.nodes_added, 1u);
   EXPECT_EQ(s.updates_applied, 1u);
   EXPECT_EQ(s.update_batches, 2u);
-  EXPECT_EQ(s.version, 2u);
+  // The scalar version: the engine's mutation count on one engine, the
+  // sum of the per-shard components on the sharded tier (each batch
+  // advanced at least one of them).
+  EXPECT_EQ(s.version, VersionSum(*service));
+  if constexpr (std::is_same_v<TypeParam, QueryService>) {
+    EXPECT_EQ(s.version, 2u);
+  } else {
+    EXPECT_GE(s.version, 2u);
+  }
 }
 
 }  // namespace

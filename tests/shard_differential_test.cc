@@ -7,7 +7,8 @@
 // through every service in lockstep with a twin graph and re-assert
 // against an oracle rebuilt from the twin.  A deadline-degraded pass
 // checks partial results are subsets and never cached; a cache pass
-// checks hits reproduce the miss result.  Labeled `slow`.
+// checks hits reproduce the miss result.  A hand-built case pins ties at
+// the k-th score after halo growth.  Labeled `slow`.
 
 #include <algorithm>
 #include <cstddef>
@@ -25,6 +26,9 @@
 #include "gen/query_gen.h"
 #include "gen/scenarios.h"
 #include "graph/graph.h"
+#include "graph/label_dictionary.h"
+#include "graph/query_graph.h"
+#include "ontology/ontology_graph.h"
 #include "shard/sharded_query_service.h"
 
 namespace osq {
@@ -53,6 +57,59 @@ std::vector<LabelId> EdgeLabelUniverse(const Graph& g) {
 
 enum class Scenario { kCrossDomain, kCommunity };
 
+// Every shard count / policy combination under test, all sharing the same
+// halo radius (>= the max pivot eccentricity of 4-node queries).
+struct ShardedFleet {
+  std::vector<std::unique_ptr<ShardedQueryService>> services;
+  std::vector<std::string> names;
+};
+
+ShardedFleet MakeFleet(const Graph& g, const OntologyGraph& ontology) {
+  ShardedFleet fleet;
+  for (ShardPolicy policy : {ShardPolicy::kHash, ShardPolicy::kRange}) {
+    for (size_t n : {1u, 2u, 3u, 7u}) {
+      ShardOptions so;
+      so.num_shards = n;
+      so.policy = policy;
+      so.halo_radius = 3;
+      fleet.services.push_back(std::make_unique<ShardedQueryService>(
+          g, ontology, IndexOptions{}, so));
+      fleet.names.push_back(
+          (policy == ShardPolicy::kHash ? "hash/" : "range/") +
+          std::to_string(n));
+    }
+  }
+  return fleet;
+}
+
+// Asserts every service answers every query exactly like a fresh single
+// engine over `twin` (mappings AND bitwise scores).
+void ExpectFleetMatchesOracle(const ShardedFleet& fleet, const Graph& twin,
+                              const OntologyGraph& ontology,
+                              const std::vector<Graph>& queries,
+                              const QueryOptions& qo, const char* phase,
+                              uint64_t seed) {
+  QueryEngine oracle(twin, ontology, IndexOptions{});
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    QueryResult expected = oracle.Query(queries[qi], qo);
+    for (size_t si = 0; si < fleet.services.size(); ++si) {
+      ShardedServedResult served =
+          fleet.services[si]->Query(queries[qi], qo);
+      ASSERT_EQ(served.result.status.code(), expected.status.code())
+          << phase << " seed " << seed << " query " << qi << " "
+          << fleet.names[si];
+      if (!expected.status.ok()) continue;
+      ASSERT_TRUE(served.result.complete())
+          << phase << " seed " << seed << " query " << qi << " "
+          << fleet.names[si];
+      // Match has defaulted equality: mappings and bitwise scores.
+      ASSERT_EQ(served.result.matches, expected.matches)
+          << phase << " seed " << seed << " query " << qi << " "
+          << fleet.names[si];
+    }
+  }
+}
+
 void RunDifferential(uint64_t seed,
                      Scenario scenario = Scenario::kCrossDomain) {
   gen::ScenarioParams p;
@@ -69,44 +126,15 @@ void RunDifferential(uint64_t seed,
   qo.theta = 0.85;
   qo.k = 8;
 
-  // Every shard count / policy combination under test, all sharing the
-  // same halo radius (>= the max pivot eccentricity of 4-node queries).
-  std::vector<std::unique_ptr<ShardedQueryService>> services;
-  std::vector<std::string> names;
-  for (ShardPolicy policy : {ShardPolicy::kHash, ShardPolicy::kRange}) {
-    for (size_t n : {1u, 2u, 3u, 7u}) {
-      ShardOptions so;
-      so.num_shards = n;
-      so.policy = policy;
-      so.halo_radius = 3;
-      services.push_back(std::make_unique<ShardedQueryService>(
-          ds.graph, ds.ontology, idx, so));
-      names.push_back(
-          (policy == ShardPolicy::kHash ? "hash/" : "range/") +
-          std::to_string(n));
-    }
-  }
+  ShardedFleet fleet = MakeFleet(ds.graph, ds.ontology);
+  std::vector<std::unique_ptr<ShardedQueryService>>& services =
+      fleet.services;
+  const std::vector<std::string>& names = fleet.names;
 
   Graph twin = ds.graph;
   auto check_all = [&](const char* phase) {
-    QueryEngine oracle(twin, ds.ontology, idx);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      QueryResult expected = oracle.Query(queries[qi], qo);
-      for (size_t si = 0; si < services.size(); ++si) {
-        ShardedServedResult served = services[si]->Query(queries[qi], qo);
-        ASSERT_EQ(served.result.status.code(), expected.status.code())
-            << phase << " seed " << seed << " query " << qi << " "
-            << names[si];
-        if (!expected.status.ok()) continue;
-        ASSERT_TRUE(served.result.complete())
-            << phase << " seed " << seed << " query " << qi << " "
-            << names[si];
-        // Match has defaulted equality: mappings and bitwise scores.
-        ASSERT_EQ(served.result.matches, expected.matches)
-            << phase << " seed " << seed << " query " << qi << " "
-            << names[si];
-      }
-    }
+    ExpectFleetMatchesOracle(fleet, twin, ds.ontology, queries, qo, phase,
+                             seed);
   };
 
   check_all("initial");
@@ -204,6 +232,44 @@ TEST(ShardDifferentialTest, OracleEquivalenceSeedC) { RunDifferential(83); }
 // the pristine community structure.
 TEST(ShardDifferentialTest, OracleEquivalenceCommunity) {
   RunDifferential(47, Scenario::kCommunity);
+}
+
+// Ties at the k-th score must break on GLOBAL ids after the update stream.
+// Under range/2, node 3 is owned by shard 0 and, until the inserted edge
+// 15 -> 3 pulls it into shard 1's halo, absent from shard 1; the halo
+// growth appends it after every original member, so shard-local ids stop
+// following global order.  Both matches (15, 12) and (15, 3) of the
+// one-edge query score 2 with pivot 15 owned by shard 1; the oracle keeps
+// (15, 3) at k = 1, and so must shard 1's own top-k.
+TEST(ShardDifferentialTest, PostStreamKthScoreTiesBreakOnGlobalIds) {
+  LabelDictionary dict;
+  OntologyGraph ontology;
+  ontology.AddRelation(dict.Intern("item"), dict.Intern("thing"));
+  StringGraphBuilder gb(&dict);
+  for (int i = 0; i < 20; ++i) gb.AddNode("n" + std::to_string(i), "item");
+  gb.AddEdge("n15", "n12", "link");
+  Graph g = gb.TakeGraph();
+  const LabelId link = dict.Lookup("link");
+
+  StringGraphBuilder qb(&dict);
+  qb.AddNode("a", "item");
+  qb.AddNode("b", "item");
+  qb.AddEdge("a", "b", "link");
+  const std::vector<Graph> queries = {qb.TakeGraph()};
+  QueryOptions qo;
+  qo.theta = 0.9;
+  qo.k = 1;
+
+  ShardedFleet fleet = MakeFleet(g, ontology);
+  Graph twin = g;
+  ExpectFleetMatchesOracle(fleet, twin, ontology, queries, qo, "initial", 0);
+
+  ASSERT_TRUE(twin.AddEdge(15, 3, link));
+  for (const auto& service : fleet.services) {
+    ASSERT_TRUE(service->ApplyUpdate(GraphUpdate::Insert(15, 3, link)));
+  }
+  ExpectFleetMatchesOracle(fleet, twin, ontology, queries, qo, "post-stream",
+                           0);
 }
 
 }  // namespace

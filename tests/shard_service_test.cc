@@ -244,6 +244,10 @@ TEST(ShardedQueryServiceTest, AdmissionControlShedsAtCapacity) {
   ShardedServedResult shed = service.Query(f.query, QueryOptions{});
   EXPECT_TRUE(shed.shed);
   EXPECT_EQ(shed.result.status.code(), StatusCode::kUnavailable);
+  // Like the single-engine tier, a shed response still reports the
+  // current cut.
+  EXPECT_EQ(shed.version, service.version());
+  EXPECT_EQ(shed.version.v.size(), 2u);
   release.store(true);
   t.join();
   EXPECT_EQ(service.Stats().shed, 1u);

@@ -205,12 +205,26 @@ std::string HeaderFunctionName(const std::string& stmt) {
   while (e > 0 && IsSpace(stmt[e - 1])) --e;
   if (e == 0) return "";
   if (stmt[e - 1] == ']') return "<lambda>";
+  // Built right to left; a class template's argument list in an
+  // out-of-class member definition (`Box<T>::Put`) is dropped, so the
+  // member is attributed to `Box` like one defined in the class body.
+  std::string name;
   size_t b = e;
-  while (b > 0 && (IsIdentChar(stmt[b - 1]) || stmt[b - 1] == ':' ||
-                   stmt[b - 1] == '~')) {
-    --b;
+  while (true) {
+    size_t seg_end = b;
+    while (b > 0 && (IsIdentChar(stmt[b - 1]) || stmt[b - 1] == ':' ||
+                     stmt[b - 1] == '~')) {
+      --b;
+    }
+    name = stmt.substr(b, seg_end - b) + name;
+    if (b == 0 || stmt[b - 1] != '>' || name.rfind("::", 0) != 0) break;
+    int depth = 0;
+    while (b > 0) {
+      char c = stmt[--b];
+      if (c == '>') ++depth;
+      if (c == '<' && --depth == 0) break;
+    }
   }
-  std::string name = stmt.substr(b, e - b);
   if (name.empty()) {
     // operator==, operator+=, ...: symbols back to the `operator` keyword.
     size_t s = e;

@@ -135,6 +135,8 @@ std::vector<std::pair<std::string, double>> FilterStatExtras(const World& w) {
     sum.pruned_nodes += r.stats.pruned_nodes;
     sum.sig_block_rejections += r.stats.sig_block_rejections;
     sum.sig_node_rejections += r.stats.sig_node_rejections;
+    sum.seed_visits += r.stats.seed_visits;
+    sum.fixpoint_checks += r.stats.fixpoint_checks;
     sum.gv_nodes += r.stats.gv_nodes;
   }
   return {{"initial_blocks", static_cast<double>(sum.initial_blocks)},
@@ -144,6 +146,8 @@ std::vector<std::pair<std::string, double>> FilterStatExtras(const World& w) {
            static_cast<double>(sum.sig_block_rejections)},
           {"sig_node_rejections",
            static_cast<double>(sum.sig_node_rejections)},
+          {"seed_visits", static_cast<double>(sum.seed_visits)},
+          {"fixpoint_checks", static_cast<double>(sum.fixpoint_checks)},
           {"gv_nodes", static_cast<double>(sum.gv_nodes)}};
 }
 

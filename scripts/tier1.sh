@@ -13,7 +13,8 @@
 #   overflow/alignment/bounds UB.
 # - ASan+LSan (OSQ_SANITIZE=address, detect_leaks=1) runs the fast suite
 #   against heap misuse and leaks (ThreadPool shutdown, QueryService
-#   snapshot lifetimes).
+#   snapshot lifetimes), plus the slow filter-maintenance, maintenance,
+#   shard and ingest differential suites.
 # - lint (scripts/lint.sh) runs osq_lint + clang-tidy-with-baseline +
 #   clang-format --check; see DESIGN.md §10.
 # - OSQ_BENCH_CHECK=1 adds an opt-in bench regression stage: one
@@ -59,6 +60,13 @@ cmake -B build-asan -S . -DOSQ_SANITIZE=address -DOSQ_WERROR=ON \
 cmake --build build-asan -j
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:check_initialization_order=1" \
   ctest --test-dir build-asan --output-on-failure -j -LE slow
+# The slow differential suites grow the graph between queries on one
+# thread, so per-thread query scratch sized for an older graph meets a
+# larger one; ASan is what catches an index past a stale size.  (-j takes
+# an explicit count: a bare -j would swallow the -R that follows it.)
+ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:check_initialization_order=1" \
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)" \
+  -R 'FilterMaintenanceTest|MaintenanceDifferentialTest|ShardDifferentialTest|IngestDifferentialTest'
 
 echo "== tier-1: lint (osq_lint + clang-tidy + format) =="
 scripts/lint.sh build

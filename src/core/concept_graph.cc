@@ -383,60 +383,14 @@ std::vector<BlockId> ConceptGraph::Predecessors(BlockId b) const {
 
 bool ConceptGraph::HasSuccessorBlock(BlockId b, BlockId target,
                                      LabelId edge_label) const {
-  OSQ_DCHECK(IsAlive(b));
-  NodeId rep = members_[b][0];
-  bool check_label = options_.edge_label_aware && edge_label != kInvalidLabel;
-  for (const AdjEntry& e : g_->OutEdges(rep)) {
-    if (block_of_[e.node] == target &&
-        (!check_label || e.label == edge_label)) {
-      return true;
-    }
-  }
-  return false;
+  return AnyNeighborBlock(b, /*forward=*/true, edge_label,
+                          [target](BlockId c) { return c == target; });
 }
 
 bool ConceptGraph::HasPredecessorBlock(BlockId b, BlockId source,
                                        LabelId edge_label) const {
-  OSQ_DCHECK(IsAlive(b));
-  NodeId rep = members_[b][0];
-  bool check_label = options_.edge_label_aware && edge_label != kInvalidLabel;
-  for (const AdjEntry& e : g_->InEdges(rep)) {
-    if (block_of_[e.node] == source &&
-        (!check_label || e.label == edge_label)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ConceptGraph::HasSuccessorInSet(BlockId b,
-                                     const std::vector<bool>& member_set,
-                                     LabelId edge_label) const {
-  OSQ_DCHECK(IsAlive(b));
-  NodeId rep = members_[b][0];
-  bool check_label = options_.edge_label_aware && edge_label != kInvalidLabel;
-  for (const AdjEntry& e : g_->OutEdges(rep)) {
-    if (member_set[block_of_[e.node]] &&
-        (!check_label || e.label == edge_label)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool ConceptGraph::HasPredecessorInSet(BlockId b,
-                                       const std::vector<bool>& member_set,
-                                       LabelId edge_label) const {
-  OSQ_DCHECK(IsAlive(b));
-  NodeId rep = members_[b][0];
-  bool check_label = options_.edge_label_aware && edge_label != kInvalidLabel;
-  for (const AdjEntry& e : g_->InEdges(rep)) {
-    if (member_set[block_of_[e.node]] &&
-        (!check_label || e.label == edge_label)) {
-      return true;
-    }
-  }
-  return false;
+  return AnyNeighborBlock(b, /*forward=*/false, edge_label,
+                          [source](BlockId c) { return c == source; });
 }
 
 size_t ConceptGraph::SizeNodesPlusEdges() const {

@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "graph/graph.h"
 #include "graph/types.h"
@@ -163,19 +164,42 @@ class ConceptGraph {
   std::vector<BlockId> Predecessors(BlockId b) const;
 
   // True if the representative of `b` has an out-edge into block `target`
-  // (respecting `edge_label` when the graph was built edge-label aware and
-  // `edge_label` != kInvalidLabel).
+  // (respecting `edge_label` as AnyNeighborBlock below does).
   bool HasSuccessorBlock(BlockId b, BlockId target, LabelId edge_label) const;
   bool HasPredecessorBlock(BlockId b, BlockId source, LabelId edge_label) const;
 
-  // Allocation-free variants used by the filtering hot loop: true if the
-  // representative of `b` has an out-edge (resp. in-edge) into any block
-  // marked true in `member_set` (indexed by block id, sized >=
-  // block_capacity()), honoring `edge_label` as above.
-  bool HasSuccessorInSet(BlockId b, const std::vector<bool>& member_set,
-                         LabelId edge_label) const;
-  bool HasPredecessorInSet(BlockId b, const std::vector<bool>& member_set,
-                           LabelId edge_label) const;
+  // The neighbour-block scan behind the filter's block fixpoint and seed
+  // expansion: calls visit(block) for the block of each out-edge
+  // (`forward`) or in-edge of b's representative member, and returns true
+  // as soon as visit does.  Edges whose label differs from `edge_label`
+  // (unless kInvalidLabel) are skipped when the graph is edge-label aware
+  // or b has a single member.  Otherwise EVERY edge of the representative
+  // is followed: a label-unaware partition makes members agree on their
+  // neighbour blocks but not on the labels of the edges into them, so a
+  // member's edge of the wanted label into block c shows up at the
+  // representative only as SOME edge into c.
+  template <typename Visit>
+  bool AnyNeighborBlock(BlockId b, bool forward, LabelId edge_label,
+                        Visit&& visit) const {
+    OSQ_DCHECK(IsAlive(b));
+    const std::vector<NodeId>& ms = members_[b];
+    bool check_label = edge_label != kInvalidLabel &&
+                       (options_.edge_label_aware || ms.size() == 1);
+    NodeId rep = ms[0];
+    for (const AdjEntry& e : forward ? g_->OutEdges(rep) : g_->InEdges(rep)) {
+      if (check_label && e.label != edge_label) continue;
+      if (visit(block_of_[e.node])) return true;
+    }
+    return false;
+  }
+
+  // Out-degree (`forward`) or in-degree of b's representative: the number
+  // of entries AnyNeighborBlock scans on a label-unaware graph.
+  size_t RepresentativeDegree(BlockId b, bool forward) const {
+    OSQ_DCHECK(IsAlive(b));
+    NodeId rep = members_[b][0];
+    return forward ? g_->OutDegree(rep) : g_->InDegree(rep);
+  }
 
   // Index size |I| contribution: number of blocks plus block edges.
   size_t SizeNodesPlusEdges() const;

@@ -64,6 +64,8 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
       << filter.stats.sig_block_rejections
       << ", node rejections=" << filter.stats.sig_node_rejections
       << "; refinement pruned nodes=" << filter.stats.pruned_nodes << "\n";
+  out << "  work: seed visits=" << filter.stats.seed_visits
+      << ", fixpoint checks=" << filter.stats.fixpoint_checks << "\n";
   if (filter.no_match) {
     out << "  => no match possible: Q(G) is empty (Prop. 4.2)\n";
     return out.str();

@@ -1,11 +1,14 @@
 #include "core/filtering.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
+#include "common/scratch_slots.h"
 #include "common/thread_pool.h"
 #include "core/candidate_index.h"
 #include "ontology/ontology_graph.h"
@@ -59,60 +62,196 @@ std::vector<LabelId> MultiSourceBall(const OntologyGraph& o,
   return result;
 }
 
-// Candidate block sets for every query node in one concept graph, or
-// empty-optional-style failure (returns false) when some query node has no
-// candidate block after refinement.  `cindex` non-null switches the
-// initialization to the signature index: seed from the inverted
-// member-label lists (exactly the blocks holding a theta-passing member)
-// and pre-reject blocks whose aggregate signature cannot satisfy the
-// query node's incident edges (`reqs[u]`).
-bool BlockCandidates(const ConceptGraph& cg, const OntologyGraph& o,
-                     const SimilarityFunction& sim, const Graph& query,
-                     const QueryOptions& options,
-                     const std::vector<std::unordered_map<LabelId, double>>&
-                         exact_label_sims,
-                     const CandidateIndex* cindex, size_t graph_index,
-                     const std::vector<SignatureRequirement>& reqs,
-                     const std::vector<std::vector<LabelId>>& sim_labels,
-                     const ExecControl* exec,
-                     const PivotRestriction* restriction,
-                     std::vector<std::vector<BlockId>>* out,
-                     FilterStats* stats) {
-  size_t nq = query.num_nodes();
-  std::vector<std::vector<BlockId>> can(nq);
-  // in_can[u] is a dense membership bitmap over block ids.
-  std::vector<std::vector<bool>> in_can(nq);
+// Membership of ids (blocks or data nodes) in `num_sets` per-query sets,
+// keyed through the calling thread's ScratchSlots lease: one bit per
+// (slot, set), grown as ids are touched, so nothing here is sized by the
+// id universe.  Same lease rule: never live across a ParallelFor.
+class CandidateSets {
+ public:
+  CandidateSets(size_t universe, size_t num_sets)
+      : slots_(universe), words_((num_sets + 63) / 64) {}
 
-  for (NodeId u = 0; u < nq; ++u) {
-    LabelId ql = query.NodeLabel(u);
-    in_can[u].assign(cg.block_capacity(), false);
-    auto add_block = [&](BlockId b) {
-      if (!in_can[u][b]) {
-        in_can[u][b] = true;
-        can[u].push_back(b);
-      }
-    };
-    if (cindex != nullptr) {
-      // Signature-indexed initialization: the inverted index yields the
-      // exact-ablation block set (blocks with a theta-passing member)
-      // without scanning members, and the block signature rejects blocks
-      // none of whose members can satisfy u's incident query edges.
-      // `seen` (not in_can!) dedups across labels — in_can must hold only
-      // admitted blocks, since the fixpoint reads it as the membership
-      // set of the opposite endpoint.
-      std::vector<bool> seen(cg.block_capacity(), false);
-      for (LabelId l : sim_labels[u]) {
-        for (BlockId b : cindex->BlocksWithMemberLabel(graph_index, l)) {
-          if (seen[b]) continue;
-          seen[b] = true;
-          if (cindex->BlockPasses(graph_index, b, reqs[u])) {
-            add_block(b);
-          } else {
-            ++stats->sig_block_rejections;
-          }
+  bool Has(uint32_t id, size_t set) const {
+    uint32_t slot = slots_.Find(id);
+    return slot != ScratchSlots::kNone &&
+           (bits_[Word(slot, set)] & Bit(set)) != 0;
+  }
+  // Adds `id` to `set`; false when it was already there.
+  bool Add(uint32_t id, size_t set) {
+    uint32_t slot = slots_.Insert(id);
+    if (bits_.size() < (slot + 1) * words_) {
+      bits_.resize((slot + 1) * words_, 0);
+    }
+    uint64_t& word = bits_[Word(slot, set)];
+    if ((word & Bit(set)) != 0) return false;
+    word |= Bit(set);
+    return true;
+  }
+  void Remove(uint32_t id, size_t set) {
+    uint32_t slot = slots_.Find(id);
+    if (slot != ScratchSlots::kNone) bits_[Word(slot, set)] &= ~Bit(set);
+  }
+
+ private:
+  size_t Word(uint32_t slot, size_t set) const {
+    return slot * words_ + set / 64;
+  }
+  static uint64_t Bit(size_t set) { return uint64_t{1} << (set % 64); }
+
+  ScratchSlots slots_;
+  size_t words_;
+  std::vector<uint64_t> bits_;
+};
+
+bool Allowed(const std::vector<char>& allowed, NodeId v) {
+  return v < allowed.size() && allowed[v] != 0;
+}
+
+// The per-query inputs every concept graph's block stage reads.
+struct BlockInputs {
+  const OntologyGraph& o;
+  const SimilarityFunction& sim;
+  const Graph& query;
+  const std::vector<EdgeTriple>& qedges;
+  const QueryOptions& options;
+  const std::vector<std::unordered_map<LabelId, double>>& exact_label_sims;
+  // Non-null switches seeding to the signature index (see Run).
+  const CandidateIndex* cindex;
+  const std::vector<SignatureRequirement>& reqs;     // with cindex
+  const std::vector<std::vector<LabelId>>& sim_labels;  // with cindex
+  const ExecControl* exec;
+  // The pivot restriction, or pivot == kInvalidNode when there is none.
+  NodeId pivot;
+  const std::vector<char>* allowed;
+};
+
+// Block-level Gview over one concept graph: seeds candidate blocks for
+// every query node, then refines them to the block fixpoint.
+class BlockStage {
+ public:
+  BlockStage(const BlockInputs& in, const ConceptGraph& cg,
+             size_t graph_index, FilterStats* stats)
+      : in_(in),
+        cg_(cg),
+        graph_index_(graph_index),
+        nq_(in.query.num_nodes()),
+        stats_(stats),
+        // Sets [0, nq) are the candidate blocks of each query node; sets
+        // [nq, 2 nq) the blocks already examined for it while seeding.
+        sets_(cg.block_capacity(), 2 * nq_),
+        can_(nq_),
+        check_(in.exec) {}
+
+  // Candidate blocks per query node, or false when some query node has
+  // none after refinement, or seeding was stopped (stats->stopped says
+  // which).
+  //
+  // With the signature index, one query node is seeded from the inverted
+  // member-label lists and every other one is formed by the cheaper of
+  // seeding and expansion from an already-formed neighbour (Expand), one
+  // node at a time, cheapest step first.  Seeding costs the node's list
+  // total; expansion the summed degree of the neighbour's block
+  // representatives in the query edge's direction.
+  bool Run(std::vector<std::vector<BlockId>>* out) {
+    std::vector<size_t> seed_cost(nq_, 0);
+    if (in_.cindex != nullptr) {
+      for (NodeId u = 0; u < nq_; ++u) {
+        for (LabelId l : in_.sim_labels[u]) {
+          seed_cost[u] +=
+              in_.cindex->BlocksWithMemberLabel(graph_index_, l).size();
         }
       }
-    } else if (options.lazy_candidates) {
+    }
+    std::vector<char> formed(nq_, 0);
+    std::vector<std::array<size_t, 2>> expand_cost(nq_);  // see ExpandCost
+    for (size_t step = 0; step < nq_; ++step) {
+      NodeId next = kInvalidNode;
+      const EdgeTriple* via = nullptr;
+      size_t best = SIZE_MAX;
+      // Without the index every seeding cost is 0, so the ablations seed
+      // the query nodes in id order and never expand.
+      for (NodeId u = 0; u < nq_; ++u) {
+        if (formed[u] != 0) continue;
+        size_t cost = seed_cost[u];
+        const EdgeTriple* edge = nullptr;
+        for (const EdgeTriple& e : in_.qedges) {
+          // Reaching u along e follows it from its other endpoint w.
+          bool forward = e.to == u;
+          if (e.from == e.to || (!forward && e.from != u)) continue;
+          NodeId w = forward ? e.from : e.to;
+          if (formed[w] != 0 && expand_cost[w][forward ? 0 : 1] < cost) {
+            cost = expand_cost[w][forward ? 0 : 1];
+            edge = &e;
+          }
+        }
+        if (cost < best) {
+          best = cost;
+          next = u;
+          via = edge;
+        }
+      }
+      if (via == nullptr) {
+        Seed(next);
+      } else {
+        Expand(next, *via);
+      }
+      if (Stopped()) {
+        stats_->stopped = MergeStopReason(stats_->stopped, check_.reason());
+        return false;
+      }
+      stats_->initial_blocks += can_[next].size();
+      if (next == in_.pivot) Restrict(next);
+      if (can_[next].empty()) return false;
+      formed[next] = 1;
+      expand_cost[next] = ExpandCost(next);
+    }
+    if (!Refine()) return false;
+    stats_->stopped = MergeStopReason(stats_->stopped, check_.reason());
+    *out = std::move(can_);
+    return true;
+  }
+
+ private:
+  bool Stopped() const { return check_.reason() != StopReason::kNone; }
+
+  // One block reached by the seed stage: polls the deadline, then counts
+  // the block unless it was already examined for u.  Returns whether to
+  // examine it; false also once the query is stopped (check_ says so).
+  bool Visit(NodeId u, BlockId b) {
+    if (check_.Stop() || !sets_.Add(b, nq_ + u)) return false;
+    ++stats_->seed_visits;
+    return true;
+  }
+
+  void AddCandidate(NodeId u, BlockId b) {
+    if (sets_.Add(b, u)) can_[u].push_back(b);
+  }
+
+  // Signature-index admission of block b for u; every caller has checked
+  // that b holds a member with a theta-passing label.
+  void Admit(NodeId u, BlockId b) {
+    if (in_.cindex->BlockPasses(graph_index_, b, in_.reqs[u])) {
+      AddCandidate(u, b);
+    } else {
+      ++stats_->sig_block_rejections;
+    }
+  }
+
+  // Seeds u's candidate blocks from scratch.
+  void Seed(NodeId u) {
+    if (in_.cindex != nullptr) {
+      // Signature-indexed: the inverted index yields exactly the blocks
+      // with a theta-passing member, without scanning members, and the
+      // block signature rejects blocks none of whose members can satisfy
+      // u's incident query edges.
+      for (LabelId l : in_.sim_labels[u]) {
+        for (BlockId b :
+             in_.cindex->BlocksWithMemberLabel(graph_index_, l)) {
+          if (Visit(u, b)) Admit(u, b);
+          if (Stopped()) return;
+        }
+      }
+    } else if (in_.options.lazy_candidates) {
       // Lazy strategy (paper, Gview line 4): candidate blocks are found by
       // label distance alone, never by scanning members.  The paper admits
       // every block whose concept label is within Radius(theta) +
@@ -120,112 +259,152 @@ bool BlockCandidates(const ConceptGraph& cg, const OntologyGraph& o,
       // equivalent test "within Radius(beta) of some exact candidate
       // label", which is a subset by the triangle inequality yet still
       // contains every block holding a true candidate.
-      for (LabelId l : MultiSourceBall(o, exact_label_sims[u],
-                                       sim.Radius(cg.beta()))) {
-        for (BlockId b : cg.BlocksWithLabel(l)) add_block(b);
+      for (LabelId l : MultiSourceBall(in_.o, in_.exact_label_sims[u],
+                                       in_.sim.Radius(cg_.beta()))) {
+        for (BlockId b : cg_.BlocksWithLabel(l)) {
+          if (Visit(u, b)) AddCandidate(u, b);
+          if (Stopped()) return;
+        }
       }
       // Uncovered labels group under themselves (see ConceptGraph::Build).
-      for (BlockId b : cg.BlocksWithLabel(ql)) add_block(b);
+      for (BlockId b : cg_.BlocksWithLabel(in_.query.NodeLabel(u))) {
+        if (Visit(u, b)) AddCandidate(u, b);
+        if (Stopped()) return;
+      }
     } else {
       // Exact (ablation): only blocks holding at least one node whose label
-      // clears theta.  Costs a scan of block members.
-      const auto& sims = exact_label_sims[u];
-      for (BlockId b : cg.AliveBlocks()) {
-        for (NodeId v : cg.Members(b)) {
-          if (sims.count(cg.data_graph().NodeLabel(v)) > 0) {
-            add_block(b);
+      // clears theta.  Costs a scan of every block's members.
+      const auto& sims = in_.exact_label_sims[u];
+      for (BlockId b = 0; b < cg_.block_capacity(); ++b) {
+        if (!cg_.IsAlive(b)) continue;
+        if (!Visit(u, b)) return;  // ids are distinct: only a stop says no
+        for (NodeId v : cg_.Members(b)) {
+          if (sims.count(cg_.data_graph().NodeLabel(v)) > 0) {
+            AddCandidate(u, b);
             break;
           }
         }
       }
     }
-    stats->initial_blocks += can[u].size();
-    if (can[u].empty()) return false;
+  }
+
+  // Forms u's candidate blocks from its formed neighbour w across query
+  // edge e: the neighbour blocks of can_[w]'s representatives, kept when
+  // they hold a theta-passing member for u and pass u's block signature.
+  // Lossless by the concept-graph invariant: a match maps e to a data
+  // edge from a member of some block b in can_[w] into the block c of u's
+  // image, and then every member of b, the representative included, has
+  // an edge into c — though not always one labelled e.label (see
+  // ConceptGraph::AnyNeighborBlock for when the label may filter).
+  void Expand(NodeId u, const EdgeTriple& e) {
+    bool forward = e.to == u;
+    NodeId w = forward ? e.from : e.to;
+    const std::vector<LabelId>& labels = in_.sim_labels[u];
+    for (BlockId b : can_[w]) {
+      bool stopped = cg_.AnyNeighborBlock(b, forward, e.label, [&](BlockId c) {
+        if (!Visit(u, c)) return Stopped();
+        const std::vector<LabelId>& members =
+            in_.cindex->block_signature(graph_index_, c).member_labels;
+        if (std::any_of(members.begin(), members.end(), [&](LabelId l) {
+              return std::binary_search(labels.begin(), labels.end(), l);
+            })) {
+          Admit(u, c);
+        }
+        return false;
+      });
+      if (stopped) return;
+    }
+  }
+
+  // Representative out- and in-degrees summed over can_[w]: the costs of
+  // expanding from w along an out- or in-edge.
+  std::array<size_t, 2> ExpandCost(NodeId w) const {
+    std::array<size_t, 2> cost{0, 0};
+    for (BlockId b : can_[w]) {
+      cost[0] += cg_.RepresentativeDegree(b, /*forward=*/true);
+      cost[1] += cg_.RepresentativeDegree(b, /*forward=*/false);
+    }
+    return cost;
   }
 
   // Pivot-seed restriction (sharded serving): drop pivot candidate blocks
-  // with no allowed member before the fixpoint, so refinement propagates
-  // the shard's cut to every other query node instead of re-deriving the
-  // full single-engine candidate sets.  One member scan per seeded pivot
-  // block; sound because a block without an allowed member can never hold
-  // an allowed pivot image (see PivotRestriction in the header).
-  if (restriction != nullptr && restriction->allowed != nullptr &&
-      restriction->query_node < nq) {
-    const std::vector<char>& allowed = *restriction->allowed;
-    NodeId u = restriction->query_node;
-    std::vector<BlockId>& list = can[u];
+  // with no allowed member as soon as the pivot's set is formed, so both
+  // expansion and refinement propagate the shard's cut to every other
+  // query node instead of re-deriving the full single-engine candidate
+  // sets.  One member scan per pivot block; sound because a block without
+  // an allowed member can never hold an allowed pivot image (see
+  // PivotRestriction in the header).
+  void Restrict(NodeId u) {
+    std::vector<BlockId>& list = can_[u];
     size_t kept = 0;
     for (BlockId b : list) {
-      bool any = false;
-      for (NodeId v : cg.Members(b)) {
-        if (v < allowed.size() && allowed[v] != 0) {
-          any = true;
-          break;
-        }
-      }
-      if (any) {
+      const std::vector<NodeId>& ms = cg_.Members(b);
+      if (std::any_of(ms.begin(), ms.end(),
+                      [&](NodeId v) { return Allowed(*in_.allowed, v); })) {
         list[kept++] = b;
       } else {
-        in_can[u][b] = false;
-        ++stats->pivot_restricted_blocks;
+        sets_.Remove(b, u);
+        ++stats_->pivot_restricted_blocks;
       }
     }
     list.resize(kept);
-    if (list.empty()) return false;
   }
 
   // Fixpoint refinement over query edges (paper, Gview lines 5-10): drop a
   // candidate block when a query edge has no corresponding block edge.
-  // The fixpoint is the one super-linear stage here, so it polls the
-  // deadline/cancel state per examined block; an interrupted fixpoint
-  // keeps the current candidate sets — a sound over-approximation, since
-  // any prefix of the pruning sequence only removed impossible blocks.
-  CancelCheck check(exec);
-  // The query's edge list is loop-invariant; materialize it once, not per
-  // fixpoint pass.
-  std::vector<EdgeTriple> qedges = query.EdgeList();
-  bool changed = true;
-  while (changed && !check.Stop()) {
-    changed = false;
-    for (const EdgeTriple& e : qedges) {
-      NodeId q1 = e.from;
-      NodeId q2 = e.to;
-      // Forward: each candidate of q1 needs a successor block in can[q2].
-      auto prune = [&](NodeId holder, NodeId other, bool forward) {
-        std::vector<BlockId>& list = can[holder];
-        size_t kept = 0;
-        for (size_t i = 0; i < list.size(); ++i) {
-          BlockId b = list[i];
-          if (check.Stop()) {
-            // Keep this and every not-yet-examined block.
-            for (; i < list.size(); ++i) list[kept++] = list[i];
-            break;
+  // The fixpoint polls the deadline/cancel state per examined block; an
+  // interrupted fixpoint keeps the current candidate sets — a sound
+  // over-approximation, since any prefix of the pruning sequence only
+  // removed impossible blocks.  False when some set runs empty.
+  bool Refine() {
+    bool changed = true;
+    while (changed && !check_.Stop()) {
+      changed = false;
+      for (const EdgeTriple& e : in_.qedges) {
+        // Forward: each candidate of e.from needs a successor block in
+        // can_[e.to]; backward symmetrically.
+        auto prune = [&](NodeId holder, NodeId other, bool forward) {
+          std::vector<BlockId>& list = can_[holder];
+          size_t kept = 0;
+          for (size_t i = 0; i < list.size(); ++i) {
+            BlockId b = list[i];
+            if (check_.Stop()) {
+              // Keep this and every not-yet-examined block.
+              for (; i < list.size(); ++i) list[kept++] = list[i];
+              break;
+            }
+            ++stats_->fixpoint_checks;
+            if (cg_.AnyNeighborBlock(b, forward, e.label, [&](BlockId c) {
+                  return sets_.Has(c, other);
+                })) {
+              list[kept++] = b;
+            } else {
+              sets_.Remove(b, holder);
+              ++stats_->pruned_blocks;
+              changed = true;
+            }
           }
-          // Honor the query edge label when the index is label-aware.
-          bool ok = forward
-                        ? cg.HasSuccessorInSet(b, in_can[other], e.label)
-                        : cg.HasPredecessorInSet(b, in_can[other], e.label);
-          if (ok) {
-            list[kept++] = b;
-          } else {
-            in_can[holder][b] = false;
-            ++stats->pruned_blocks;
-            changed = true;
-          }
-        }
-        list.resize(kept);
-      };
-      prune(q1, q2, /*forward=*/true);
-      if (can[q1].empty()) return false;
-      prune(q2, q1, /*forward=*/false);
-      if (can[q2].empty()) return false;
-      if (check.reason() != StopReason::kNone) break;
+          list.resize(kept);
+        };
+        prune(e.from, e.to, /*forward=*/true);
+        if (can_[e.from].empty()) return false;
+        prune(e.to, e.from, /*forward=*/false);
+        if (can_[e.to].empty()) return false;
+        if (Stopped()) break;
+      }
     }
+    return true;
   }
-  stats->stopped = MergeStopReason(stats->stopped, check.reason());
-  *out = std::move(can);
-  return true;
-}
+
+  const BlockInputs& in_;
+  const ConceptGraph& cg_;
+  size_t graph_index_;
+  size_t nq_;
+  FilterStats* stats_;
+  CandidateSets sets_;
+  std::vector<std::vector<BlockId>> can_;
+  CancelCheck check_;
+};
 
 }  // namespace
 
@@ -309,6 +488,16 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     });
   }
 
+  // The query's edge list is loop-invariant; materialize it once.
+  std::vector<EdgeTriple> qedges = query.EdgeList();
+  const bool restricted =
+      restriction != nullptr && restriction->allowed != nullptr;
+  const BlockInputs block_inputs{
+      o,       sim,      query,      qedges, options, exact_label_sims,
+      cindex,  reqs,     sim_labels, exec,
+      restricted ? restriction->query_node : kInvalidNode,
+      restricted ? restriction->allowed : nullptr};
+
   // Per concept graph: candidate blocks plus their member lists, computed
   // in parallel (the refinement fixpoint of one concept graph is
   // independent of every other graph's).  The intersection across graphs
@@ -326,9 +515,7 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     const ConceptGraph& cg = index.concept_graph(i);
     PerGraph& pg = per_graph[i];
     std::vector<std::vector<BlockId>> can;
-    pg.ok = BlockCandidates(cg, o, sim, query, options, exact_label_sims,
-                            cindex, i, reqs, sim_labels, exec, restriction,
-                            &can, &pg.stats);
+    pg.ok = BlockStage(block_inputs, cg, i, &pg.stats).Run(&can);
     if (!pg.ok) return;
     pg.nodes.resize(nq);
     for (NodeId u = 0; u < nq; ++u) {
@@ -354,6 +541,8 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     result.stats.initial_blocks += pg.stats.initial_blocks;
     result.stats.pruned_blocks += pg.stats.pruned_blocks;
     result.stats.sig_block_rejections += pg.stats.sig_block_rejections;
+    result.stats.seed_visits += pg.stats.seed_visits;
+    result.stats.fixpoint_checks += pg.stats.fixpoint_checks;
     result.stats.pivot_restricted_blocks += pg.stats.pivot_restricted_blocks;
     result.stats.stopped =
         MergeStopReason(result.stats.stopped, pg.stats.stopped);
@@ -391,13 +580,10 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     // The block-level restriction keeps any block with one allowed member;
     // this is where the pivot's disallowed co-members drop out, before the
     // node fixpoint ever scans their adjacency.
-    const bool restricted = restriction != nullptr &&
-                            restriction->allowed != nullptr &&
-                            static_cast<NodeId>(u) == restriction->query_node;
+    const bool pivot = u == block_inputs.pivot;
     const auto& sims = exact_label_sims[u];
     for (NodeId v : mat[u]) {
-      if (restricted && (v >= restriction->allowed->size() ||
-                         (*restriction->allowed)[v] == 0)) {
+      if (pivot && !Allowed(*block_inputs.allowed, v)) {
         ++restrict_rejects[u];
         continue;
       }
@@ -427,14 +613,12 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
   // always satisfy this, so pruning is lossless; it is what shrinks G_v to
   // exactly the union of near-matches (cf. Fig. 9's G_v).
   {
-    std::vector<std::vector<bool>> is_cand(nq);
+    CandidateSets is_cand(g.num_nodes(), nq);
     for (NodeId u = 0; u < nq; ++u) {
-      is_cand[u].assign(g.num_nodes(), false);
-      for (const auto& [v, s] : exact[u]) is_cand[u][v] = true;
+      for (const auto& [v, s] : exact[u]) is_cand.Add(v, u);
     }
-    std::vector<EdgeTriple> qedges = query.EdgeList();
     // Second super-linear stage; same cooperative-stop contract as the
-    // block fixpoint above (interrupt = keep the sound superset).
+    // block fixpoint (interrupt = keep the sound superset).
     CancelCheck check(exec);
     bool changed = true;
     while (changed && !check.Stop()) {
@@ -450,9 +634,9 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
               break;
             }
             bool ok = false;
-            const auto& adj = forward ? g.OutEdges(v) : g.InEdges(v);
-            for (const AdjEntry& a : adj) {
-              if (a.label == e.label && is_cand[other][a.node]) {
+            for (const AdjEntry& a : forward ? g.OutEdges(v) : g.InEdges(v)) {
+              ++result.stats.fixpoint_checks;
+              if (a.label == e.label && is_cand.Has(a.node, other)) {
                 ok = true;
                 break;
               }
@@ -460,7 +644,7 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
             if (ok) {
               list[kept++] = list[i];
             } else {
-              is_cand[holder][v] = false;
+              is_cand.Remove(v, holder);
               ++result.stats.pruned_nodes;
               changed = true;
             }
@@ -495,8 +679,12 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
 
   result.candidates.resize(nq);
   ParallelFor(num_threads, nq, [&](size_t u) {
+    // exact[u] and to_original both ascend: walk them together.
+    const std::vector<NodeId>& ids = result.gv.to_original;
+    NodeId local = 0;
     for (const auto& [v, s] : exact[u]) {
-      result.candidates[u].push_back({result.gv.from_original[v], s});
+      while (ids[local] < v) ++local;
+      result.candidates[u].push_back({local, s});
     }
     std::sort(result.candidates[u].begin(), result.candidates[u].end(),
               [](const Candidate& a, const Candidate& b) {

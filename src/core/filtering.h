@@ -6,22 +6,36 @@
 // Q(G) = Q(G_v).
 //
 // Per concept graph G_o in the index:
-//   1. *Lazy* candidate initialization: a block b is a candidate for query
-//      node u when dist_O(L_q(u), label(b)) <= Radius(theta) + Radius(beta)
-//      — correct because any data node v matching u satisfies
-//      dist(L_q(u), L(v)) <= Radius(theta) and v's block label satisfies
-//      dist(L(v), label(b)) <= Radius(beta), so the triangle inequality
-//      bounds the concept-label distance.  (An ablation option replaces
-//      this with exact per-node candidate computation.)
+//   1. Candidate blocks.  With the signature index (the default), ONE query
+//      node — the one with the shortest inverted member-label lists — is
+//      seeded from those lists (the blocks holding a theta-passing member,
+//      minus those whose aggregated signature fails the node's incident
+//      edges).  Every other query node is formed, cheapest step first, by
+//      the cheaper of the same seeding or *expansion* from an already
+//      formed neighbour across a query edge: the neighbour blocks of that
+//      neighbour's block representatives, under the same label and
+//      signature tests.  Expansion is lossless because all members of a
+//      block share successor and predecessor blocks (concept_graph.h), so
+//      the representative reaches every block a match can continue into.
+//      The ablations instead seed every query node: *lazily*, admitting a
+//      block b when dist_O(L_q(u), label(b)) <= Radius(theta) +
+//      Radius(beta) (any data node v matching u satisfies dist(L_q(u),
+//      L(v)) <= Radius(theta) and v's block label satisfies dist(L(v),
+//      label(b)) <= Radius(beta), so the triangle inequality bounds the
+//      concept-label distance), or exactly, by scanning block members.
 //   2. Fixpoint refinement: a candidate block of u is dropped when some
 //      query edge (u, u') has no corresponding block edge into (resp. from)
 //      a candidate of u' — sound because the concept-graph invariant makes
 //      one member representative for the whole block.
 //   3. mat(u) is intersected across concept graphs.
 // Finally the surviving data nodes are checked against the *exact*
-// similarity threshold theta and G_v is materialized as the induced
-// subgraph of their union, with per-query-node candidate lists annotated
-// with similarities (consumed by KMatch).
+// similarity threshold theta, refined by a node-level fixpoint, and G_v is
+// materialized as the induced subgraph of their union, with per-query-node
+// candidate lists annotated with similarities (consumed by KMatch).
+//
+// No stage allocates or clears anything sized by |V| or the block count
+// per query: candidate-set membership lives in per-thread, epoch-stamped
+// scratch (common/scratch_slots.h).
 
 #ifndef OSQ_CORE_FILTERING_H_
 #define OSQ_CORE_FILTERING_H_
@@ -54,6 +68,13 @@ struct FilterStats {
   // QueryOptions::use_candidate_index is off.
   size_t sig_block_rejections = 0;
   size_t sig_node_rejections = 0;
+  // Work counters, deterministic for a fixed index and query.  seed_visits:
+  // blocks the seed stage examined — inverted-list entries and expansion
+  // neighbours, each counted once per query node.  fixpoint_checks:
+  // block-fixpoint neighbour-set tests plus adjacency entries the
+  // node-level fixpoint scanned.
+  size_t seed_visits = 0;
+  size_t fixpoint_checks = 0;
   // Pivot candidate blocks / data nodes dropped by a PivotRestriction
   // (sharded serving); zero for unrestricted runs.
   size_t pivot_restricted_blocks = 0;
@@ -61,11 +82,13 @@ struct FilterStats {
   // Size of the extracted G_v.
   size_t gv_nodes = 0;
   size_t gv_edges = 0;
-  // Non-kNone when a deadline or cancellation interrupted a refinement
-  // fixpoint.  The filter result is then an over-approximation: G_v still
+  // Non-kNone when a deadline or cancellation interrupted the filter.  An
+  // interrupted refinement fixpoint leaves an over-approximation: G_v still
   // contains every true match (pruning is lossless at any prefix of the
   // fixpoint), it is just larger than the fully refined extract, so
-  // downstream KMatch output stays sound.
+  // downstream KMatch output stays sound.  An interrupted seed stage has
+  // no sound candidate sets, so the result is no_match — a partial answer
+  // flagged by this field, never a proof that Q(G) is empty.
   StopReason stopped = StopReason::kNone;
 };
 
@@ -89,7 +112,8 @@ struct FilterResult {
 // Optional pivot-seed restriction for sharded serving (shard/): candidates
 // of `query_node` are limited to data nodes v with allowed[v] != 0, applied
 // BEFORE both refinement fixpoints — candidate blocks of the pivot with no
-// allowed member are dropped at seeding time, and disallowed data nodes are
+// allowed member are dropped as soon as the pivot's set is formed (so
+// expansion starts only from owned blocks), and disallowed data nodes are
 // dropped at the exact-theta step.  Refinement then propagates the cut to
 // the other query nodes, so per-shard filtering cost scales with the
 // shard's partition instead of re-deriving the full candidate sets.
@@ -130,12 +154,12 @@ struct QuerySimTables {
 // graph (see ValidateQuery); options.theta in (0, 1].
 //
 // With options.use_candidate_index (default), the precomputed neighborhood
-// signatures (core/candidate_index.h) seed the block fixpoint with exactly
-// the blocks holding a theta-passing member and pre-reject candidates whose
-// signature cannot satisfy some incident query edge.  The returned matches
-// downstream are bit-identical either way; the candidate sets and G_v with
-// the index on are subsets of the index-off ones (still supersets of every
-// match node — Prop. 4.2 is preserved).
+// signatures (core/candidate_index.h) seed and expand the block candidates
+// (step 1 above) and pre-reject candidates whose signature cannot satisfy
+// some incident query edge.  The returned matches downstream are
+// bit-identical either way; the candidate sets and G_v with the index on
+// are subsets of the index-off ones (still supersets of every match node —
+// Prop. 4.2 is preserved).
 //
 // With options.num_threads > 1 the per-concept-graph refinement and the
 // per-query-node candidate stages run on the shared thread pool; every
@@ -143,12 +167,16 @@ struct QuerySimTables {
 // identical for any thread count.
 //
 // `exec` (optional) carries the query's deadline / cancellation state.
-// The two refinement fixpoints — block-level and node-level, the only
-// super-linear stages — poll it cooperatively and, when it fires, stop
-// refining and keep the current (over-approximate but sound) candidate
-// sets, with stats.stopped recording why.  The linear stages always run
-// to completion.  A stopped filter result is timing-dependent; the
-// thread-count determinism contract applies only to runs that complete.
+// The block seed stage polls it once per examined block and, when it
+// fires, returns no_match with stats.stopped set (QueryEngine turns that
+// into a partial, uncached answer).  The two refinement fixpoints —
+// block-level and node-level — poll it the same way but, when it fires,
+// stop refining and keep the current (over-approximate but sound)
+// candidate sets, with stats.stopped recording why.  The remaining stages
+// (similarity tables, cross-graph intersection, exact-theta, G_v build)
+// are linear in the candidates and run to completion.  A stopped filter
+// result is timing-dependent; the thread-count determinism contract
+// applies only to runs that complete.
 //
 // `restriction` (optional) applies the pivot-seed restriction documented
 // on PivotRestriction above; restriction->query_node must be a node of

@@ -3,29 +3,29 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/scratch_slots.h"
 
 namespace osq {
 
 Subgraph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes) {
   Subgraph sub;
-  sub.from_original.assign(g.num_nodes(), kInvalidNode);
-
-  std::vector<NodeId> sorted = nodes;
+  sub.to_original = nodes;
+  std::vector<NodeId>& sorted = sub.to_original;
   std::sort(sorted.begin(), sorted.end());
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
-  sub.to_original.reserve(sorted.size());
+  // Slots are handed out in insertion order, so an original node's slot
+  // is its subgraph id.
+  ScratchSlots local(g.num_nodes());
   for (NodeId u : sorted) {
     OSQ_CHECK(g.IsValidNode(u));
-    NodeId v = sub.graph.AddNode(g.NodeLabel(u));
-    sub.to_original.push_back(u);
-    sub.from_original[u] = v;
+    sub.graph.AddNode(g.NodeLabel(u));
+    local.Insert(u);
   }
-  for (NodeId u : sorted) {
-    NodeId v = sub.from_original[u];
-    for (const AdjEntry& e : g.OutEdges(u)) {
-      NodeId w = sub.from_original[e.node];
-      if (w != kInvalidNode) {
+  for (NodeId v = 0; v < sorted.size(); ++v) {
+    for (const AdjEntry& e : g.OutEdges(sorted[v])) {
+      uint32_t w = local.Find(e.node);
+      if (w != ScratchSlots::kNone) {
         sub.graph.AddEdge(v, w, e.label);
       }
     }

@@ -3,11 +3,13 @@
 // The filtering phase (paper §IV-B) produces the compact subgraph G_v of
 // the data graph induced by the surviving candidate nodes; verification
 // then runs entirely on G_v.  InducedSubgraph materializes that subgraph
-// with a node-id remapping in both directions.
+// with a node-id remapping in both directions, at a cost proportional to
+// the subgraph (no array sized by the original graph).
 
 #ifndef OSQ_GRAPH_SUBGRAPH_H_
 #define OSQ_GRAPH_SUBGRAPH_H_
 
+#include <algorithm>
 #include <vector>
 
 #include "graph/graph.h"
@@ -18,16 +20,24 @@ namespace osq {
 // A subgraph together with the correspondence to the original graph.
 struct Subgraph {
   Graph graph;
-  // to_original[v] is the original id of subgraph node v.
+  // to_original[v] is the original id of subgraph node v; ascending.
   std::vector<NodeId> to_original;
-  // from_original[u] is the subgraph id of original node u, or kInvalidNode
-  // if u is not in the subgraph.  Sized to the original node count.
-  std::vector<NodeId> from_original;
+
+  // Subgraph id of original node u, or kInvalidNode if u is not in the
+  // subgraph (binary search over to_original).
+  NodeId LocalId(NodeId original) const {
+    auto it = std::lower_bound(to_original.begin(), to_original.end(),
+                               original);
+    return it != to_original.end() && *it == original
+               ? static_cast<NodeId>(it - to_original.begin())
+               : kInvalidNode;
+  }
 };
 
 // Extracts the subgraph of `g` induced by `nodes` (need not be sorted;
-// duplicates are ignored).  Keeps every edge of `g` whose endpoints are
-// both selected, with its edge label.
+// duplicates are ignored); subgraph ids follow ascending original ids.
+// Keeps every edge of `g` whose endpoints are both selected, with its edge
+// label.  Leases the calling thread's ScratchSlots (common/scratch_slots.h).
 Subgraph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes);
 
 }  // namespace osq

@@ -8,9 +8,15 @@ ShardEngine::ShardEngine(const ShardSpec& spec, const OntologyGraph& ontology,
                          const IndexOptions& index_options)
     : engine_(spec.sub.graph, ontology, index_options),
       to_global_(spec.members),
-      from_global_(spec.sub.from_original),
       owned_(spec.owned.begin(), spec.owned.end()) {
   for (char o : owned_) num_owned_ += o != 0 ? 1 : 0;
+  // Dense global -> local map, built once (members are ascending);
+  // AddNodeGlobal extends it.
+  from_global_.assign(to_global_.empty() ? 0 : to_global_.back() + 1,
+                      kInvalidNode);
+  for (NodeId local = 0; local < to_global_.size(); ++local) {
+    from_global_[to_global_[local]] = local;
+  }
 }
 
 QuerySimTables ShardEngine::PrepareQuery(const Graph& query,

@@ -16,7 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/filtering.h"
 #include "core/query_engine.h"
+#include "gen/workload.h"
 #include "serve/query_service.h"
 #include "test_util.h"
 
@@ -226,6 +228,50 @@ TEST(EngineCompletenessTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   EXPECT_EQ(r.completeness, StopReason::kDeadlineExceeded);
   EXPECT_FALSE(r.complete());
   EXPECT_LT(r.matches.size(), 12u * 11u * 10u);
+}
+
+// The Gview seed stage polls the query's stop state like the fixpoints
+// do.  It has no sound partial result, so a stopped seed stage reports
+// no_match flagged with the stop reason (QueryEngine turns that into a
+// partial, uncached answer) after at most one poll stride of blocks per
+// concept graph.
+TEST(EngineCompletenessTest, CancelledSeedStageStopsWithinOneStride) {
+  gen::ScenarioParams params;
+  params.scale = 16000;
+  params.seed = 11;
+  gen::Workload w = gen::MakeCrossDomainWorkload(params, 4);
+  QueryEngine engine(std::move(w.data.graph), std::move(w.data.ontology),
+                     IndexOptions{});
+  QueryOptions options;
+  options.theta = 0.9;
+  // The query whose seed stage does the most work when left alone.
+  const Graph* query = nullptr;
+  size_t most_visits = 0;
+  for (const gen::QueryTemplate& t : w.templates) {
+    for (const Graph& q : t.queries) {
+      FilterResult r = GviewFilter(engine.index(), q, options);
+      if (r.stats.seed_visits > most_visits) {
+        most_visits = r.stats.seed_visits;
+        query = &q;
+      }
+    }
+  }
+  const size_t stride_per_graph =
+      CancelCheck::kDefaultStride * engine.index().num_concept_graphs();
+  ASSERT_NE(query, nullptr);
+  ASSERT_GT(most_visits, 2 * stride_per_graph);
+
+  ExecControl exec;
+  exec.cancel = CancelToken::Cancellable();
+  exec.cancel.RequestCancel();
+  // The signature-index path, then the lazy ablation's seeding.
+  for (bool use_index : {true, false}) {
+    options.use_candidate_index = use_index;
+    FilterResult r = GviewFilter(engine.index(), *query, options, &exec);
+    EXPECT_TRUE(r.no_match) << use_index;
+    EXPECT_EQ(r.stats.stopped, StopReason::kCancelled) << use_index;
+    EXPECT_LE(r.stats.seed_visits, stride_per_graph) << use_index;
+  }
 }
 
 // ---- service-level plumbing --------------------------------------------

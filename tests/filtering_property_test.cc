@@ -116,7 +116,7 @@ TEST_P(Prop42Test, GvIsInducedSubgraphOverCandidates) {
           w.g.HasEdge(orig, filter.gv.to_original[e.node], e.label));
     }
     for (const AdjEntry& e : w.g.OutEdges(orig)) {
-      NodeId local = filter.gv.from_original[e.node];
+      NodeId local = filter.gv.LocalId(e.node);
       if (local != kInvalidNode) {
         EXPECT_TRUE(gv.HasEdge(v, local, e.label));
       }

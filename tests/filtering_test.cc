@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 #include "baseline/subiso.h"
+#include "core/query_engine.h"
 #include "test_util.h"
 
 namespace osq {
@@ -173,6 +174,64 @@ TEST(FilteringTest, MoreConceptGraphsNeverEnlargeCandidates) {
   }
 }
 
+// Seed expansion on a label-UNAWARE index must follow every edge of a
+// block's representative.  x and y share a block (same label, both point
+// into block B = {bx, by}) but under different edge labels; the query edge
+// carries y's label.  When x is the representative, its only edge into B
+// has the other label, so an expansion that filtered the representative's
+// edges by the query edge label would lose B and with it the match
+// (y, by).  Both id orders are built, so x and y each get to be the
+// representative.
+TEST(FilteringTest, ExpansionFollowsEveryRepresentativeEdge) {
+  bool x_was_representative = false;
+  for (bool x_first : {true, false}) {
+    LabelDictionary dict;
+    OntologyGraph o;
+    o.AddRelation(dict.Intern("P"), dict.Intern("thing"));
+    o.AddRelation(dict.Intern("Q"), dict.Intern("thing"));
+    StringGraphBuilder gb(&dict);
+    gb.AddNode(x_first ? "x" : "y", "P");
+    gb.AddNode(x_first ? "y" : "x", "P");
+    gb.AddNode("bx", "Q");
+    gb.AddNode("by", "Q");
+    gb.AddNode("lone", "Q");  // a second Q block: seeding Q costs more
+    gb.AddEdge("x", "bx", "l1");
+    gb.AddEdge("y", "by", "l2");
+    NodeId x = gb.NodeIdOf("x");
+    NodeId y = gb.NodeIdOf("y");
+    NodeId bx = gb.NodeIdOf("bx");
+    NodeId by = gb.NodeIdOf("by");
+    IndexOptions index_options;
+    index_options.num_concept_graphs = 1;
+    QueryEngine engine(gb.TakeGraph(), std::move(o), index_options);
+    const ConceptGraph& cg = engine.index().concept_graph(0);
+    ASSERT_EQ(cg.BlockOf(x), cg.BlockOf(y));
+    ASSERT_EQ(cg.BlockOf(bx), cg.BlockOf(by));
+    x_was_representative |= cg.Members(cg.BlockOf(x))[0] == x;
+
+    StringGraphBuilder qb(&dict);
+    qb.AddNode("a", "P");
+    qb.AddNode("b", "Q");
+    qb.AddEdge("a", "b", "l2");
+    QueryOptions options;
+    options.theta = 1.0;
+    FilterResult filter = GviewFilter(engine.index(), qb.graph(), options);
+    ASSERT_FALSE(filter.no_match) << "x_first=" << x_first;
+    EXPECT_TRUE(CandidateOriginals(filter, 0).count(y));
+    EXPECT_TRUE(CandidateOriginals(filter, 1).count(by));
+
+    QueryResult with_index = engine.Query(qb.graph(), options);
+    options.use_candidate_index = false;
+    QueryResult without_index = engine.Query(qb.graph(), options);
+    ASSERT_TRUE(with_index.status.ok());
+    ASSERT_EQ(without_index.matches.size(), 1u);
+    EXPECT_EQ(without_index.matches[0].mapping, (std::vector<NodeId>{y, by}));
+    EXPECT_EQ(with_index.matches, without_index.matches)
+        << "x_first=" << x_first;
+  }
+  EXPECT_TRUE(x_was_representative);
+}
+
 TEST(FilteringTest, GvMappingsConsistent) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = BuildTravelIndex(f);
@@ -182,7 +241,7 @@ TEST(FilteringTest, GvMappingsConsistent) {
   ASSERT_FALSE(r.no_match);
   for (NodeId v = 0; v < r.gv.graph.num_nodes(); ++v) {
     NodeId orig = r.gv.to_original[v];
-    EXPECT_EQ(r.gv.from_original[orig], v);
+    EXPECT_EQ(r.gv.LocalId(orig), v);
     EXPECT_EQ(r.gv.graph.NodeLabel(v), f.g.NodeLabel(orig));
   }
 }

@@ -79,7 +79,7 @@ TEST(GraphPartitionerTest, SingleShardIsIdentity) {
     EXPECT_EQ(spec.members[v], v);
     EXPECT_NE(spec.owned[v], 0);
     EXPECT_EQ(spec.sub.to_original[v], v);
-    EXPECT_EQ(spec.sub.from_original[v], v);
+    EXPECT_EQ(spec.sub.LocalId(v), v);
   }
   EXPECT_EQ(spec.sub.graph.num_edges(), g.num_edges());
 }
@@ -113,8 +113,8 @@ TEST(GraphPartitionerTest, HaloCoversRadiusBallAndSubgraphIsInduced) {
     // members appears, with the same label.
     for (const EdgeTriple& e : g.Edges()) {
       if (!members.count(e.from) || !members.count(e.to)) continue;
-      NodeId lf = spec.sub.from_original[e.from];
-      NodeId lt = spec.sub.from_original[e.to];
+      NodeId lf = spec.sub.LocalId(e.from);
+      NodeId lt = spec.sub.LocalId(e.to);
       EXPECT_TRUE(spec.sub.graph.HasEdge(lf, lt, e.label));
     }
   }

@@ -30,10 +30,10 @@ TEST(SubgraphTest, MappingsAreInverse) {
   Subgraph sub = InducedSubgraph(g, {2, 0});
   ASSERT_EQ(sub.to_original.size(), 2u);
   for (NodeId v = 0; v < sub.graph.num_nodes(); ++v) {
-    EXPECT_EQ(sub.from_original[sub.to_original[v]], v);
+    EXPECT_EQ(sub.LocalId(sub.to_original[v]), v);
   }
-  EXPECT_EQ(sub.from_original[1], kInvalidNode);
-  EXPECT_EQ(sub.from_original[3], kInvalidNode);
+  EXPECT_EQ(sub.LocalId(1), kInvalidNode);
+  EXPECT_EQ(sub.LocalId(3), kInvalidNode);
 }
 
 TEST(SubgraphTest, LabelsPreserved) {
@@ -47,8 +47,8 @@ TEST(SubgraphTest, LabelsPreserved) {
 TEST(SubgraphTest, EdgeLabelsPreserved) {
   Graph g = Triangle();
   Subgraph sub = InducedSubgraph(g, {0, 1});
-  NodeId a = sub.from_original[0];
-  NodeId b = sub.from_original[1];
+  NodeId a = sub.LocalId(0);
+  NodeId b = sub.LocalId(1);
   EXPECT_TRUE(sub.graph.HasEdge(a, b, 1));
 }
 
@@ -62,7 +62,7 @@ TEST(SubgraphTest, EmptySelection) {
   Graph g = Triangle();
   Subgraph sub = InducedSubgraph(g, {});
   EXPECT_TRUE(sub.graph.empty());
-  EXPECT_EQ(sub.from_original.size(), g.num_nodes());
+  EXPECT_EQ(sub.LocalId(0), kInvalidNode);
 }
 
 TEST(SubgraphTest, FullSelectionIsIsomorphicCopy) {

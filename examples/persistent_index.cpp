@@ -1,27 +1,26 @@
 // Persistent-index workflow (paper §III: the index is "computed once for
-// all"): generate a dataset, save graph + ontology + index to disk, then
-// reload everything in a fresh "process" and answer pattern queries —
-// the startup path of a long-lived deployment.
+// all"): generate a dataset, build the engine once and save it as a binary
+// snapshot, then cold-start a fresh "process" from the snapshot and answer
+// pattern queries — the startup path of a long-lived deployment.
 
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
+#include <utility>
 
 #include "common/timer.h"
-#include "core/filtering.h"
-#include "core/index_io.h"
-#include "core/kmatch.h"
+#include "core/query_engine.h"
+#include "core/snapshot.h"
 #include "gen/scenarios.h"
-#include "graph/graph_io.h"
-#include "query/pattern_parser.h"
 
 int main() {
   using namespace osq;
-  const std::string dir = "/tmp";
-  const std::string graph_path = dir + "/osq_example.graph";
-  const std::string ontology_path = dir + "/osq_example.ontology";
-  const std::string index_path = dir + "/osq_example.index";
+  const std::string snapshot_path =
+      (std::filesystem::temp_directory_path() / "osq_example.snp").string();
 
   // --- "ingest" phase: build everything once and persist it. ---
+  double build_ms = 0.0;
   {
     gen::ScenarioParams params;
     params.scale = 4000;
@@ -29,60 +28,48 @@ int main() {
     gen::Dataset ds = gen::MakeCrossDomainLike(params);
     IndexOptions idx;
     idx.num_concept_graphs = 2;
-    WallTimer timer;
-    OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
-    std::printf("ingest: built index in %.1f ms (|I|=%zu)\n",
-                timer.ElapsedMillis(), index.TotalSize());
+    QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
+    build_ms = engine.index_build_ms();
+    std::printf("ingest: built index in %.1f ms (|I|=%zu)\n", build_ms,
+                engine.index().TotalSize());
 
-    if (!SaveGraphToFile(ds.graph, ds.dict, graph_path).ok() ||
-        !SaveOntology(ds.ontology, ds.dict, ontology_path).ok() ||
-        !SaveIndexToFile(index, ds.dict, index_path).ok()) {
-      std::printf("persist failed\n");
+    Status s = SaveEngineSnapshot(engine, ds.dict, snapshot_path);
+    if (!s.ok()) {
+      std::printf("persist failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("ingest: persisted graph, ontology and index under %s\n",
-                dir.c_str());
+    std::printf("ingest: saved graph, ontology and index to %s\n",
+                snapshot_path.c_str());
   }
 
   // --- "serve" phase: fresh state, load from disk, query. ---
   {
     LabelDictionary dict;
-    Graph g;
-    OntologyGraph o;
-    Status s = LoadGraphFromFile(graph_path, &dict, &g);
-    if (s.ok()) s = LoadOntologyFromFile(ontology_path, &dict, &o);
-    if (!s.ok()) {
-      std::printf("load failed: %s\n", s.ToString().c_str());
-      return 1;
-    }
+    std::unique_ptr<QueryEngine> engine;
     WallTimer timer;
-    OntologyIndex index = OntologyIndex::Build(g, o, IndexOptions{});
-    double rebuild_ms = timer.ElapsedMillis();
-    timer.Restart();
-    s = LoadIndexFromFile(index_path, g, o, &dict, &index);
+    Status s = LoadEngineSnapshot(snapshot_path, &dict, &engine);
     double load_ms = timer.ElapsedMillis();
     if (!s.ok()) {
-      std::printf("index load failed: %s\n", s.ToString().c_str());
+      std::printf("snapshot load failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("serve: index loaded in %.1f ms (rebuild would be %.1f ms); "
+    std::printf("serve: engine loaded in %.1f ms (building took %.1f ms); "
                 "valid=%s\n",
-                load_ms, rebuild_ms, index.Validate() ? "yes" : "no");
+                load_ms, build_ms, engine->index().Validate() ? "yes" : "no");
 
-    ParsedPattern pattern;
-    s = ParsePattern("(a:person)-[born_in]->(b:place)", &dict, &pattern);
-    if (!s.ok()) {
-      std::printf("pattern error: %s\n", s.ToString().c_str());
-      return 1;
-    }
     QueryOptions options;
     options.theta = 0.8;
     options.k = 3;
-    FilterResult filter = GviewFilter(index, pattern.query, options);
-    std::vector<Match> matches = KMatch(pattern.query, filter, options);
-    std::printf("serve: %zu match(es) for (a:person)-[born_in]->(b:place)\n",
-                matches.size());
-    for (const Match& m : matches) {
+    const char* pattern = "(a:person)-[born_in]->(b:place)";
+    QueryResult result = engine->QueryPattern(pattern, &dict, options);
+    if (!result.status.ok()) {
+      std::printf("query failed: %s\n", result.status.ToString().c_str());
+      return 1;
+    }
+    std::printf("serve: %zu match(es) for %s\n", result.matches.size(),
+                pattern);
+    const Graph& g = engine->graph();
+    for (const Match& m : result.matches) {
       std::printf("  score %.3f: a=%s b=%s\n", m.score,
                   dict.Name(g.NodeLabel(m.mapping[0])).c_str(),
                   dict.Name(g.NodeLabel(m.mapping[1])).c_str());

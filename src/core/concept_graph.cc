@@ -174,40 +174,6 @@ ConceptGraph ConceptGraph::Build(const Graph& g, const OntologyGraph& o,
   return cg;
 }
 
-ConceptGraph ConceptGraph::FromPartition(
-    const Graph& g, const OntologyGraph& o, const SimilarityFunction& sim,
-    const ConceptGraphOptions& options, std::vector<LabelId> concept_labels,
-    const std::vector<std::pair<LabelId, std::vector<NodeId>>>& blocks) {
-  ConceptGraph cg;
-  cg.InitCore(g, o, sim, options, std::move(concept_labels));
-  cg.block_of_.assign(g.num_nodes(), kInvalidBlock);
-  for (const auto& [label, members] : blocks) {
-    OSQ_CHECK_MSG(!members.empty(), "partition block has no members");
-    BlockId b = cg.NewBlock(label);
-    cg.members_[b] = members;
-    for (NodeId v : members) {
-      OSQ_CHECK(g.IsValidNode(v));
-      OSQ_CHECK(cg.block_of_[v] == kInvalidBlock);  // partition: no overlap
-      cg.block_of_[v] = b;
-    }
-    // Labels carried only by restored blocks (the uncovered-own-label
-    // robustness path in Build) must be registered as concepts.
-    if (cg.concept_of_label_.find(label) == cg.concept_of_label_.end()) {
-      cg.concept_of_label_[label] = label;
-      cg.concept_labels_.insert(
-          std::lower_bound(cg.concept_labels_.begin(),
-                           cg.concept_labels_.end(), label),
-          label);
-    }
-  }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    OSQ_CHECK_MSG(cg.block_of_[v] != kInvalidBlock,
-                  "partition does not cover all nodes");
-  }
-  cg.TakeDirtyBlocks();  // as in Build: restored partitions start clean
-  return cg;
-}
-
 ConceptGraph::SnapshotParts ConceptGraph::ExportSnapshotParts() const {
   SnapshotParts parts;
   parts.concept_labels = concept_labels_;

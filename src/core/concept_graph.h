@@ -81,22 +81,12 @@ class ConceptGraph {
                             std::vector<LabelId> concept_labels,
                             ConceptGraphStats* stats = nullptr);
 
-  // Reconstructs a concept graph from an explicit partition (e.g. one
-  // loaded from disk — see core/index_io.h).  Each entry of `blocks` is a
-  // (concept label, members) pair; the union of members must be exactly
-  // V(g).  No refinement is run: the caller is responsible for the
-  // partition satisfying the invariants (check with Validate()).
-  static ConceptGraph FromPartition(
-      const Graph& g, const OntologyGraph& o, const SimilarityFunction& sim,
-      const ConceptGraphOptions& options, std::vector<LabelId> concept_labels,
-      const std::vector<std::pair<LabelId, std::vector<NodeId>>>& blocks);
-
   // Complete internal state of a concept graph, as stored in a binary
-  // snapshot (core/snapshot.h).  Unlike FromPartition — which replays the
-  // concept-label BFS and re-derives the block table — a snapshot restore
-  // adopts every structure verbatim, so a graph maintained after a reload
-  // behaves identically to one that was never saved (same free-list order,
-  // same block-id allocation, same BlocksWithLabel iteration order).
+  // snapshot (core/snapshot.h).  A restore adopts every structure
+  // verbatim instead of replaying the concept-label BFS, so a graph
+  // maintained after a reload behaves identically to one that was never
+  // saved (same free-list order, same block-id allocation, same
+  // BlocksWithLabel iteration order).
   struct SnapshotParts {
     std::vector<LabelId> concept_labels;             // sorted unique
     std::vector<std::vector<NodeId>> members;        // block -> member nodes
@@ -233,15 +223,15 @@ class ConceptGraph {
   // (created, released, split, merged into, or re-coarsened), sorted
   // ascending; dead ids are included so derived indexes (see
   // core/candidate_index.h) can clear their per-block state.  Build and
-  // FromPartition finish with an empty dirty set.
+  // FromSnapshotParts finish with an empty dirty set.
   std::vector<BlockId> TakeDirtyBlocks();
 
  private:
   ConceptGraph() = default;
 
-  // Shared Build/FromPartition setup: stores the borrowed pointers and
-  // options, dedups the concept labels, and fills concept_of_label_ by a
-  // deterministic multi-source BFS at Radius(beta).
+  // Build's setup: stores the borrowed pointers and options, dedups the
+  // concept labels, and fills concept_of_label_ by a deterministic
+  // multi-source BFS at Radius(beta).
   void InitCore(const Graph& g, const OntologyGraph& o,
                 const SimilarityFunction& sim,
                 const ConceptGraphOptions& options,

@@ -56,8 +56,8 @@
 namespace osq {
 
 struct FilterStats {
-  // Candidate blocks right after lazy initialization, summed over query
-  // nodes and concept graphs.
+  // Candidate blocks after seeding and expansion, summed over query nodes
+  // and concept graphs.
   size_t initial_blocks = 0;
   // Candidate blocks dropped by the fixpoint refinement.
   size_t pruned_blocks = 0;

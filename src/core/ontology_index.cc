@@ -73,27 +73,6 @@ OntologyIndex OntologyIndex::Build(const Graph& g, const OntologyGraph& o,
   return index;
 }
 
-OntologyIndex OntologyIndex::FromParts(const Graph& g, const OntologyGraph& o,
-                                       const IndexOptions& options,
-                                       std::vector<ConceptGraph> graphs) {
-  OSQ_CHECK(!graphs.empty());
-  OntologyIndex index;
-  index.g_ = &g;
-  index.o_ = &o;
-  index.sim_ = MakeSimilarity(options);
-  index.options_ = options;
-  index.graphs_ = std::move(graphs);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    index.RegisterDataLabel(g.NodeLabel(v));
-  }
-  // The candidate index is derived data: rebuild it over the restored
-  // partitions (index_io pins the graph identity with a content hash, so a
-  // load against the wrong graph fails before reaching this point).
-  index.candidate_index_ =
-      CandidateIndex::Build(g, index.graphs_, options.num_threads);
-  return index;
-}
-
 OntologyIndex OntologyIndex::FromLoadedParts(const Graph& g,
                                              const OntologyGraph& o,
                                              const IndexOptions& options,

@@ -40,18 +40,11 @@ class OntologyIndex {
                              const IndexOptions& options,
                              IndexBuildStats* stats = nullptr);
 
-  // Reassembles an index from pre-built concept graphs (deserialization
-  // path; see core/index_io.h).  The concept graphs must have been built
-  // over the same `g` and `o`.  The candidate-pruning index is rebuilt
-  // from scratch over the restored partitions.
-  static OntologyIndex FromParts(const Graph& g, const OntologyGraph& o,
-                                 const IndexOptions& options,
-                                 std::vector<ConceptGraph> graphs);
-
-  // Like FromParts, but adopts an already-restored candidate index instead
-  // of rebuilding it — the binary snapshot path (core/snapshot.h), where
-  // skipping the rebuild is most of the cold-start win.  `candidate_index`
-  // must have been exported from an index over the same `g` and `graphs`.
+  // Reassembles an index from restored concept graphs and an already-
+  // restored candidate index — the binary snapshot path (core/snapshot.h),
+  // where skipping every rebuild is most of the cold-start win.  `graphs`
+  // must have been built over the same `g` and `o`, and `candidate_index`
+  // exported from an index over the same `g` and `graphs`.
   static OntologyIndex FromLoadedParts(const Graph& g, const OntologyGraph& o,
                                        const IndexOptions& options,
                                        std::vector<ConceptGraph> graphs,

@@ -62,7 +62,9 @@ struct QueryOptions {
   MatchSemantics semantics = MatchSemantics::kInduced;
   // When false, skip the lazy concept-ball candidate initialization and
   // compute per-node exact candidates directly against the ontology
-  // (ablation knob; the paper's Gview uses the lazy strategy).
+  // (ablation knob; the paper's Gview uses the lazy strategy).  Has no
+  // effect unless use_candidate_index is false: signature seeding replaces
+  // both strategies.
   bool lazy_candidates = true;
   // Consult the precomputed neighborhood-signature index
   // (core/candidate_index.h) to seed the block fixpoint with the exact

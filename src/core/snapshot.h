@@ -1,4 +1,5 @@
-// Binary engine snapshots — the index_io v2 format.
+// Binary engine snapshots (format v2) — the one way an index is saved and
+// loaded.
 //
 // One mmap-able file holds everything a serving process needs to answer
 // queries: the label dictionary, the data graph's frozen CSR arrays, the
@@ -8,8 +9,9 @@
 // anchor), deserializes the comparatively small index structures, and
 // skips every expensive build stage: no text parsing, no concept-label
 // BFS, no partition refinement, no candidate-signature recomputation.
-// This is the sub-second cold start the text v1 format (core/index_io.h,
-// kept as the import/export interchange format) cannot provide.
+// The index is "computed once for all" (paper §III): a deployment builds
+// it once, saves the engine, and cold-starts every later process from the
+// file in a fraction of the rebuild time (bench/bench_load.cc).
 //
 // File layout (all integers little-endian; every section offset 8-aligned):
 //

@@ -80,30 +80,4 @@ std::vector<uint32_t> WeakComponents(const Graph& g, size_t* num_components) {
   return comp;
 }
 
-uint64_t GraphContentHash(const Graph& g) {
-  // FNV-1a over the canonical enumeration of the graph's content.  The
-  // traversal order is fully determined by the graph itself (ids dense,
-  // adjacency sorted), so equal graphs always hash equal.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    mix(g.NodeLabel(v));
-  }
-  mix(g.num_edges());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    for (const AdjEntry& e : g.OutEdges(v)) {
-      mix(v);
-      mix(e.node);
-      mix(e.label);
-    }
-  }
-  return h;
-}
-
 }  // namespace osq

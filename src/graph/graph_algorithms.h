@@ -27,13 +27,6 @@ bool IsWeaklyConnected(const Graph& g);
 // Weakly connected component id per node, ids dense starting at 0.
 std::vector<uint32_t> WeakComponents(const Graph& g, size_t* num_components);
 
-// Order-independent-of-nothing content fingerprint: hashes node count,
-// node labels in id order, edge count and every (from, to, label) triple
-// in adjacency order.  Two graphs hash equal iff they are identical as
-// labeled id-graphs (modulo 64-bit collisions).  Used by index_io to pin a
-// persisted index to the graph it was built over.
-uint64_t GraphContentHash(const Graph& g);
-
 }  // namespace osq
 
 #endif  // OSQ_GRAPH_GRAPH_ALGORITHMS_H_

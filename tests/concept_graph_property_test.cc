@@ -1,8 +1,9 @@
 // Randomized property tests for the concept-graph layer, parameterized
 // over beta, edge-label awareness and generator seeds:
 //   * Build() always yields a Validate()-clean partition covering V(G);
-//   * the refinement fixpoint is idempotent — rebuilding from the final
-//     partition (via FromPartition) changes nothing and stays valid;
+//   * the finished partition round-trips — restoring it through
+//     ExportSnapshotParts / FromSnapshotParts changes nothing and stays
+//     valid;
 //   * blocks never outnumber nodes, never undercut the concept label count
 //     in use;
 //   * RepairAfterEdge* keeps Validate() green across random update storms
@@ -83,15 +84,15 @@ TEST_P(BuildPropertyTest, FixpointIsIdempotent) {
   options.edge_label_aware = aware;
   ConceptGraph cg = ConceptGraph::Build(w.g, w.o, w.sim, options, concepts);
 
-  // Export the stable partition and reconstruct: must validate as-is.
-  std::vector<std::pair<LabelId, std::vector<NodeId>>> blocks;
-  for (BlockId b : cg.AliveBlocks()) {
-    blocks.push_back({cg.BlockLabel(b), cg.Members(b)});
-  }
-  ConceptGraph restored = ConceptGraph::FromPartition(
-      w.g, w.o, w.sim, options, cg.concept_labels(), blocks);
-  EXPECT_TRUE(restored.Validate());
-  EXPECT_EQ(restored.num_blocks(), cg.num_blocks());
+  // Export the stable partition and restore it: must validate as-is.
+  std::vector<ConceptGraph> restored;
+  ASSERT_TRUE(ConceptGraph::FromSnapshotParts(w.g, w.o, w.sim, options,
+                                              cg.ExportSnapshotParts(),
+                                              &restored)
+                  .ok());
+  ASSERT_EQ(restored.size(), 1u);
+  EXPECT_TRUE(restored[0].Validate());
+  EXPECT_EQ(restored[0].num_blocks(), cg.num_blocks());
 }
 
 TEST_P(BuildPropertyTest, EdgeAwareRefinesLabelUnaware) {

@@ -143,8 +143,10 @@ TEST(FilteringTest, FilteringNeverLosesIdenticalMatches) {
 TEST(FilteringTest, LazyAndExactCandidatesAgreeOnGv) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = BuildTravelIndex(f);
+  // Without the signature index: it replaces both seeding strategies.
   QueryOptions lazy;
   lazy.theta = 0.81;
+  lazy.use_candidate_index = false;
   lazy.lazy_candidates = true;
   QueryOptions exact = lazy;
   exact.lazy_candidates = false;

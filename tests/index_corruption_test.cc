@@ -1,10 +1,8 @@
-// Corrupted-index-file suite for LoadIndex (core/index_io.cc): every way a
-// file can lie — truncated records, duplicated or out-of-range node ids,
-// member counts that do not match the list, implausible options, broken
-// label escapes, trailing garbage — must come back as a *distinct*
-// Corruption status, and must never crash or return a half-built index.
-
-#include "core/index_io.h"
+// Corrupted-snapshot suite for LoadEngineSnapshot (core/snapshot.cc): every
+// way a v2 file can lie — bad magic or version, truncation, bit flips, a
+// wrong stored hash or file size, malformed section tables, implausible
+// graph counts — must come back as a *distinct* error status, and must
+// never crash or return a half-built engine.
 
 #include <cstdint>
 #include <cstring>
@@ -19,263 +17,12 @@
 
 #include "core/query_engine.h"
 #include "core/snapshot.h"
-#include "graph/graph_algorithms.h"
 #include "graph/label_dictionary.h"
-#include "ontology/ontology_graph.h"
 #include "test_util.h"
 
 namespace osq {
 namespace {
 
-// A two-node graph over one label, small enough that every corruption case
-// can be spelled out as a literal file.
-struct TinyFixture {
-  LabelDictionary dict;
-  Graph g;
-  OntologyGraph o;
-  OntologyIndex scratch;
-
-  TinyFixture() : scratch(MakeScratch()) {}
-
- private:
-  OntologyIndex MakeScratch() {
-    LabelId a = dict.Intern("a");
-    g.AddNode(a);
-    g.AddNode(a);
-    o.AddLabel(a);
-    return OntologyIndex::Build(g, o, IndexOptions{});
-  }
-};
-
-// The well-formed baseline the corruptions are derived from.
-constexpr char kValidFile[] =
-    "# osq index v1\n"
-    "options 0 0.9 2 0.81 1 8 42 0\n"
-    "conceptgraph 0 1 1\n"
-    "concepts a\n"
-    "block a 2 0 1\n";
-
-// Loads `contents` and returns the status message, asserting the code is
-// kCorruption.
-std::string LoadExpectingCorruption(TinyFixture* f,
-                                    const std::string& contents) {
-  std::stringstream ss(contents);
-  Status s = LoadIndex(&ss, f->g, f->o, &f->dict, &f->scratch);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.message();
-  return s.message();
-}
-
-TEST(IndexCorruptionTest, BaselineFileLoadsCleanly) {
-  TinyFixture f;
-  std::stringstream ss(kValidFile);
-  ASSERT_TRUE(LoadIndex(&ss, f.g, f.o, &f.dict, &f.scratch).ok());
-  EXPECT_TRUE(f.scratch.Validate());
-}
-
-TEST(IndexCorruptionTest, EveryCorruptionIsDistinctAndNeverCrashes) {
-  // (case name, file contents) — the suite body below also checks each
-  // individually; this test asserts the *messages* are pairwise distinct
-  // so an operator can tell the failure modes apart.
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"empty file", ""},
-      {"wrong header", "# osq index v9\n"},
-      {"missing options", "# osq index v1\n"},
-      {"bad options record", "# osq index v1\noptions 0 0.9\n"},
-      {"unknown similarity model",
-       "# osq index v1\noptions 7 0.9 2 0.81 1 8 42 0\n"},
-      {"implausible options",
-       "# osq index v1\noptions 0 1.5 2 0.81 1 8 42 0\n"},
-      {"missing conceptgraph",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"},
-      {"bad conceptgraph index",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 3 1 1\nconcepts a\nblock a 2 0 1\n"},
-      {"missing concepts",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\nconceptgraph 0 1 1\n"},
-      {"concept count mismatch",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 2 1\nconcepts a\nblock a 2 0 1\n"},
-      {"missing block",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\n"},
-      {"bad block record",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\nblock a 0\n"},
-      {"member count mismatch",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\nblock a 3 0 1\n"},
-      {"out-of-range node id",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\nblock a 2 0 9\n"},
-      {"duplicate node assignment",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\nblock a 2 0 0\n"},
-      {"partition not covering",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\nblock a 1 0\n"},
-      {"bad escape in concepts",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a%ZZ\nblock a 2 0 1\n"},
-      {"bad escape in block",
-       "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n"
-       "conceptgraph 0 1 1\nconcepts a\nblock a%2 2 0 1\n"},
-      {"trailing garbage", std::string(kValidFile) + "block a 1 0\n"},
-  };
-
-  std::set<std::string> messages;
-  for (const auto& [name, contents] : cases) {
-    TinyFixture f;
-    std::string message = LoadExpectingCorruption(&f, contents);
-    EXPECT_FALSE(message.empty()) << name;
-    messages.insert(message);
-  }
-  // "distinct Corruption status" — no two failure modes share a message.
-  // (The two count-zero cases collapse to "bad options record" vs the
-  // truncations, so the exact set size is the case count minus the modes
-  // that genuinely are the same parse failure.)
-  EXPECT_GE(messages.size(), 14u);
-}
-
-TEST(IndexCorruptionTest, TruncationMidRecordIsCorruption) {
-  TinyFixture f;
-  // Cut the valid file at every prefix length that ends inside a record;
-  // none of them may crash, and all must fail to load (a prefix that ends
-  // exactly after the header line fails with "missing options", etc.).
-  std::string valid = kValidFile;
-  for (size_t cut = 1; cut + 1 < valid.size(); cut += 7) {
-    TinyFixture fresh;
-    std::stringstream ss(valid.substr(0, cut));
-    Status s = LoadIndex(&ss, fresh.g, fresh.o, &fresh.dict, &fresh.scratch);
-    EXPECT_FALSE(s.ok()) << "prefix of length " << cut << " loaded";
-    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.message();
-  }
-}
-
-TEST(IndexCorruptionTest, TrailingBlankLinesAreAccepted) {
-  // A final newline (or several) is not garbage — editors add them.
-  TinyFixture f;
-  std::stringstream ss(std::string(kValidFile) + "\n\n");
-  EXPECT_TRUE(LoadIndex(&ss, f.g, f.o, &f.dict, &f.scratch).ok());
-}
-
-TEST(IndexCorruptionTest, TrailingSecondGraphIsRejected) {
-  // Two concatenated index files: the options record said one concept
-  // graph, so the second copy is trailing garbage, not silently ignored.
-  TinyFixture f;
-  std::stringstream ss(std::string(kValidFile) + kValidFile);
-  Status s = LoadIndex(&ss, f.g, f.o, &f.dict, &f.scratch);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-}
-
-// --- Graph-identity record (candidateindex) --------------------------------
-
-std::string WithIdentityRecord(const TinyFixture& f) {
-  std::ostringstream rec;
-  rec << "candidateindex " << f.g.num_nodes() << ' ' << f.g.num_edges()
-      << ' ' << GraphContentHash(f.g) << '\n';
-  std::string valid = kValidFile;
-  size_t pos = valid.find("conceptgraph");
-  return valid.substr(0, pos) + rec.str() + valid.substr(pos);
-}
-
-TEST(IndexCorruptionTest, CorrectIdentityRecordLoads) {
-  TinyFixture f;
-  std::stringstream ss(WithIdentityRecord(f));
-  ASSERT_TRUE(LoadIndex(&ss, f.g, f.o, &f.dict, &f.scratch).ok());
-  EXPECT_TRUE(f.scratch.Validate());
-}
-
-TEST(IndexCorruptionTest, MismatchedGraphIsInvalidArgumentNotCorruption) {
-  // A file claiming different node/edge counts or a different content hash
-  // was saved over ANOTHER graph: the loader must refuse with
-  // InvalidArgument (caller error — wrong graph) instead of trusting the
-  // partition records or reporting a misleading Corruption.
-  TinyFixture f;
-  const std::string header = "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n";
-  const std::string rest = "conceptgraph 0 1 1\nconcepts a\nblock a 2 0 1\n";
-  const std::vector<std::string> wrong = {
-      "candidateindex 3 0 12345\n",  // wrong node count
-      "candidateindex 2 9 12345\n",  // wrong edge count
-      "candidateindex 2 0 12345\n",  // right counts, wrong hash
-  };
-  std::set<std::string> messages;
-  for (const std::string& rec : wrong) {
-    TinyFixture fresh;
-    std::stringstream ss(header + rec + rest);
-    Status s = LoadIndex(&ss, fresh.g, fresh.o, &fresh.dict, &fresh.scratch);
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << rec << s.message();
-    messages.insert(std::string(s.message()));
-  }
-  // Count mismatch and hash mismatch report differently.
-  EXPECT_EQ(messages.size(), 2u);
-}
-
-TEST(IndexCorruptionTest, MalformedIdentityRecordIsCorruption) {
-  TinyFixture f;
-  const std::string header = "# osq index v1\noptions 0 0.9 2 0.81 1 8 42 0\n";
-  const std::string rest = "conceptgraph 0 1 1\nconcepts a\nblock a 2 0 1\n";
-  for (const std::string& rec :
-       {std::string("candidateindex\n"), std::string("candidateindex 2\n"),
-        std::string("candidateindex 2 0\n"),
-        std::string("candidateindex 2 0 nothex\n"),
-        std::string("candidateindex 2 0 1 extra\n")}) {
-    TinyFixture fresh;
-    std::stringstream ss(header + rec + rest);
-    Status s = LoadIndex(&ss, fresh.g, fresh.o, &fresh.dict, &fresh.scratch);
-    EXPECT_EQ(s.code(), StatusCode::kCorruption) << rec << s.message();
-  }
-}
-
-TEST(IndexCorruptionTest, IdentityRecordAfterBlocksIsTrailingGarbage) {
-  // The record is only valid straight after options; one appearing after
-  // the partition records means a concatenated or hand-edited file.
-  TinyFixture f;
-  std::stringstream ss(std::string(kValidFile) + "candidateindex 2 0 1\n");
-  Status s = LoadIndex(&ss, f.g, f.o, &f.dict, &f.scratch);
-  EXPECT_EQ(s.code(), StatusCode::kCorruption);
-}
-
-TEST(IndexCorruptionTest, SaveLoadAgainstDifferentGraphIsRejected) {
-  // End-to-end: save over the tiny graph, then load against a graph with
-  // one extra node (counts differ) and against a same-shape graph with a
-  // different edge set (hash differs).
-  TinyFixture f;
-  std::ostringstream saved;
-  ASSERT_TRUE(SaveIndex(f.scratch, f.dict, &saved).ok());
-
-  {
-    LabelDictionary dict2;
-    Graph g2;
-    OntologyGraph o2;
-    LabelId a = dict2.Intern("a");
-    g2.AddNode(a);
-    g2.AddNode(a);
-    g2.AddNode(a);  // extra node
-    o2.AddLabel(a);
-    OntologyIndex scratch2 = OntologyIndex::Build(g2, o2, IndexOptions{});
-    std::stringstream ss(saved.str());
-    Status s = LoadIndex(&ss, g2, o2, &dict2, &scratch2);
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
-  }
-  {
-    LabelDictionary dict2;
-    Graph g2;
-    OntologyGraph o2;
-    LabelId a = dict2.Intern("a");
-    LabelId b = dict2.Intern("b");
-    g2.AddNode(a);
-    g2.AddNode(b);  // same node/edge counts, different labels => hash differs
-    o2.AddLabel(a);
-    o2.AddLabel(b);
-    OntologyIndex scratch2 = OntologyIndex::Build(g2, o2, IndexOptions{});
-    std::stringstream ss(saved.str());
-    Status s = LoadIndex(&ss, g2, o2, &dict2, &scratch2);
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.message();
-  }
-}
-
-// --- Binary snapshot (v2, core/snapshot.h) corruption suite -----------------
-//
 // The cases below mutate raw snapshot bytes, so they hard-code the spec'd
 // header layout: magic[8], version u32 @8, section_count u32 @12,
 // file_size u64 @16, payload_hash u64 @24 (FNV-1a 64 over everything after
@@ -521,7 +268,7 @@ TEST(SnapshotCorruptionTest, GraphAdjacencyOutOfRangeIsCorruption) {
 
 TEST(SnapshotCorruptionTest, StructuralMessagesAreDistinct) {
   // An operator debugging a bad snapshot must be able to tell the failure
-  // modes apart, as with the text-format suite above.
+  // modes apart.
   const std::string base = BuildValidSnapshotBytes();
   std::set<std::string> messages;
   auto collect = [&](std::string bytes, bool fix_hash) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -71,24 +72,24 @@ void ExpectSameIndex(const OntologyIndex& a, const OntologyIndex& b,
   EXPECT_TRUE(a.candidate_index() == b.candidate_index());
 }
 
-TEST(SnapshotTest, RoundTripPreservesEverything) {
-  test::TravelFixture f = test::MakeTravelFixture();
-  QueryEngine engine = MakeTravelEngine(&f);
+// Saves `engine` through `dict`, reloads it, and checks that the
+// dictionary, the graph, the index and the index options all come back
+// verbatim.
+void ExpectRoundTrip(const QueryEngine& engine, const LabelDictionary& dict,
+                     const std::string& path) {
+  ASSERT_TRUE(SaveEngineSnapshot(engine, dict, path).ok());
 
-  const std::string path = TempPath("osq_snapshot_roundtrip.snp");
-  ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
-
-  LabelDictionary dict;
+  LabelDictionary loaded_dict;
   std::unique_ptr<QueryEngine> loaded;
   SnapshotLoadStats stats;
-  Status s = LoadEngineSnapshot(path, &dict, &loaded, &stats);
+  Status s = LoadEngineSnapshot(path, &loaded_dict, &loaded, &stats);
   ASSERT_TRUE(s.ok()) << s.message();
   EXPECT_GT(stats.file_bytes, 0u);
 
   // Dictionary restored name-for-name, id-for-id.
-  ASSERT_EQ(dict.size(), f.dict.size());
+  ASSERT_EQ(loaded_dict.size(), dict.size());
   for (LabelId id = 0; id < dict.size(); ++id) {
-    EXPECT_EQ(dict.Name(id), f.dict.Name(id));
+    EXPECT_EQ(loaded_dict.Name(id), dict.Name(id));
   }
 
   ExpectSameGraph(engine.graph(), loaded->graph());
@@ -96,8 +97,62 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
   EXPECT_TRUE(loaded->graph().CheckConsistency());
   ASSERT_TRUE(loaded->index().Validate());
   ExpectSameIndex(engine.index(), loaded->index(), engine.graph());
-  EXPECT_EQ(loaded->index().options().num_concept_graphs,
-            engine.index().options().num_concept_graphs);
+
+  const IndexOptions& want = engine.index().options();
+  const IndexOptions& got = loaded->index().options();
+  EXPECT_EQ(got.similarity_model, want.similarity_model);
+  EXPECT_EQ(got.similarity_base, want.similarity_base);
+  EXPECT_EQ(got.similarity_cutoff, want.similarity_cutoff);
+  EXPECT_EQ(got.beta, want.beta);
+  EXPECT_EQ(got.num_concept_graphs, want.num_concept_graphs);
+  EXPECT_EQ(got.num_clusters, want.num_clusters);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.edge_label_aware, want.edge_label_aware);
+  EXPECT_EQ(loaded->index().sim().model(), engine.index().sim().model());
+  EXPECT_EQ(loaded->index().sim().cutoff(), engine.index().sim().cutoff());
+}
+
+TEST(SnapshotTest, RoundTripPreservesEverything) {
+  {
+    SCOPED_TRACE("travel fixture, default options");
+    test::TravelFixture f = test::MakeTravelFixture();
+    QueryEngine engine = MakeTravelEngine(&f);
+    ExpectRoundTrip(engine, f.dict, TempPath("osq_snapshot_roundtrip.snp"));
+  }
+  {
+    SCOPED_TRACE("travel fixture, every persisted option off its default");
+    test::TravelFixture f = test::MakeTravelFixture();
+    IndexOptions options;
+    options.similarity_model = SimilarityModel::kLinear;
+    options.similarity_base = 0.8;
+    options.similarity_cutoff = 3;
+    options.beta = 0.6;
+    options.num_concept_graphs = 3;
+    options.num_clusters = 4;
+    options.seed = 7;
+    options.edge_label_aware = true;
+    QueryEngine engine(f.g, f.o, options);
+    ExpectRoundTrip(engine, f.dict, TempPath("osq_snapshot_options.snp"));
+  }
+  {
+    SCOPED_TRACE("label names containing whitespace and '%'");
+    LabelDictionary dict;
+    LabelId royal = dict.Intern("royal gallery");
+    LabelId tours = dict.Intern("culture\ttours");
+    LabelId pct = dict.Intern("100% museum");
+    Graph g;
+    g.AddNode(royal);
+    g.AddNode(tours);
+    g.AddNode(pct);
+    ASSERT_TRUE(g.AddEdge(0, 1, dict.Intern("rel")));
+    OntologyGraph o;
+    o.AddRelation(royal, tours);
+    o.AddRelation(tours, pct);
+    IndexOptions options;
+    options.num_concept_graphs = 2;
+    QueryEngine engine(std::move(g), std::move(o), options);
+    ExpectRoundTrip(engine, dict, TempPath("osq_snapshot_labels.snp"));
+  }
 }
 
 TEST(SnapshotTest, LoadedEngineAnswersQueriesIdentically) {

@@ -2,13 +2,12 @@
 //
 //   osq_cli generate --type crossdomain --scale 5000 --seed 7
 //           --graph g.txt --ontology o.txt
-//   osq_cli index    --graph g.txt --ontology o.txt --out idx.txt
-//           [--beta 0.81] [--n 2] [--seed 42] [--threads N]
 //   osq_cli snapshot --graph g.txt --ontology o.txt --out engine.snp
-//           [index flags]          (build engine, save binary v2 snapshot)
+//           [--beta 0.81] [--n 2] [--seed 42] [--threads N]
+//           (build the engine, save it as a binary v2 snapshot)
 //   osq_cli query    --graph g.txt --ontology o.txt
 //           --pattern '(t:tourists)-[guide]->(m:museum)'
-//           [--index idx.txt] [--theta 0.9] [--k 10] [--explain]
+//           [--theta 0.9] [--k 10] [--explain]
 //           [--semantics induced|homomorphic] [--threads N]
 //           [--deadline-ms 0]
 //   osq_cli query    --snapshot engine.snp --pattern ...
@@ -67,7 +66,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/explain.h"
-#include "core/index_io.h"
 #include "core/query_engine.h"
 #include "core/snapshot.h"
 #include "gen/churn.h"
@@ -133,7 +131,7 @@ int Fail(const Status& status) {
 int Usage() {
   std::fprintf(stderr,
                "usage: osq_cli "
-               "<generate|index|snapshot|query|bench|serve-bench|"
+               "<generate|snapshot|query|bench|serve-bench|"
                "ingest-bench|stats> [--flags]\n"
                "see the header of tools/osq_cli.cc for details\n");
   return 1;
@@ -209,29 +207,6 @@ IndexOptions IndexOptionsFromFlags(const FlagMap& flags) {
   return idx;
 }
 
-int CmdIndex(const FlagMap& flags) {
-  gen::Dataset ds;
-  if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-  std::string out_path = GetFlag(flags, "out", "");
-  if (out_path.empty()) {
-    std::fprintf(stderr, "index needs --out path\n");
-    return 1;
-  }
-  IndexOptions idx = IndexOptionsFromFlags(flags);
-  WallTimer timer;
-  IndexBuildStats stats;
-  OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx,
-                                             &stats);
-  std::printf("built index in %.1f ms: %zu concept graphs, %zu blocks, "
-              "|I|=%zu\n",
-              timer.ElapsedMillis(), index.num_concept_graphs(),
-              stats.total_blocks, index.TotalSize());
-  Status s = SaveIndexToFile(index, ds.dict, out_path);
-  if (!s.ok()) return Fail(s);
-  std::printf("wrote %s\n", out_path.c_str());
-  return 0;
-}
-
 int CmdSnapshot(const FlagMap& flags) {
   gen::Dataset ds;
   if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
@@ -262,7 +237,7 @@ int CmdQuery(const FlagMap& flags) {
 
   // Data + index come either from a binary snapshot (the cold-start path:
   // mmap, validate, serve — no text parsing, no index build) or from text
-  // files with the index built here (optionally overlaid from a v1 file).
+  // files with the index built here.
   gen::Dataset ds;
   std::unique_ptr<QueryEngine> snapshot_engine;
   std::optional<OntologyIndex> built;
@@ -286,12 +261,6 @@ int CmdQuery(const FlagMap& flags) {
     if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
     IndexOptions idx = IndexOptionsFromFlags(flags);
     built.emplace(OntologyIndex::Build(ds.graph, ds.ontology, idx));
-    std::string index_path = GetFlag(flags, "index", "");
-    if (!index_path.empty()) {
-      Status s = LoadIndexFromFile(index_path, ds.graph, ds.ontology,
-                                   &ds.dict, &*built);
-      if (!s.ok()) return Fail(s);
-    }
     dict = &ds.dict;
     graph = &ds.graph;
     index = &*built;
@@ -795,7 +764,6 @@ int main(int argc, char** argv) {
   FlagMap flags;
   if (!ParseFlags(argc, argv, 2, &flags)) return 1;
   if (command == "generate") return CmdGenerate(flags);
-  if (command == "index") return CmdIndex(flags);
   if (command == "snapshot") return CmdSnapshot(flags);
   if (command == "query") return CmdQuery(flags);
   if (command == "bench") return CmdBench(flags);

@@ -4,6 +4,7 @@
 // index and more filtering work — the trade-off §IV motivates.
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,11 +23,11 @@ using namespace osq;
 
 int main() {
   bench::PrintTitle("E9 / ablation: index cardinality N = card(I)");
-  bench::PrintNote("CrossDomain-like, |V|=15000, |Q|=4, theta=0.85, K=10; "
-                   "averages over 8 queries");
 
   gen::ScenarioParams p;
   p.scale = bench::Scaled(15000);
+  bench::PrintNote("CrossDomain-like, |V|=" + std::to_string(p.scale) +
+                   ", |Q|=4, theta=0.85, K=10; averages over 8 queries");
   p.seed = 47;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
 

@@ -7,6 +7,7 @@
 //   (c) induced (paper definition) vs homomorphic match semantics.
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -48,11 +49,11 @@ double RunQueries(const OntologyIndex& index,
 int main() {
   bench::PrintTitle("E10 / ablation: candidate initialization, "
                     "edge-label-aware index, match semantics");
-  bench::PrintNote("CrossDomain-like, |V|=15000, |Q|=4, theta=0.85, K=10; "
-                   "8 queries, median of 3");
 
   gen::ScenarioParams p;
   p.scale = bench::Scaled(15000);
+  bench::PrintNote("CrossDomain-like, |V|=" + std::to_string(p.scale) +
+                   ", |Q|=4, theta=0.85, K=10; 8 queries, median of 3");
   p.seed = 59;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
 

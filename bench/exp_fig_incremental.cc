@@ -5,6 +5,7 @@
 // AFF rather than |G|.
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,11 +41,11 @@ std::vector<GraphUpdate> MakeUpdateBatch(const Graph& g, size_t count,
 
 int main() {
   bench::PrintTitle("E8 / Exp-3: incremental maintenance vs batch rebuild");
-  bench::PrintNote("CrossDomain-like, |V|=20000, N=2; mixed 50/50 "
-                   "insert/delete batches");
 
   gen::ScenarioParams p;
   p.scale = bench::Scaled(20000);
+  bench::PrintNote("CrossDomain-like, |V|=" + std::to_string(p.scale) +
+                   ", N=2; mixed 50/50 insert/delete batches");
   p.seed = 37;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   IndexOptions idx;

@@ -4,6 +4,7 @@
 // similarity-sorted candidate lists.
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -24,11 +25,11 @@ constexpr size_t kQueries = 6;
 
 int main() {
   bench::PrintTitle("E5 / Exp-2(d): query time (ms) vs K");
-  bench::PrintNote("CrossDomain-like, |V|=15000, |Q|=4, theta=0.85; median "
-                   "of 3, summed over 6 queries");
 
   gen::ScenarioParams p;
   p.scale = bench::Scaled(15000);
+  bench::PrintNote("CrossDomain-like, |V|=" + std::to_string(p.scale) +
+                   ", |Q|=4, theta=0.85; median of 3, summed over 6 queries");
   p.seed = 19;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   Graph g_copy = ds.graph;

@@ -3,6 +3,7 @@
 // far below the baselines because verification runs on the small G_v.
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -26,11 +27,11 @@ constexpr size_t kMaxRewritings = 20000;
 
 int main() {
   bench::PrintTitle("E3 / Exp-2(b): query time (ms) vs |Q|");
-  bench::PrintNote("CrossDomain-like, |V|=15000; theta=0.9, K=10; median of "
-                   "3, summed over 6 queries");
 
   gen::ScenarioParams p;
   p.scale = bench::Scaled(15000);
+  bench::PrintNote("CrossDomain-like, |V|=" + std::to_string(p.scale) +
+                   "; theta=0.9, K=10; median of 3, summed over 6 queries");
   p.seed = 13;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   Graph g_copy = ds.graph;

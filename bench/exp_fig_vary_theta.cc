@@ -5,6 +5,7 @@
 // candidate label counts).
 
 #include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,11 +28,11 @@ constexpr size_t kMaxRewritings = 20000;
 
 int main() {
   bench::PrintTitle("E4 / Exp-2(c): query time (ms) vs theta");
-  bench::PrintNote("CrossDomain-like, |V|=15000, |Q|=4, K=10; median of 3, "
-                   "summed over 6 queries");
 
   gen::ScenarioParams p;
   p.scale = bench::Scaled(15000);
+  bench::PrintNote("CrossDomain-like, |V|=" + std::to_string(p.scale) +
+                   ", |Q|=4, K=10; median of 3, summed over 6 queries");
   p.seed = 17;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   Graph g_copy = ds.graph;

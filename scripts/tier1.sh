@@ -9,6 +9,8 @@
 #   signal), then the slow randomized/differential/stress suites.  Every
 #   ctest -j takes an explicit count: with ctest 3.25 a bare -j swallows
 #   the option after it, so `-j -LE slow` would silently run everything.
+#   Every `cmake --build -j` takes "$(nproc)" too: with the Makefile
+#   generator a bare -j starts an unlimited number of compile jobs.
 # - TSan (OSQ_SANITIZE=thread) re-runs the concurrency tests so data races
 #   in the parallel pipelines and serving layer fail the gate.
 # - UBSan (OSQ_SANITIZE=undefined) runs the whole suite, slow tests
@@ -36,7 +38,7 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: build (OSQ_WERROR=ON) + ctest (fast suite) =="
 cmake -B build -S . -DOSQ_WERROR=ON "$@"
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" -LE slow
 
 echo "== tier-1: ctest (slow suite: differential + stress) =="
@@ -45,7 +47,7 @@ ctest --test-dir build --output-on-failure -j "$(nproc)" -L slow
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DOSQ_SANITIZE=thread -DOSQ_WERROR=ON \
   -DOSQ_BUILD_BENCHMARKS=OFF -DOSQ_BUILD_EXAMPLES=OFF "$@"
-cmake --build build-tsan -j --target thread_pool_test \
+cmake --build build-tsan -j "$(nproc)" --target thread_pool_test \
   parallel_determinism_test filter_maintenance_test \
   query_service_stress_test deadline_stress_test shard_stress_test \
   ingest_pipeline_test ingest_differential_test
@@ -55,13 +57,13 @@ ctest --test-dir build-tsan --output-on-failure \
 echo "== tier-1: full suite under UndefinedBehaviorSanitizer =="
 cmake -B build-ubsan -S . -DOSQ_SANITIZE=undefined -DOSQ_WERROR=ON \
   -DOSQ_BUILD_BENCHMARKS=OFF -DOSQ_BUILD_EXAMPLES=OFF "$@"
-cmake --build build-ubsan -j
+cmake --build build-ubsan -j "$(nproc)"
 ctest --test-dir build-ubsan --output-on-failure -j "$(nproc)"
 
 echo "== tier-1: full suite under AddressSanitizer + LeakSanitizer =="
 cmake -B build-asan -S . -DOSQ_SANITIZE=address -DOSQ_WERROR=ON \
   -DOSQ_BUILD_BENCHMARKS=OFF -DOSQ_BUILD_EXAMPLES=OFF "$@"
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:check_initialization_order=1" \
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
 
@@ -74,7 +76,7 @@ scripts/lint.sh build
 # including the >=5x candidate-index speedup floor.
 if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
   echo "== tier-1 (opt-in): bench regression check vs BENCH_match.json =="
-  cmake --build build -j --target bench_micro_match bench_load
+  cmake --build build -j "$(nproc)" --target bench_micro_match bench_load
   build/bench/bench_micro_match --threads 1 --json build/bench_fresh.json
   python3 scripts/bench_check.py build/bench_fresh.json \
     --baseline BENCH_match.json \
@@ -91,7 +93,7 @@ if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
     --min-ratio BM_BuildFromScratch,BM_LoadSnapshotV2Binary,11.2
 
   echo "== tier-1 (opt-in): sharding-overhead check vs BENCH_shard.json =="
-  cmake --build build -j --target bench_shard
+  cmake --build build -j "$(nproc)" --target bench_shard
   build/bench/bench_shard --threads 1 --json build/bench_shard_fresh.json
   # ms(N=1)/ms(N=4) >= 0.8  <=>  4-shard scatter overhead <= 25% vs N=1.
   python3 scripts/bench_check.py build/bench_shard_fresh.json \
@@ -99,7 +101,7 @@ if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
     --min-ratio BM_ShardServeShards1,BM_ShardServeShards4,0.8
 
   echo "== tier-1 (opt-in): live-ingest check vs BENCH_ingest.json =="
-  cmake --build build -j --target bench_ingest
+  cmake --build build -j "$(nproc)" --target bench_ingest
   build/bench/bench_ingest --json build/bench_ingest_fresh.json
   # recompute/online >= 50  <=>  one online batch <= 2% of a full engine
   # rebuild — the paper's incremental-maintenance claim, measured under

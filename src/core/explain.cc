@@ -7,6 +7,7 @@
 #include "common/timer.h"
 #include "core/filtering.h"
 #include "core/kmatch.h"
+#include "graph/query_graph.h"
 
 namespace osq {
 
@@ -26,7 +27,16 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
       << "\n";
   out << "data:  " << g.num_nodes() << " nodes, " << g.num_edges()
       << " edges; index: " << index.num_concept_graphs()
-      << " concept graphs, |I|=" << index.TotalSize() << "\n\n";
+      << " concept graphs, |I|=" << index.TotalSize() << "\n";
+
+  // GviewFilter requires a valid query graph: report a rejected query the
+  // way QueryEngine::Query does, without running the pipeline.
+  Status valid = ValidateQuery(query);
+  if (!valid.ok()) {
+    out << "rejected: " << valid.ToString() << "\n";
+    return out.str();
+  }
+  out << "\n";
 
   // Candidate labels per query node.
   uint32_t radius = sim.Radius(options.theta);

@@ -21,7 +21,8 @@ struct ExplainOptions {
   size_t max_listed = 5;
 };
 
-// Runs the full filter + verify pipeline for `query` and renders a report.
+// Runs the full filter + verify pipeline for `query` and renders a report;
+// a query that ValidateQuery rejects is reported with its status instead.
 // Does not mutate anything; safe on any valid engine state.
 std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
                          const QueryOptions& options,

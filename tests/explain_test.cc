@@ -64,6 +64,22 @@ TEST(ExplainTest, HandlesUnknownQueryLabel) {
   EXPECT_NE(report.find("no match possible"), std::string::npos);
 }
 
+// GviewFilter's precondition is a valid query graph; a disconnected query
+// is reported as rejected, with no filtering or verification section.
+TEST(ExplainTest, RejectsDisconnectedQueryWithoutFiltering) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
+  StringGraphBuilder qb(&f.dict);
+  qb.AddNode("a", "tourists");
+  qb.AddNode("b", "museum");
+  QueryOptions qopts;
+  qopts.theta = 0.9;
+  std::string report = ExplainQuery(index, qb.graph(), qopts, f.dict);
+  EXPECT_NE(report.find("weakly connected"), std::string::npos);
+  EXPECT_EQ(report.find("filtering (Gview)"), std::string::npos);
+  EXPECT_EQ(report.find("verification (KMatch)"), std::string::npos);
+}
+
 TEST(ExplainTest, MentionsSemantics) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});

@@ -15,69 +15,39 @@
 //            no index build)
 //   osq_cli bench    --graph g.txt --ontology o.txt --queries q.txt
 //           [--theta 0.9] [--k 10] [--reps 3] [--threads N]
-//   osq_cli serve-bench --graph g.txt --ontology o.txt --queries q.txt
-//           [--snapshot engine.snp]   (start from the binary snapshot
-//            instead of building the index)
-//           [--theta 0.9] [--k 10] [--threads 4] [--requests 200]
-//           [--cache 256] [--update-interval-ms 0] [--deadline-ms 0]
-//           [--max-inflight 0]
-//           [--shards N] [--shard-policy hash|range] [--halo 2]
-//           (--shards > 0 serves through the scatter-gather
-//            ShardedQueryService: N partitioned engines, merged top-K
-//            bit-identical to a single engine, vector-stamped cache;
-//            requires --graph/--ontology, not --snapshot)
-//   osq_cli ingest-bench --graph g.txt --ontology o.txt --queries q.txt
-//           [--steps 400] [--batch 64] [--linger-ms 2] [--max-pending 8192]
-//           [--churn-seed 1448] [--threads 2] [--deadline-ms 100]
-//           [--theta 0.9] [--k 10] [--cache 256]
-//           [--shards N] [--shard-policy hash|range] [--halo 2]
-//           (stream a churn workload through the live-ingest pipeline —
-//            batched, coalesced, one snapshot cut per batch — while
-//            --threads reader threads serve the patterns closed-loop;
-//            prints pipeline + service stats: backlog, applied lag,
-//            coalescing ratio, in-lock apply cost, burst-read p99)
 //   osq_cli stats    --graph g.txt --ontology o.txt
 //
+// `query` and `bench` evaluate every pattern through QueryEngine::Query,
+// so a pattern the engine rejects (e.g. one that is not weakly
+// connected) is reported as an error here too.
 // --threads N parallelizes index build and query evaluation over N threads
 // (0 = all hardware threads); results are identical for every N.
-// serve-bench instead uses --threads as the number of concurrent client
-// threads driving a QueryService closed-loop (snapshot-isolated reads,
-// LRU result cache); --update-interval-ms > 0 adds a writer thread
-// toggling an edge update at that period.
-// --deadline-ms > 0 bounds each query's evaluation time; an interrupted
+// --deadline-ms > 0 bounds the query's evaluation time; an interrupted
 // query returns the (valid) matches found so far, flagged as
-// deadline_exceeded.  serve-bench's --max-inflight > 0 bounds admitted
-// concurrent queries — excess requests are shed with UNAVAILABLE.
+// deadline_exceeded.
+// Concurrent serving, caching and live ingest are measured by servebench
+// (`python3 servebench/run.py`), not by this tool.
 //
-// Exit status: 0 on success, 1 on usage errors, 2 on runtime errors.
+// Exit status: 0 on success, 1 on usage errors, 2 on runtime errors
+// (including a query the engine rejects).
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/explain.h"
 #include "core/query_engine.h"
 #include "core/snapshot.h"
-#include "gen/churn.h"
 #include "gen/scenarios.h"
 #include "gen/synthetic.h"
 #include "graph/graph_algorithms.h"
-#include "ingest/ingest_pipeline.h"
-#include "ingest/update_sink.h"
-#include "shard/sharded_query_service.h"
 #include "graph/graph_io.h"
 #include "query/pattern_parser.h"
-#include "serve/query_service.h"
 
 namespace {
 
@@ -131,8 +101,7 @@ int Fail(const Status& status) {
 int Usage() {
   std::fprintf(stderr,
                "usage: osq_cli "
-               "<generate|snapshot|query|bench|serve-bench|"
-               "ingest-bench|stats> [--flags]\n"
+               "<generate|snapshot|query|bench|stats> [--flags]\n"
                "see the header of tools/osq_cli.cc for details\n");
   return 1;
 }
@@ -235,39 +204,30 @@ int CmdQuery(const FlagMap& flags) {
     return 1;
   }
 
-  // Data + index come either from a binary snapshot (the cold-start path:
+  // The engine comes either from a binary snapshot (the cold-start path:
   // mmap, validate, serve — no text parsing, no index build) or from text
   // files with the index built here.
   gen::Dataset ds;
-  std::unique_ptr<QueryEngine> snapshot_engine;
-  std::optional<OntologyIndex> built;
-  LabelDictionary* dict = nullptr;
-  const Graph* graph = nullptr;
-  const OntologyIndex* index = nullptr;
+  std::unique_ptr<QueryEngine> engine;
   std::string snapshot_path = GetFlag(flags, "snapshot", "");
   if (!snapshot_path.empty()) {
     SnapshotLoadStats load_stats;
     WallTimer load_timer;
-    Status s = LoadEngineSnapshot(snapshot_path, &ds.dict, &snapshot_engine,
-                                  &load_stats);
+    Status s =
+        LoadEngineSnapshot(snapshot_path, &ds.dict, &engine, &load_stats);
     if (!s.ok()) return Fail(s);
     std::printf("loaded snapshot in %.1f ms (%zu bytes, %s)\n",
                 load_timer.ElapsedMillis(), load_stats.file_bytes,
                 load_stats.mapped ? "mmap" : "read");
-    dict = &ds.dict;
-    graph = &snapshot_engine->graph();
-    index = &snapshot_engine->index();
   } else {
     if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-    IndexOptions idx = IndexOptionsFromFlags(flags);
-    built.emplace(OntologyIndex::Build(ds.graph, ds.ontology, idx));
-    dict = &ds.dict;
-    graph = &ds.graph;
-    index = &*built;
+    engine = std::make_unique<QueryEngine>(std::move(ds.graph),
+                                           std::move(ds.ontology),
+                                           IndexOptionsFromFlags(flags));
   }
 
   ParsedPattern parsed;
-  Status s = ParsePattern(pattern, dict, &parsed);
+  Status s = ParsePattern(pattern, &ds.dict, &parsed);
   if (!s.ok()) return Fail(s);
 
   QueryOptions options;
@@ -285,38 +245,34 @@ int CmdQuery(const FlagMap& flags) {
 
   if (GetFlag(flags, "explain", "0") == "1") {
     std::fputs(
-        ExplainQuery(*index, parsed.query, options, *dict).c_str(),
+        ExplainQuery(engine->index(), parsed.query, options, ds.dict).c_str(),
         stdout);
     return 0;
   }
 
   WallTimer timer;
-  ExecControl exec;
-  exec.deadline = Deadline::AfterMillis(options.deadline_ms);
-  KMatchStats kstats;
-  FilterResult filter = GviewFilter(*index, parsed.query, options, &exec);
-  std::vector<Match> matches = KMatch(parsed.query, filter, options, &kstats,
-                                      &exec);
+  QueryResult result = engine->Query(parsed.query, options);
   double ms = timer.ElapsedMillis();
-  StopReason stopped =
-      MergeStopReason(filter.stats.stopped, kstats.stopped);
+  if (!result.status.ok()) return Fail(result.status);
 
   // Invert the pattern's name map for printing.
   std::vector<std::string> names(parsed.query.num_nodes());
   for (const auto& [name, id] : parsed.node_ids) {
     names[id] = name;
   }
-  std::printf("%zu match(es) in %.2f ms (G_v: %zu nodes)", matches.size(),
-              ms, filter.stats.gv_nodes);
-  if (stopped != StopReason::kNone) {
-    std::printf(" [%s: partial result]", StopReasonName(stopped));
+  std::printf("%zu match(es) in %.2f ms (G_v: %zu nodes)",
+              result.matches.size(), ms, result.filter_stats.gv_nodes);
+  if (!result.complete()) {
+    std::printf(" [%s: partial result]",
+                StopReasonName(result.completeness));
   }
   std::printf("\n");
-  for (const Match& m : matches) {
+  const Graph& graph = engine->graph();
+  for (const Match& m : result.matches) {
     std::printf("  score %.4f: ", m.score);
     for (NodeId u = 0; u < parsed.query.num_nodes(); ++u) {
       std::printf(" %s=%s(v%u)", names[u].c_str(),
-                  dict->Name(graph->NodeLabel(m.mapping[u])).c_str(),
+                  ds.dict.Name(graph.NodeLabel(m.mapping[u])).c_str(),
                   m.mapping[u]);
     }
     std::printf("\n");
@@ -340,9 +296,9 @@ int CmdBench(const FlagMap& flags) {
     return 1;
   }
 
-  IndexOptions idx = IndexOptionsFromFlags(flags);
   WallTimer build_timer;
-  OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptionsFromFlags(flags));
   std::printf("index built in %.1f ms; %zu queries from %s\n",
               build_timer.ElapsedMillis(), patterns.size(),
               queries_path.c_str());
@@ -358,380 +314,24 @@ int CmdBench(const FlagMap& flags) {
   double total_ms = 0.0;
   for (size_t i = 0; i < patterns.size(); ++i) {
     const Graph& q = patterns[i].query;
-    size_t gv = 0;
-    size_t found = 0;
-    double best = 0.0;
+    QueryResult result;
     WallTimer timer;
     for (size_t r = 0; r < reps; ++r) {
-      FilterResult filter = GviewFilter(index, q, options);
-      std::vector<Match> matches = KMatch(q, filter, options);
-      gv = filter.stats.gv_nodes;
-      found = matches.size();
-      best = matches.empty() ? 0.0 : matches[0].score;
+      result = engine.Query(q, options);
+      if (!result.status.ok()) {
+        std::fprintf(stderr, "query %zu: ", i + 1);
+        return Fail(result.status);
+      }
     }
     double ms = timer.ElapsedMillis() / static_cast<double>(reps);
     total_ms += ms;
-    std::printf("%-6zu %10.3f %10zu %10zu %10.3f\n", i + 1, ms, gv, found,
-                best);
+    std::printf("%-6zu %10.3f %10zu %10zu %10.3f\n", i + 1, ms,
+                result.filter_stats.gv_nodes, result.matches.size(),
+                result.matches.empty() ? 0.0 : result.matches[0].score);
   }
   std::printf("total %.3f ms, avg %.3f ms/query\n", total_ms,
               total_ms / static_cast<double>(patterns.size()));
   return 0;
-}
-
-// serve-bench with --shards N: the same closed loop driven through the
-// scatter-gather ShardedQueryService instead of a single QueryService.
-int CmdServeBenchSharded(const FlagMap& flags, size_t num_shards) {
-  if (!GetFlag(flags, "snapshot", "").empty()) {
-    std::fprintf(stderr,
-                 "--shards builds per-shard engines from --graph/--ontology;"
-                 " --snapshot is not supported\n");
-    return 1;
-  }
-  gen::Dataset ds;
-  if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "serve-bench needs --queries <patterns file>\n");
-    return 1;
-  }
-  std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
-
-  QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
-  options.k = GetSize(flags, "k", options.k);
-  size_t threads = GetSize(flags, "threads", 4);
-  if (threads == 0) threads = 1;
-  size_t requests = GetSize(flags, "requests", 200);
-  size_t update_interval_ms = GetSize(flags, "update-interval-ms", 0);
-
-  ServeOptions serve;
-  serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
-  serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 0.0);
-  serve.max_inflight = GetSize(flags, "max-inflight", 0);
-
-  ShardOptions shard_options;
-  shard_options.num_shards = num_shards;
-  std::string policy = GetFlag(flags, "shard-policy", "hash");
-  if (policy == "range") {
-    shard_options.policy = ShardPolicy::kRange;
-  } else if (policy != "hash") {
-    std::fprintf(stderr, "--shard-policy must be hash or range\n");
-    return 1;
-  }
-  shard_options.halo_radius = static_cast<uint32_t>(
-      GetSize(flags, "halo", shard_options.halo_radius));
-
-  std::vector<EdgeTriple> edges = ds.graph.EdgeList();
-  WallTimer startup_timer;
-  ShardedQueryService service(ds.graph, ds.ontology,
-                              IndexOptionsFromFlags(flags), shard_options,
-                              serve);
-  std::printf("%zu shard engines (%s, halo %u) built in %.1f ms; serving "
-              "%zu patterns on %zu client threads (%zu requests each, "
-              "cache %zu)\n",
-              service.num_shards(), policy.c_str(),
-              shard_options.halo_radius, startup_timer.ElapsedMillis(),
-              patterns.size(), threads, requests, serve.cache_capacity);
-
-  std::atomic<bool> stop{false};
-  std::thread writer;
-  uint64_t toggles = 0;
-  if (update_interval_ms > 0 && !edges.empty()) {
-    EdgeTriple e = edges.front();
-    writer = std::thread([&service, &stop, &toggles, e,
-                          update_interval_ms] {
-      while (!stop.load(std::memory_order_acquire)) {
-        GraphUpdate update =
-            toggles % 2 == 0 ? GraphUpdate::Delete(e.from, e.to, e.label)
-                             : GraphUpdate::Insert(e.from, e.to, e.label);
-        (void)service.ApplyUpdate(update);
-        ++toggles;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(update_interval_ms));
-      }
-      if (toggles % 2 == 1) {  // leave the graph as we found it
-        (void)service.ApplyUpdate(GraphUpdate::Insert(e.from, e.to,
-                                                      e.label));
-        ++toggles;
-      }
-    });
-  }
-
-  WallTimer run_timer;
-  RunConcurrently(threads, [&](size_t tid) {
-    for (size_t it = 0; it < requests; ++it) {
-      const Graph& q = patterns[(it + tid * 7) % patterns.size()].query;
-      (void)service.Query(q, options);
-    }
-  });
-  double run_ms = run_timer.ElapsedMillis();
-  stop.store(true, std::memory_order_release);
-  if (writer.joinable()) writer.join();
-
-  ServeStats stats = service.Stats();
-  std::printf("served %llu queries in %.1f ms (%.0f qps)",
-              static_cast<unsigned long long>(stats.queries), run_ms,
-              run_ms > 0.0 ? 1000.0 * static_cast<double>(stats.queries) /
-                                 run_ms
-                           : 0.0);
-  if (toggles > 0) {
-    std::printf(", %llu routed update batches",
-                static_cast<unsigned long long>(toggles));
-  }
-  std::printf("\n");
-  std::fputs(stats.ToString().c_str(), stdout);
-  return 0;
-}
-
-int CmdServeBench(const FlagMap& flags) {
-  if (size_t shards = GetSize(flags, "shards", 0); shards > 0) {
-    return CmdServeBenchSharded(flags, shards);
-  }
-  // The service starts either from a binary snapshot (sub-second cold
-  // start) or by loading text files and building the index here.
-  gen::Dataset ds;
-  std::optional<QueryEngine> engine;
-  WallTimer startup_timer;
-  std::string snapshot_path = GetFlag(flags, "snapshot", "");
-  if (!snapshot_path.empty()) {
-    std::unique_ptr<QueryEngine> loaded;
-    Status s = LoadEngineSnapshot(snapshot_path, &ds.dict, &loaded);
-    if (!s.ok()) return Fail(s);
-    engine.emplace(std::move(*loaded));
-  } else {
-    if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-    engine.emplace(std::move(ds.graph), std::move(ds.ontology),
-                   IndexOptionsFromFlags(flags));
-  }
-  double startup_ms = startup_timer.ElapsedMillis();
-
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "serve-bench needs --queries <patterns file>\n");
-    return 1;
-  }
-  std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
-
-  QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
-  options.k = GetSize(flags, "k", options.k);
-  size_t threads = GetSize(flags, "threads", 4);
-  if (threads == 0) threads = 1;
-  size_t requests = GetSize(flags, "requests", 200);
-  size_t update_interval_ms = GetSize(flags, "update-interval-ms", 0);
-
-  ServeOptions serve;
-  serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
-  serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 0.0);
-  serve.max_inflight = GetSize(flags, "max-inflight", 0);
-
-  // The engine owns its graph; keep an edge to toggle before handing it
-  // to the service.
-  std::vector<EdgeTriple> edges = engine->graph().EdgeList();
-  QueryService service(std::move(*engine), serve);
-  std::printf("engine %s in %.1f ms; serving %zu patterns on %zu "
-              "client threads (%zu requests each, cache %zu)\n",
-              snapshot_path.empty() ? "built" : "loaded from snapshot",
-              startup_ms, patterns.size(), threads, requests,
-              serve.cache_capacity);
-
-  std::atomic<bool> stop{false};
-  std::thread writer;
-  uint64_t toggles = 0;
-  if (update_interval_ms > 0 && !edges.empty()) {
-    EdgeTriple e = edges.front();
-    writer = std::thread([&service, &stop, &toggles, e,
-                          update_interval_ms] {
-      while (!stop.load(std::memory_order_acquire)) {
-        GraphUpdate update =
-            toggles % 2 == 0 ? GraphUpdate::Delete(e.from, e.to, e.label)
-                             : GraphUpdate::Insert(e.from, e.to, e.label);
-        service.ApplyUpdate(update);
-        ++toggles;
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(update_interval_ms));
-      }
-      if (toggles % 2 == 1) {  // leave the graph as we found it
-        service.ApplyUpdate(GraphUpdate::Insert(e.from, e.to, e.label));
-        ++toggles;
-      }
-    });
-  }
-
-  WallTimer run_timer;
-  RunConcurrently(threads, [&](size_t tid) {
-    for (size_t it = 0; it < requests; ++it) {
-      const Graph& q = patterns[(it + tid * 7) % patterns.size()].query;
-      (void)service.Query(q, options);
-    }
-  });
-  double run_ms = run_timer.ElapsedMillis();
-  stop.store(true, std::memory_order_release);
-  if (writer.joinable()) writer.join();
-
-  ServeStats stats = service.Stats();
-  std::printf("served %llu queries in %.1f ms (%.0f qps)",
-              static_cast<unsigned long long>(stats.queries), run_ms,
-              run_ms > 0.0 ? 1000.0 * static_cast<double>(stats.queries) /
-                                 run_ms
-                           : 0.0);
-  if (toggles > 0) {
-    std::printf(", %llu update batches",
-                static_cast<unsigned long long>(toggles));
-  }
-  std::printf("\n");
-  std::fputs(stats.ToString().c_str(), stdout);
-  return 0;
-}
-
-// Shared driver for ingest-bench: a producer thread streams churn updates
-// through an IngestPipeline into `service` (single-engine or sharded, via
-// the matching sink) while reader threads run closed-loop over the
-// patterns.  Prints the pipeline and service stats when the stream drains.
-template <typename Service, typename Sink>
-int RunIngestBench(Service* service, const Graph& seed_graph,
-                   const std::vector<ParsedPattern>& patterns,
-                   const QueryOptions& options, const FlagMap& flags) {
-  size_t threads = GetSize(flags, "threads", 2);
-  if (threads == 0) threads = 1;
-  size_t steps = GetSize(flags, "steps", 400);
-
-  Sink sink(service);
-  IngestOptions io;
-  io.max_batch = GetSize(flags, "batch", io.max_batch);
-  io.max_linger_ms = GetDouble(flags, "linger-ms", io.max_linger_ms);
-  io.max_pending = GetSize(flags, "max-pending", io.max_pending);
-  IngestPipeline pipeline(&sink, io);
-
-  gen::ChurnParams cp;
-  cp.seed = GetSize(flags, "churn-seed", 1448);
-  gen::ChurnStream churn(seed_graph, cp);
-
-  std::atomic<bool> done{false};
-  WallTimer run_timer;
-  RunConcurrently(threads + 1, [&](size_t tid) {
-    if (tid == 0) {
-      const size_t chunk = 25;
-      for (size_t offset = 0; offset < steps; offset += chunk) {
-        size_t n = steps - offset < chunk ? steps - offset : chunk;
-        for (const GraphUpdate& update : churn.Next(n)) {
-          while (!pipeline.Submit(update)) {
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-          }
-        }
-      }
-      pipeline.Flush();
-      done.store(true, std::memory_order_release);
-      return;
-    }
-    size_t it = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      const Graph& q = patterns[(it + tid * 7) % patterns.size()].query;
-      (void)service->Query(q, options);
-      ++it;
-    }
-  });
-  double run_ms = run_timer.ElapsedMillis();
-  pipeline.Stop();
-
-  IngestStats ingest = pipeline.Stats();
-  ServeStats stats = service->Stats();
-  AugmentServeStats(pipeline, &stats);
-  std::printf("drained %llu updates in %llu batches over %.1f ms wall "
-              "(%.4f ms/batch in-lock apply)\n",
-              static_cast<unsigned long long>(ingest.applied +
-                                              ingest.skipped),
-              static_cast<unsigned long long>(ingest.batches), run_ms,
-              stats.update_batches > 0
-                  ? stats.write_apply_us / 1000.0 /
-                        static_cast<double>(stats.update_batches)
-                  : 0.0);
-  std::fputs(ingest.ToString().c_str(), stdout);
-  std::fputs(stats.ToString().c_str(), stdout);
-  return 0;
-}
-
-int CmdIngestBench(const FlagMap& flags) {
-  gen::Dataset ds;
-  if (int rc = LoadDataset(flags, &ds); rc != 0) return rc;
-  if (ds.graph.num_edges() == 0) {
-    std::fprintf(stderr, "ingest-bench needs a graph with edges\n");
-    return 1;
-  }
-
-  std::string queries_path = GetFlag(flags, "queries", "");
-  if (queries_path.empty()) {
-    std::fprintf(stderr, "ingest-bench needs --queries <patterns file>\n");
-    return 1;
-  }
-  std::vector<ParsedPattern> patterns;
-  Status s = LoadPatternsFromFile(queries_path, &ds.dict, &patterns);
-  if (!s.ok()) return Fail(s);
-  if (patterns.empty()) {
-    std::fprintf(stderr, "no patterns in %s\n", queries_path.c_str());
-    return 1;
-  }
-
-  QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
-  options.k = GetSize(flags, "k", options.k);
-
-  ServeOptions serve;
-  serve.cache_capacity = GetSize(flags, "cache", serve.cache_capacity);
-  serve.default_deadline_ms = GetDouble(flags, "deadline-ms", 100.0);
-  serve.max_inflight = GetSize(flags, "max-inflight", 0);
-
-  // The churn stream needs the seed graph after the service takes it.
-  Graph seed_graph = ds.graph;
-
-  if (size_t shards = GetSize(flags, "shards", 0); shards > 0) {
-    ShardOptions shard_options;
-    shard_options.num_shards = shards;
-    std::string policy = GetFlag(flags, "shard-policy", "hash");
-    if (policy == "range") {
-      shard_options.policy = ShardPolicy::kRange;
-    } else if (policy != "hash") {
-      std::fprintf(stderr, "--shard-policy must be hash or range\n");
-      return 1;
-    }
-    shard_options.halo_radius = static_cast<uint32_t>(
-        GetSize(flags, "halo", shard_options.halo_radius));
-    WallTimer startup_timer;
-    ShardedQueryService service(ds.graph, ds.ontology,
-                                IndexOptionsFromFlags(flags),
-                                shard_options, serve);
-    std::printf("%zu shard engines built in %.1f ms; churning under "
-                "%zu reader threads\n",
-                service.num_shards(), startup_timer.ElapsedMillis(),
-                GetSize(flags, "threads", 2));
-    return RunIngestBench<ShardedQueryService, ShardedServiceSink>(
-        &service, seed_graph, patterns, options, flags);
-  }
-
-  WallTimer startup_timer;
-  QueryService service(
-      QueryEngine(std::move(ds.graph), std::move(ds.ontology),
-                  IndexOptionsFromFlags(flags)),
-      serve);
-  std::printf("engine built in %.1f ms; churning under %zu reader "
-              "threads\n",
-              startup_timer.ElapsedMillis(), GetSize(flags, "threads", 2));
-  return RunIngestBench<QueryService, QueryServiceSink>(
-      &service, seed_graph, patterns, options, flags);
 }
 
 int CmdStats(const FlagMap& flags) {
@@ -767,8 +367,6 @@ int main(int argc, char** argv) {
   if (command == "snapshot") return CmdSnapshot(flags);
   if (command == "query") return CmdQuery(flags);
   if (command == "bench") return CmdBench(flags);
-  if (command == "serve-bench") return CmdServeBench(flags);
-  if (command == "ingest-bench") return CmdIngestBench(flags);
   if (command == "stats") return CmdStats(flags);
   return Usage();
 }

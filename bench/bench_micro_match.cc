@@ -165,24 +165,6 @@ void BM_GviewFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_GviewFilter)->Unit(benchmark::kMicrosecond);
 
-// Ablation: identical work with the signature index disabled — the ratio
-// NoIndex / indexed is the candidate-index speedup scripts/bench_check.py
-// enforces.
-void BM_GviewFilterNoIndex(benchmark::State& state) {
-  World& w = TheWorld();
-  QueryOptions options;
-  options.theta = 0.85;
-  options.use_candidate_index = false;
-  options.num_threads = g_threads;
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        GviewFilter(*w.index, w.queries[i % w.queries.size()], options));
-    ++i;
-  }
-}
-BENCHMARK(BM_GviewFilterNoIndex)->Unit(benchmark::kMicrosecond);
-
 // Star queries with a repeated out-edge label: the degree-demand shape
 // whose pruning runs through NodePasses (node-level signature rejection).
 void BM_GviewFilterHighDegree(benchmark::State& state) {
@@ -239,25 +221,6 @@ void BM_FilterVerifyEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FilterVerifyEndToEnd)->Unit(benchmark::kMicrosecond);
-
-// End-to-end ablation twin of BM_FilterVerifyEndToEnd without the
-// candidate index.
-void BM_FilterVerifyEndToEndNoIndex(benchmark::State& state) {
-  World& w = TheWorld();
-  QueryOptions options;
-  options.theta = 0.85;
-  options.k = 10;
-  options.use_candidate_index = false;
-  options.num_threads = g_threads;
-  size_t i = 0;
-  for (auto _ : state) {
-    size_t j = i % w.queries.size();
-    FilterResult filter = GviewFilter(*w.index, w.queries[j], options);
-    benchmark::DoNotOptimize(KMatch(w.queries[j], filter, options));
-    ++i;
-  }
-}
-BENCHMARK(BM_FilterVerifyEndToEndNoIndex)->Unit(benchmark::kMicrosecond);
 
 void BM_SubIsoWholeGraph(benchmark::State& state) {
   World& w = TheWorld();

@@ -10,9 +10,9 @@ Rows are keyed by (name, threads).  Two kinds of checks:
      --tolerance for quieter machines.
   2. Ratio floors: --min-ratio NUM,DEN,RATIO[,THREADS] (repeatable)
      requires  ms(NUM) / ms(DEN) >= RATIO  at the given thread count
-     (default 1).  This is how the candidate-index speedup claim stays
-     machine-checked:
-         --min-ratio BM_FilterVerifyEndToEndNoIndex,BM_FilterVerifyEndToEnd,5
+     (default 1).  This is how a speedup claim stays machine-checked —
+     e.g. loading a v2 snapshot against rebuilding the index:
+         --min-ratio BM_BuildFromScratch,BM_LoadSnapshotV2Binary,11.2
   3. Extra floors: --min-extra NAME,KEY,FLOOR[,THREADS] (repeatable)
      requires the fresh row NAME to carry a numeric extra KEY >= FLOOR.
      This keeps effectiveness counters alive, not just timings — e.g. the

@@ -73,14 +73,15 @@ scripts/lint.sh build
 # Opt-in bench regression gate (off by default: benchmark timings on shared
 # runners are too noisy to block every run).  Runs the matcher microbench
 # once at --threads 1 and checks the rows against the committed baseline,
-# including the >=5x candidate-index speedup floor.
+# including that the block- and node-level signature tests still reject
+# candidates.
 if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
   echo "== tier-1 (opt-in): bench regression check vs BENCH_match.json =="
   cmake --build build -j "$(nproc)" --target bench_micro_match bench_load
   build/bench/bench_micro_match --threads 1 --json build/bench_fresh.json
   python3 scripts/bench_check.py build/bench_fresh.json \
     --baseline BENCH_match.json \
-    --min-ratio BM_FilterVerifyEndToEndNoIndex,BM_FilterVerifyEndToEnd,5 \
+    --min-extra BM_GviewFilter,sig_block_rejections,1 \
     --min-extra BM_GviewFilterHighDegree,sig_node_rejections,1
 
   echo "== tier-1 (opt-in): cold-start check vs BENCH_load.json =="

@@ -17,9 +17,8 @@
 //
 // Losslessness contract (see DESIGN.md §11 for the full argument): every
 // signature test is a *necessary* condition for a node to appear in a
-// match, so with the index enabled the returned matches are bit-identical
-// to the index-off run while the candidate sets / G_v may only shrink
-// (they stay supersets of the match nodes).  The tests are:
+// match, so the candidate sets / G_v stay supersets of the match nodes
+// (Prop. 4.2).  The tests are:
 //   * pair-bit masks — a match of query node u along edge (u, u', l) has a
 //     real out-edge labeled l to a node whose label clears theta for u',
 //     so the corresponding pair bit is set in its signature; an empty

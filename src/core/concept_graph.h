@@ -118,7 +118,6 @@ class ConceptGraph {
   ConceptGraph(ConceptGraph&&) = default;
   ConceptGraph& operator=(ConceptGraph&&) = default;
 
-  double beta() const { return options_.beta; }
   const ConceptGraphOptions& options() const { return options_; }
   const std::vector<LabelId>& concept_labels() const {
     return concept_labels_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 #include <utility>
 
@@ -30,36 +29,6 @@ std::unordered_map<LabelId, double> ExactLabelSims(
   // labels (sim == 1 by definition).
   sims.emplace(query_label, 1.0);
   return sims;
-}
-
-// All ontology labels within `radius` of any label in `sources` (labels
-// missing from the ontology contribute only themselves).
-std::vector<LabelId> MultiSourceBall(const OntologyGraph& o,
-                                     const std::unordered_map<LabelId, double>&
-                                         sources,
-                                     uint32_t radius) {
-  std::vector<LabelId> result;
-  std::unordered_map<LabelId, uint32_t> dist;
-  std::deque<LabelId> queue;
-  for (const auto& [label, unused_sim] : sources) {
-    if (dist.emplace(label, 0).second) {
-      result.push_back(label);
-      queue.push_back(label);
-    }
-  }
-  while (!queue.empty()) {
-    LabelId l = queue.front();
-    queue.pop_front();
-    uint32_t d = dist[l];
-    if (d >= radius) continue;
-    for (LabelId m : o.Neighbors(l)) {
-      if (dist.emplace(m, d + 1).second) {
-        result.push_back(m);
-        queue.push_back(m);
-      }
-    }
-  }
-  return result;
 }
 
 // Membership of ids (blocks or data nodes) in `num_sets` per-query sets,
@@ -107,18 +76,64 @@ bool Allowed(const std::vector<char>& allowed, NodeId v) {
   return v < allowed.size() && allowed[v] != 0;
 }
 
+// Refinement fixpoint over query edges (paper, Gview lines 5-10), shared by
+// the block and node levels: an element of sets[u] stays while every query
+// edge at u has support, supported(x, other, forward, label) saying whether
+// x reaches sets[other] along the edge's label (forward: x is the edge's
+// source); otherwise drop(x, u) records its removal.  Passes over all query
+// edges repeat until one changes nothing.  The fixpoint polls `check` per
+// examined element; an interrupted fixpoint keeps the current sets — a
+// sound over-approximation, since any prefix of the pruning sequence only
+// removed impossible elements.  False when some set runs empty.
+template <typename T, typename Supported, typename Drop>
+bool RefineToFixpoint(const std::vector<EdgeTriple>& qedges,
+                      std::vector<std::vector<T>>* sets, CancelCheck* check,
+                      Supported supported, Drop drop) {
+  auto prune = [&](const EdgeTriple& e, bool forward) {
+    NodeId holder = forward ? e.from : e.to;
+    NodeId other = forward ? e.to : e.from;
+    std::vector<T>& list = (*sets)[holder];
+    bool changed = false;
+    size_t kept = 0;
+    for (size_t i = 0; i < list.size(); ++i) {
+      if (check->Stop()) {
+        // Keep this and every not-yet-examined element.
+        for (; i < list.size(); ++i) list[kept++] = list[i];
+        break;
+      }
+      if (supported(list[i], other, forward, e.label)) {
+        list[kept++] = list[i];
+      } else {
+        drop(list[i], holder);
+        changed = true;
+      }
+    }
+    list.resize(kept);
+    return changed;
+  };
+  bool changed = true;
+  while (changed && !check->Stop()) {
+    changed = false;
+    for (const EdgeTriple& e : qedges) {
+      changed |= prune(e, /*forward=*/true);
+      if ((*sets)[e.from].empty()) return false;
+      changed |= prune(e, /*forward=*/false);
+      if ((*sets)[e.to].empty()) return false;
+      if (check->reason() != StopReason::kNone) break;
+    }
+  }
+  return true;
+}
+
 // The per-query inputs every concept graph's block stage reads.
 struct BlockInputs {
-  const OntologyGraph& o;
-  const SimilarityFunction& sim;
   const Graph& query;
   const std::vector<EdgeTriple>& qedges;
-  const QueryOptions& options;
-  const std::vector<std::unordered_map<LabelId, double>>& exact_label_sims;
-  // Non-null switches seeding to the signature index (see Run).
-  const CandidateIndex* cindex;
-  const std::vector<SignatureRequirement>& reqs;     // with cindex
-  const std::vector<std::vector<LabelId>>& sim_labels;  // with cindex
+  const CandidateIndex& cindex;
+  // Per query node: the signature requirement of its incident edges and
+  // its sorted theta-passing data labels.
+  const std::vector<SignatureRequirement>& reqs;
+  const std::vector<std::vector<LabelId>>& sim_labels;
   const ExecControl* exec;
   // The pivot restriction, or pivot == kInvalidNode when there is none.
   NodeId pivot;
@@ -146,20 +161,18 @@ class BlockStage {
   // none after refinement, or seeding was stopped (stats->stopped says
   // which).
   //
-  // With the signature index, one query node is seeded from the inverted
-  // member-label lists and every other one is formed by the cheaper of
-  // seeding and expansion from an already-formed neighbour (Expand), one
-  // node at a time, cheapest step first.  Seeding costs the node's list
-  // total; expansion the summed degree of the neighbour's block
-  // representatives in the query edge's direction.
+  // One query node is seeded from the inverted member-label lists and
+  // every other one is formed by the cheaper of seeding and expansion from
+  // an already-formed neighbour (Expand), one node at a time, cheapest step
+  // first.  Seeding costs the node's list total; expansion the summed
+  // degree of the neighbour's block representatives in the query edge's
+  // direction.
   bool Run(std::vector<std::vector<BlockId>>* out) {
     std::vector<size_t> seed_cost(nq_, 0);
-    if (in_.cindex != nullptr) {
-      for (NodeId u = 0; u < nq_; ++u) {
-        for (LabelId l : in_.sim_labels[u]) {
-          seed_cost[u] +=
-              in_.cindex->BlocksWithMemberLabel(graph_index_, l).size();
-        }
+    for (NodeId u = 0; u < nq_; ++u) {
+      for (LabelId l : in_.sim_labels[u]) {
+        seed_cost[u] +=
+            in_.cindex.BlocksWithMemberLabel(graph_index_, l).size();
       }
     }
     std::vector<char> formed(nq_, 0);
@@ -168,8 +181,6 @@ class BlockStage {
       NodeId next = kInvalidNode;
       const EdgeTriple* via = nullptr;
       size_t best = SIZE_MAX;
-      // Without the index every seeding cost is 0, so the ablations seed
-      // the query nodes in id order and never expand.
       for (NodeId u = 0; u < nq_; ++u) {
         if (formed[u] != 0) continue;
         size_t cost = seed_cost[u];
@@ -205,7 +216,21 @@ class BlockStage {
       formed[next] = 1;
       expand_cost[next] = ExpandCost(next);
     }
-    if (!Refine()) return false;
+    // Block fixpoint: a candidate block needs a neighbour block, along the
+    // query edge's label, among the other endpoint's candidates.
+    bool nonempty = RefineToFixpoint(
+        in_.qedges, &can_, &check_,
+        [&](BlockId b, NodeId other, bool forward, LabelId label) {
+          ++stats_->fixpoint_checks;
+          return cg_.AnyNeighborBlock(b, forward, label, [&](BlockId c) {
+            return sets_.Has(c, other);
+          });
+        },
+        [&](BlockId b, NodeId holder) {
+          sets_.Remove(b, holder);
+          ++stats_->pruned_blocks;
+        });
+    if (!nonempty) return false;
     stats_->stopped = MergeStopReason(stats_->stopped, check_.reason());
     *out = std::move(can_);
     return true;
@@ -230,60 +255,22 @@ class BlockStage {
   // Signature-index admission of block b for u; every caller has checked
   // that b holds a member with a theta-passing label.
   void Admit(NodeId u, BlockId b) {
-    if (in_.cindex->BlockPasses(graph_index_, b, in_.reqs[u])) {
+    if (in_.cindex.BlockPasses(graph_index_, b, in_.reqs[u])) {
       AddCandidate(u, b);
     } else {
       ++stats_->sig_block_rejections;
     }
   }
 
-  // Seeds u's candidate blocks from scratch.
+  // Seeds u's candidate blocks from scratch: the inverted index yields
+  // exactly the blocks with a theta-passing member, without scanning
+  // members, and the block signature rejects blocks none of whose members
+  // can satisfy u's incident query edges.
   void Seed(NodeId u) {
-    if (in_.cindex != nullptr) {
-      // Signature-indexed: the inverted index yields exactly the blocks
-      // with a theta-passing member, without scanning members, and the
-      // block signature rejects blocks none of whose members can satisfy
-      // u's incident query edges.
-      for (LabelId l : in_.sim_labels[u]) {
-        for (BlockId b :
-             in_.cindex->BlocksWithMemberLabel(graph_index_, l)) {
-          if (Visit(u, b)) Admit(u, b);
-          if (Stopped()) return;
-        }
-      }
-    } else if (in_.options.lazy_candidates) {
-      // Lazy strategy (paper, Gview line 4): candidate blocks are found by
-      // label distance alone, never by scanning members.  The paper admits
-      // every block whose concept label is within Radius(theta) +
-      // Radius(beta) of the query label; we use the (tighter, still lazy)
-      // equivalent test "within Radius(beta) of some exact candidate
-      // label", which is a subset by the triangle inequality yet still
-      // contains every block holding a true candidate.
-      for (LabelId l : MultiSourceBall(in_.o, in_.exact_label_sims[u],
-                                       in_.sim.Radius(cg_.beta()))) {
-        for (BlockId b : cg_.BlocksWithLabel(l)) {
-          if (Visit(u, b)) AddCandidate(u, b);
-          if (Stopped()) return;
-        }
-      }
-      // Uncovered labels group under themselves (see ConceptGraph::Build).
-      for (BlockId b : cg_.BlocksWithLabel(in_.query.NodeLabel(u))) {
-        if (Visit(u, b)) AddCandidate(u, b);
+    for (LabelId l : in_.sim_labels[u]) {
+      for (BlockId b : in_.cindex.BlocksWithMemberLabel(graph_index_, l)) {
+        if (Visit(u, b)) Admit(u, b);
         if (Stopped()) return;
-      }
-    } else {
-      // Exact (ablation): only blocks holding at least one node whose label
-      // clears theta.  Costs a scan of every block's members.
-      const auto& sims = in_.exact_label_sims[u];
-      for (BlockId b = 0; b < cg_.block_capacity(); ++b) {
-        if (!cg_.IsAlive(b)) continue;
-        if (!Visit(u, b)) return;  // ids are distinct: only a stop says no
-        for (NodeId v : cg_.Members(b)) {
-          if (sims.count(cg_.data_graph().NodeLabel(v)) > 0) {
-            AddCandidate(u, b);
-            break;
-          }
-        }
       }
     }
   }
@@ -304,7 +291,7 @@ class BlockStage {
       bool stopped = cg_.AnyNeighborBlock(b, forward, e.label, [&](BlockId c) {
         if (!Visit(u, c)) return Stopped();
         const std::vector<LabelId>& members =
-            in_.cindex->block_signature(graph_index_, c).member_labels;
+            in_.cindex.block_signature(graph_index_, c).member_labels;
         if (std::any_of(members.begin(), members.end(), [&](LabelId l) {
               return std::binary_search(labels.begin(), labels.end(), l);
             })) {
@@ -350,52 +337,6 @@ class BlockStage {
     list.resize(kept);
   }
 
-  // Fixpoint refinement over query edges (paper, Gview lines 5-10): drop a
-  // candidate block when a query edge has no corresponding block edge.
-  // The fixpoint polls the deadline/cancel state per examined block; an
-  // interrupted fixpoint keeps the current candidate sets — a sound
-  // over-approximation, since any prefix of the pruning sequence only
-  // removed impossible blocks.  False when some set runs empty.
-  bool Refine() {
-    bool changed = true;
-    while (changed && !check_.Stop()) {
-      changed = false;
-      for (const EdgeTriple& e : in_.qedges) {
-        // Forward: each candidate of e.from needs a successor block in
-        // can_[e.to]; backward symmetrically.
-        auto prune = [&](NodeId holder, NodeId other, bool forward) {
-          std::vector<BlockId>& list = can_[holder];
-          size_t kept = 0;
-          for (size_t i = 0; i < list.size(); ++i) {
-            BlockId b = list[i];
-            if (check_.Stop()) {
-              // Keep this and every not-yet-examined block.
-              for (; i < list.size(); ++i) list[kept++] = list[i];
-              break;
-            }
-            ++stats_->fixpoint_checks;
-            if (cg_.AnyNeighborBlock(b, forward, e.label, [&](BlockId c) {
-                  return sets_.Has(c, other);
-                })) {
-              list[kept++] = b;
-            } else {
-              sets_.Remove(b, holder);
-              ++stats_->pruned_blocks;
-              changed = true;
-            }
-          }
-          list.resize(kept);
-        };
-        prune(e.from, e.to, /*forward=*/true);
-        if (can_[e.from].empty()) return false;
-        prune(e.to, e.from, /*forward=*/false);
-        if (can_[e.to].empty()) return false;
-        if (Stopped()) break;
-      }
-    }
-    return true;
-  }
-
   const BlockInputs& in_;
   const ConceptGraph& cg_;
   size_t graph_index_;
@@ -437,10 +378,9 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
   // it in index order, so the result (including stats) is identical for any
   // thread count.
 
-  // Exact candidate-label tables are needed for final pruning (and for the
-  // non-lazy ablation); one ontology ball per query node.  Labels carried
-  // by no data node cannot produce candidates and are dropped immediately,
-  // which also tightens the lazy block selection below.
+  // Exact candidate-label tables: one ontology ball per query node.  Labels
+  // carried by no data node cannot produce candidates and are dropped
+  // immediately, so the inverted-list walk below never visits them.
   // A caller-supplied table set skips the ontology balls (the sharded
   // coordinator computes them once per request); the per-index occurrence
   // filter below still runs either way, so the tables end up identical.
@@ -473,28 +413,24 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
   // Signature-index plumbing: per query node, the requirement its matches'
   // signatures must satisfy, plus the sorted theta-passing label list used
   // to walk the inverted block index.
-  const CandidateIndex* cindex =
-      options.use_candidate_index ? &index.candidate_index() : nullptr;
+  const CandidateIndex& cindex = index.candidate_index();
   std::vector<SignatureRequirement> reqs(nq);
   std::vector<std::vector<LabelId>> sim_labels(nq);
-  if (cindex != nullptr) {
-    ParallelFor(num_threads, nq, [&](size_t u) {
-      reqs[u] = BuildSignatureRequirement(query, static_cast<NodeId>(u),
-                                          exact_label_sims);
-      for (const auto& [label, unused_sim] : exact_label_sims[u]) {
-        sim_labels[u].push_back(label);
-      }
-      std::sort(sim_labels[u].begin(), sim_labels[u].end());
-    });
-  }
+  ParallelFor(num_threads, nq, [&](size_t u) {
+    reqs[u] = BuildSignatureRequirement(query, static_cast<NodeId>(u),
+                                        exact_label_sims);
+    for (const auto& [label, unused_sim] : exact_label_sims[u]) {
+      sim_labels[u].push_back(label);
+    }
+    std::sort(sim_labels[u].begin(), sim_labels[u].end());
+  });
 
   // The query's edge list is loop-invariant; materialize it once.
   std::vector<EdgeTriple> qedges = query.EdgeList();
   const bool restricted =
       restriction != nullptr && restriction->allowed != nullptr;
   const BlockInputs block_inputs{
-      o,       sim,      query,      qedges, options, exact_label_sims,
-      cindex,  reqs,     sim_labels, exec,
+      query, qedges, cindex, reqs, sim_labels, exec,
       restricted ? restriction->query_node : kInvalidNode,
       restricted ? restriction->allowed : nullptr};
 
@@ -567,9 +503,9 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     }
   }
 
-  // Exact theta pruning: the lazy strategy over-approximates; keep only
-  // data nodes whose label truly clears the threshold, remembering sims.
-  // With the signature index on, a node whose signature cannot satisfy
+  // Exact theta pruning: a candidate block also holds members whose label
+  // misses theta; keep only data nodes whose label truly clears the
+  // threshold, remembering sims.  A node whose signature cannot satisfy
   // some incident query edge is dropped here too — before the node-level
   // fixpoint ever scans its adjacency (lossless: every match's signature
   // passes its requirement).
@@ -589,7 +525,7 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
       }
       auto it = sims.find(g.NodeLabel(v));
       if (it == sims.end()) continue;
-      if (cindex != nullptr && !cindex->NodePasses(v, reqs[u])) {
+      if (!cindex.NodePasses(v, reqs[u])) {
         ++node_rejects[u];
         continue;
       }
@@ -617,52 +553,25 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     for (NodeId u = 0; u < nq; ++u) {
       for (const auto& [v, s] : exact[u]) is_cand.Add(v, u);
     }
-    // Second super-linear stage; same cooperative-stop contract as the
-    // block fixpoint (interrupt = keep the sound superset).
     CancelCheck check(exec);
-    bool changed = true;
-    while (changed && !check.Stop()) {
-      changed = false;
-      for (const EdgeTriple& e : qedges) {
-        auto prune = [&](NodeId holder, NodeId other, bool forward) {
-          auto& list = exact[holder];
-          size_t kept = 0;
-          for (size_t i = 0; i < list.size(); ++i) {
-            NodeId v = list[i].first;
-            if (check.Stop()) {
-              for (; i < list.size(); ++i) list[kept++] = list[i];
-              break;
-            }
-            bool ok = false;
-            for (const AdjEntry& a : forward ? g.OutEdges(v) : g.InEdges(v)) {
-              ++result.stats.fixpoint_checks;
-              if (a.label == e.label && is_cand.Has(a.node, other)) {
-                ok = true;
-                break;
-              }
-            }
-            if (ok) {
-              list[kept++] = list[i];
-            } else {
-              is_cand.Remove(v, holder);
-              ++result.stats.pruned_nodes;
-              changed = true;
-            }
+    using NodeSim = std::pair<NodeId, double>;
+    bool nonempty = RefineToFixpoint(
+        qedges, &exact, &check,
+        [&](const NodeSim& c, NodeId other, bool forward, LabelId label) {
+          NodeId v = c.first;
+          for (const AdjEntry& a : forward ? g.OutEdges(v) : g.InEdges(v)) {
+            ++result.stats.fixpoint_checks;
+            if (a.label == label && is_cand.Has(a.node, other)) return true;
           }
-          list.resize(kept);
-        };
-        prune(e.from, e.to, /*forward=*/true);
-        if (exact[e.from].empty()) {
-          result.no_match = true;
-          return result;
-        }
-        prune(e.to, e.from, /*forward=*/false);
-        if (exact[e.to].empty()) {
-          result.no_match = true;
-          return result;
-        }
-        if (check.reason() != StopReason::kNone) break;
-      }
+          return false;
+        },
+        [&](const NodeSim& c, NodeId holder) {
+          is_cand.Remove(c.first, holder);
+          ++result.stats.pruned_nodes;
+        });
+    if (!nonempty) {
+      result.no_match = true;
+      return result;
     }
     result.stats.stopped =
         MergeStopReason(result.stats.stopped, check.reason());

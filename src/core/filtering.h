@@ -6,32 +6,30 @@
 // Q(G) = Q(G_v).
 //
 // Per concept graph G_o in the index:
-//   1. Candidate blocks.  With the signature index (the default), ONE query
-//      node — the one with the shortest inverted member-label lists — is
-//      seeded from those lists (the blocks holding a theta-passing member,
-//      minus those whose aggregated signature fails the node's incident
-//      edges).  Every other query node is formed, cheapest step first, by
-//      the cheaper of the same seeding or *expansion* from an already
-//      formed neighbour across a query edge: the neighbour blocks of that
-//      neighbour's block representatives, under the same label and
-//      signature tests.  Expansion is lossless because all members of a
-//      block share successor and predecessor blocks (concept_graph.h), so
-//      the representative reaches every block a match can continue into.
-//      The ablations instead seed every query node: *lazily*, admitting a
-//      block b when dist_O(L_q(u), label(b)) <= Radius(theta) +
-//      Radius(beta) (any data node v matching u satisfies dist(L_q(u),
-//      L(v)) <= Radius(theta) and v's block label satisfies dist(L(v),
-//      label(b)) <= Radius(beta), so the triangle inequality bounds the
-//      concept-label distance), or exactly, by scanning block members.
+//   1. Candidate blocks, from the neighbourhood-signature index
+//      (core/candidate_index.h), which replaces the paper's lazy
+//      concept-label seeding.  ONE query node — the one with the shortest
+//      inverted member-label lists — is seeded from those lists (the
+//      blocks holding a theta-passing member, minus those whose aggregated
+//      signature fails the node's incident edges).  Every other query node
+//      is formed, cheapest step first, by the cheaper of the same seeding
+//      or *expansion* from an already formed neighbour across a query
+//      edge: the neighbour blocks of that neighbour's block
+//      representatives, under the same label and signature tests.
+//      Expansion is lossless because all members of a block share
+//      successor and predecessor blocks (concept_graph.h), so the
+//      representative reaches every block a match can continue into.
 //   2. Fixpoint refinement: a candidate block of u is dropped when some
 //      query edge (u, u') has no corresponding block edge into (resp. from)
 //      a candidate of u' — sound because the concept-graph invariant makes
 //      one member representative for the whole block.
 //   3. mat(u) is intersected across concept graphs.
 // Finally the surviving data nodes are checked against the *exact*
-// similarity threshold theta, refined by a node-level fixpoint, and G_v is
-// materialized as the induced subgraph of their union, with per-query-node
-// candidate lists annotated with similarities (consumed by KMatch).
+// similarity threshold theta and their node signatures, refined by a
+// node-level fixpoint (the same loop as step 2, over data-node adjacency),
+// and G_v is materialized as the induced subgraph of their union, with
+// per-query-node candidate lists annotated with similarities (consumed by
+// KMatch).
 //
 // No stage allocates or clears anything sized by |V| or the block count
 // per query: candidate-set membership lives in per-thread, epoch-stamped
@@ -64,8 +62,7 @@ struct FilterStats {
   // Data-node candidates dropped by the node-level refinement fixpoint.
   size_t pruned_nodes = 0;
   // Candidate blocks / data nodes rejected up front by the precomputed
-  // neighborhood signatures (core/candidate_index.h); zero when
-  // QueryOptions::use_candidate_index is off.
+  // neighborhood signatures (core/candidate_index.h).
   size_t sig_block_rejections = 0;
   size_t sig_node_rejections = 0;
   // Work counters, deterministic for a fixed index and query.  seed_visits:
@@ -153,13 +150,11 @@ struct QuerySimTables {
 // Runs Gview for `query` over the index.  `query` must be a valid query
 // graph (see ValidateQuery); options.theta in (0, 1].
 //
-// With options.use_candidate_index (default), the precomputed neighborhood
-// signatures (core/candidate_index.h) seed and expand the block candidates
-// (step 1 above) and pre-reject candidates whose signature cannot satisfy
-// some incident query edge.  The returned matches downstream are
-// bit-identical either way; the candidate sets and G_v with the index on
-// are subsets of the index-off ones (still supersets of every match node —
-// Prop. 4.2 is preserved).
+// The precomputed neighborhood signatures (core/candidate_index.h) seed
+// and expand the block candidates (step 1 above) and pre-reject candidates
+// whose signature cannot satisfy some incident query edge.  Every test is
+// lossless: the candidate sets and G_v contain every node of every match
+// (Prop. 4.2).
 //
 // With options.num_threads > 1 the per-concept-graph refinement and the
 // per-query-node candidate stages run on the shared thread pool; every

@@ -65,9 +65,8 @@ class OntologyIndex {
   ConceptGraph* mutable_concept_graph(size_t i) { return &graphs_[i]; }
   const std::vector<ConceptGraph>& concept_graphs() const { return graphs_; }
 
-  // The precomputed candidate-pruning index (always built alongside the
-  // concept graphs; QueryOptions::use_candidate_index controls whether the
-  // filter consults it).
+  // The precomputed candidate-pruning index, built alongside the concept
+  // graphs; Gview seeds and prunes through it (core/filtering.h).
   const CandidateIndex& candidate_index() const { return candidate_index_; }
 
   // |I|: total blocks plus block edges across all concept graphs.

@@ -60,20 +60,6 @@ struct QueryOptions {
   // Number of best matches to return (top-K problem).  0 means "all".
   size_t k = 10;
   MatchSemantics semantics = MatchSemantics::kInduced;
-  // When false, skip the lazy concept-ball candidate initialization and
-  // compute per-node exact candidates directly against the ontology
-  // (ablation knob; the paper's Gview uses the lazy strategy).  Has no
-  // effect unless use_candidate_index is false: signature seeding replaces
-  // both strategies.
-  bool lazy_candidates = true;
-  // Consult the precomputed neighborhood-signature index
-  // (core/candidate_index.h) to seed the block fixpoint with the exact
-  // theta-passing block set and to reject candidates by signature before
-  // any adjacency scan.  Returned matches are bit-identical with the flag
-  // on or off; candidate sets / G_v can only shrink (ablation knob for the
-  // bench).  When on, this supersedes lazy_candidates for the block
-  // initialization (the signature seeding is already exact and lazy).
-  bool use_candidate_index = true;
   // Safety valve for adversarial inputs: abort enumeration after this many
   // backtracking steps (0 = unlimited).  Benches leave it unlimited.  With
   // parallel verification the budget applies to each root-candidate

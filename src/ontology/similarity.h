@@ -12,9 +12,8 @@
 //   kReciprocal   sim(d) = 1 / (1 + d)
 //
 // The key derived quantity is Radius(theta): the largest hop distance
-// whose similarity still clears the threshold theta.  It is what makes the
-// paper's "lazy" filtering strategy correct (Radius(theta) + Radius(beta)
-// bounds the distance through a concept label; see filtering.h).
+// whose similarity still clears the threshold theta: the ontology ball of
+// that radius around a query label holds every label a match may carry.
 
 #ifndef OSQ_ONTOLOGY_SIMILARITY_H_
 #define OSQ_ONTOLOGY_SIMILARITY_H_

@@ -23,11 +23,8 @@ std::string QuerySignature(const Graph& query, const QueryOptions& options) {
     sig.append(buf);
   }
   // %.17g round-trips doubles exactly.
-  std::snprintf(buf, sizeof(buf), "|t%.17g|k%zu|s%d|l%d|c%d|m%zu",
-                options.theta, options.k,
-                static_cast<int>(options.semantics),
-                options.lazy_candidates ? 1 : 0,
-                options.use_candidate_index ? 1 : 0,
+  std::snprintf(buf, sizeof(buf), "|t%.17g|k%zu|s%d|m%zu", options.theta,
+                options.k, static_cast<int>(options.semantics),
                 options.max_search_steps);
   sig.append(buf);
   return sig;

@@ -41,14 +41,12 @@ namespace osq {
 // Canonical cache key: a deterministic serialization of the query graph
 // (node labels in id order + the sorted edge-triple list) concatenated
 // with every QueryOptions field that can influence the QueryResult —
-// theta, k, semantics, lazy_candidates, use_candidate_index,
-// max_search_steps.  num_threads is
-// deliberately excluded: results are thread-count invariant by contract
-// (DESIGN.md §7), so a result computed at any thread count answers all of
-// them.  Structurally identical queries hash equal regardless of how the
-// caller built them; isomorphic-but-reordered queries are treated as
-// distinct (full canonicalization would cost a graph-isomorphism test per
-// request).
+// theta, k, semantics, max_search_steps.  num_threads is deliberately
+// excluded: results are thread-count invariant by contract (DESIGN.md §7),
+// so a result computed at any thread count answers all of them.
+// Structurally identical queries hash equal regardless of how the caller
+// built them; isomorphic-but-reordered queries are treated as distinct
+// (full canonicalization would cost a graph-isomorphism test per request).
 std::string QuerySignature(const Graph& query, const QueryOptions& options);
 
 // Snapshot stamp: one monotone version counter per independently advancing

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "baseline/rewriting.h"
+#include "baseline/simmatrix.h"
 #include "common/rng.h"
 #include "core/filtering.h"
 #include "core/index_maintenance.h"
@@ -165,42 +167,35 @@ std::set<NodeId> CandidateOriginals(const FilterResult& r, NodeId q) {
   return out;
 }
 
+// The signature tests only ever drop non-matches: the engine's complete
+// answer equals both brute-force baselines, and every node of every
+// baseline match survives into its query node's candidate list (Prop. 4.2).
 TEST(CandidateIndexTest, FilterWithIndexIsLossless) {
   std::unique_ptr<SmallWorld> w = MakeSmallWorld(19);
   ASSERT_FALSE(w->queries.empty());
+  const SimilarityFunction& sim = w->index->sim();
   for (const Graph& q : w->queries) {
-    QueryOptions on;
-    on.theta = 0.85;
-    on.k = 0;  // all matches — strongest equality check
-    QueryOptions off = on;
-    off.use_candidate_index = false;
+    QueryOptions options;
+    options.theta = 0.85;
+    options.k = 0;  // all matches — strongest equality check
 
-    FilterResult r_on = GviewFilter(*w->index, q, on);
-    FilterResult r_off = GviewFilter(*w->index, q, off);
-    // Index-off must never run the signature tests.
-    EXPECT_EQ(r_off.stats.sig_block_rejections, 0u);
-    EXPECT_EQ(r_off.stats.sig_node_rejections, 0u);
+    FilterResult r = GviewFilter(*w->index, q, options);
+    std::vector<Match> engine =
+        r.no_match ? std::vector<Match>{} : KMatch(q, r, options);
+    std::vector<Match> rewrite =
+        SubIsoRewrite(q, w->ds.graph, w->ds.ontology, sim, options);
+    SimMatrix m =
+        BuildSimMatrix(q, w->ds.graph, w->ds.ontology, sim, options.theta);
+    std::vector<Match> vf2 = SimMatrixMatch(q, w->ds.graph, m, options);
+    EXPECT_EQ(test::Canon(engine), test::Canon(rewrite));
+    EXPECT_EQ(test::Canon(engine), test::Canon(vf2));
 
-    // Candidate sets with the index on are subsets of the index-off ones.
-    if (!r_on.no_match && !r_off.no_match) {
+    ASSERT_TRUE(!r.no_match || vf2.empty());
+    for (const Match& match : vf2) {
       for (NodeId u = 0; u < q.num_nodes(); ++u) {
-        std::set<NodeId> s_on = CandidateOriginals(r_on, u);
-        std::set<NodeId> s_off = CandidateOriginals(r_off, u);
-        EXPECT_TRUE(std::includes(s_off.begin(), s_off.end(), s_on.begin(),
-                                  s_on.end()));
+        EXPECT_EQ(CandidateOriginals(r, u).count(match.mapping[u]), 1u)
+            << "query node " << u << " lost data node " << match.mapping[u];
       }
-    }
-
-    // Returned matches are bit-identical.  KMatch already reports
-    // mappings in original node ids, so Match compares directly.
-    std::vector<Match> m_on =
-        r_on.no_match ? std::vector<Match>{} : KMatch(q, r_on, on);
-    std::vector<Match> m_off =
-        r_off.no_match ? std::vector<Match>{} : KMatch(q, r_off, off);
-    ASSERT_EQ(m_on.size(), m_off.size());
-    for (size_t m = 0; m < m_on.size(); ++m) {
-      EXPECT_EQ(m_on[m].mapping, m_off[m].mapping) << "match " << m;
-      EXPECT_DOUBLE_EQ(m_on[m].score, m_off[m].score) << "match " << m;
     }
   }
 }
@@ -249,28 +244,20 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
   q.AddEdge(0, 1, likes);
   q.AddEdge(0, 2, likes);
 
-  QueryOptions on;
-  on.theta = 0.95;
-  on.k = 0;
-  FilterResult r_on = GviewFilter(index, q, on);
-  ASSERT_FALSE(r_on.no_match);
-  EXPECT_GT(r_on.stats.sig_node_rejections, 0u);
+  QueryOptions options;
+  options.theta = 0.95;
+  options.k = 0;
+  FilterResult r = GviewFilter(index, q, options);
+  ASSERT_FALSE(r.no_match);
+  EXPECT_GT(r.stats.sig_node_rejections, 0u);
 
-  // The rejection is a pure short-circuit: results match the index-off run.
-  QueryOptions off = on;
-  off.use_candidate_index = false;
-  FilterResult r_off = GviewFilter(index, q, off);
-  ASSERT_FALSE(r_off.no_match);
-  for (NodeId u = 0; u < q.num_nodes(); ++u) {
-    EXPECT_EQ(CandidateOriginals(r_on, u), CandidateOriginals(r_off, u));
-  }
-  std::vector<Match> m_on = KMatch(q, r_on, on);
-  std::vector<Match> m_off = KMatch(q, r_off, off);
-  ASSERT_EQ(m_on.size(), m_off.size());
-  ASSERT_FALSE(m_on.empty());
-  for (size_t m = 0; m < m_on.size(); ++m) {
-    EXPECT_EQ(m_on[m].mapping, m_off[m].mapping);
-  }
+  // Node 1 is rejected, node 0 kept; the museums are nodes 2 and 3.
+  EXPECT_EQ(CandidateOriginals(r, 0), (std::set<NodeId>{0}));
+  EXPECT_EQ(CandidateOriginals(r, 1), (std::set<NodeId>{2, 3}));
+  EXPECT_EQ(CandidateOriginals(r, 2), (std::set<NodeId>{2, 3}));
+  std::set<std::vector<NodeId>> mappings;
+  for (const Match& m : KMatch(q, r, options)) mappings.insert(m.mapping);
+  EXPECT_EQ(mappings, (std::set<std::vector<NodeId>>{{0, 2, 3}, {0, 3, 2}}));
 }
 
 TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {

@@ -264,14 +264,10 @@ TEST(EngineCompletenessTest, CancelledSeedStageStopsWithinOneStride) {
   ExecControl exec;
   exec.cancel = CancelToken::Cancellable();
   exec.cancel.RequestCancel();
-  // The signature-index path, then the lazy ablation's seeding.
-  for (bool use_index : {true, false}) {
-    options.use_candidate_index = use_index;
-    FilterResult r = GviewFilter(engine.index(), *query, options, &exec);
-    EXPECT_TRUE(r.no_match) << use_index;
-    EXPECT_EQ(r.stats.stopped, StopReason::kCancelled) << use_index;
-    EXPECT_LE(r.stats.seed_visits, stride_per_graph) << use_index;
-  }
+  FilterResult r = GviewFilter(engine.index(), *query, options, &exec);
+  EXPECT_TRUE(r.no_match);
+  EXPECT_EQ(r.stats.stopped, StopReason::kCancelled);
+  EXPECT_LE(r.stats.seed_visits, stride_per_graph);
 }
 
 // ---- service-level plumbing --------------------------------------------

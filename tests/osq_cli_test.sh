@@ -7,7 +7,9 @@
 # dataset, saves a snapshot, and checks that
 #   * `query --snapshot` and plain `query` print the same match lines;
 #   * a pattern that is not weakly connected exits 2 with "weakly
-#     connected" on stderr, as QueryEngine::Query rejects it.
+#     connected" on stderr, as QueryEngine::Query rejects it;
+#   * bad numeric flag values (`bench --reps 0`, `--n 0`, `--k abc`) exit
+#     2 with the flag named on stderr.
 set -euo pipefail
 
 cli="$(realpath "$1")"
@@ -42,5 +44,19 @@ rc=0
 [[ $rc -eq 2 ]] || fail "disconnected pattern exited $rc, want 2"
 grep -q "weakly connected" disconnected.err ||
   fail "disconnected pattern: no 'weakly connected' on stderr"
+
+# bad_flag <flag> <command...>: the command exits 2 naming --<flag>.
+bad_flag() {
+  local flag="$1" rc=0
+  shift
+  "$cli" "$@" > bad.out 2> bad.err || rc=$?
+  [[ $rc -eq 2 ]] || fail "$* exited $rc, want 2"
+  grep -q -- "--$flag" bad.err || fail "$*: no '--$flag' on stderr"
+}
+echo "$pattern" > queries.txt
+bad_flag reps bench --graph g.txt --ontology o.txt --queries queries.txt \
+  --reps 0
+bad_flag n query --graph g.txt --ontology o.txt --pattern "$pattern" --n 0
+bad_flag k query --snapshot engine.snp --pattern "$pattern" --k abc
 
 echo "osq_cli query paths: OK"

@@ -26,9 +26,12 @@
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "graph/query_graph.h"
+#include "test_util.h"
 
 namespace osq {
 namespace {
+
+using test::Canon;
 
 struct RandomWorld {
   LabelDictionary dict;
@@ -68,16 +71,6 @@ std::vector<Graph> MakeQueries(const RandomWorld& w, uint64_t seed,
     if (!q.empty() && ValidateQuery(q).ok()) queries.push_back(std::move(q));
   }
   return queries;
-}
-
-// Canonical form for comparing result sets across algorithms.
-std::set<std::pair<std::vector<NodeId>, int64_t>> Canon(
-    const std::vector<Match>& matches) {
-  std::set<std::pair<std::vector<NodeId>, int64_t>> out;
-  for (const Match& m : matches) {
-    out.insert({m.mapping, static_cast<int64_t>(m.score * 1e9 + 0.5)});
-  }
-  return out;
 }
 
 class CrossCheckTest

@@ -17,9 +17,13 @@
 #ifndef OSQ_TESTS_TEST_UTIL_H_
 #define OSQ_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/match.h"
 #include "graph/graph.h"
 #include "graph/label_dictionary.h"
 #include "graph/query_graph.h"
@@ -147,6 +151,17 @@ inline ColorFixture MakeColorFixture() {
   f.blue_label = d->Lookup("blue");
   f.green_label = d->Lookup("green");
   return f;
+}
+
+// Canonical form for comparing result sets across algorithms: each match's
+// mapping with its score rounded to 1e-9.
+inline std::set<std::pair<std::vector<NodeId>, int64_t>> Canon(
+    const std::vector<Match>& matches) {
+  std::set<std::pair<std::vector<NodeId>, int64_t>> out;
+  for (const Match& m : matches) {
+    out.insert({m.mapping, static_cast<int64_t>(m.score * 1e9 + 0.5)});
+  }
+  return out;
 }
 
 }  // namespace test

@@ -28,9 +28,13 @@
 // Concurrent serving, caching and live ingest are measured by servebench
 // (`python3 servebench/run.py`), not by this tool.
 //
+// Numeric flags take whole decimal numbers; --n and --reps at least 1.
+//
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime errors
-// (including a query the engine rejects).
+// (including a query the engine rejects) and on a bad numeric flag value.
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -85,12 +89,26 @@ double GetDouble(const FlagMap& flags, const std::string& name, double def) {
   return it == flags.end() ? def : std::atof(it->second.c_str());
 }
 
-size_t GetSize(const FlagMap& flags, const std::string& name, size_t def) {
+// Reads --name as a whole decimal number of at least `min`.  Any other
+// value (not a number, out of range, below `min`) is a bad flag: the
+// program ends with exit status 2.
+size_t GetSize(const FlagMap& flags, const std::string& name, size_t def,
+               size_t min = 0) {
   auto it = flags.find(name);
-  return it == flags.end() ? def
-                           : static_cast<size_t>(
-                                 std::strtoull(it->second.c_str(), nullptr,
-                                               10));
+  if (it == flags.end()) return def;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = std::strtoull(text, &end, 10);
+  // strtoull skips blanks and negates a leading '-': accept digits only.
+  bool ok = std::isdigit(static_cast<unsigned char>(text[0])) != 0 &&
+            *end == '\0' && errno != ERANGE && value >= min;
+  if (!ok) {
+    std::fprintf(stderr, "error: --%s %s: want a whole number >= %zu\n",
+                 name.c_str(), text, min);
+    std::exit(2);
+  }
+  return static_cast<size_t>(value);
 }
 
 int Fail(const Status& status) {
@@ -168,7 +186,8 @@ int LoadDataset(const FlagMap& flags, gen::Dataset* ds) {
 IndexOptions IndexOptionsFromFlags(const FlagMap& flags) {
   IndexOptions idx;
   idx.beta = GetDouble(flags, "beta", idx.beta);
-  idx.num_concept_graphs = GetSize(flags, "n", idx.num_concept_graphs);
+  idx.num_concept_graphs =
+      GetSize(flags, "n", idx.num_concept_graphs, /*min=*/1);
   idx.seed = GetSize(flags, "seed", idx.seed);
   idx.similarity_base = GetDouble(flags, "base", idx.similarity_base);
   idx.edge_label_aware = GetFlag(flags, "edge-label-aware", "0") == "1";
@@ -296,18 +315,18 @@ int CmdBench(const FlagMap& flags) {
     return 1;
   }
 
+  QueryOptions options;
+  options.theta = GetDouble(flags, "theta", options.theta);
+  options.k = GetSize(flags, "k", options.k);
+  options.num_threads = GetSize(flags, "threads", options.num_threads);
+  size_t reps = GetSize(flags, "reps", 3, /*min=*/1);
+
   WallTimer build_timer;
   QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
                      IndexOptionsFromFlags(flags));
   std::printf("index built in %.1f ms; %zu queries from %s\n",
               build_timer.ElapsedMillis(), patterns.size(),
               queries_path.c_str());
-
-  QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
-  options.k = GetSize(flags, "k", options.k);
-  options.num_threads = GetSize(flags, "threads", options.num_threads);
-  size_t reps = GetSize(flags, "reps", 3);
 
   std::printf("%-6s %10s %10s %10s %10s\n", "query", "ms", "|Gv|",
               "matches", "best");

@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   Status rep_status = Status::Ok();
   double build_ms = bench::MedianMs(reps, [&] {
     OntologyIndex rebuilt = OntologyIndex::Build(ds.graph, ds.ontology, idx);
-    if (rebuilt.num_concept_graphs() != idx.num_concept_graphs) {
+    if (rebuilt.candidate_index().num_nodes() != ds.graph.num_nodes()) {
       rep_status = Status::Corruption("build produced a malformed index");
     }
   });

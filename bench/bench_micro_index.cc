@@ -25,7 +25,7 @@ void BM_IndexBuild(benchmark::State& state) {
   idx.num_concept_graphs = 2;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        OntologyIndex::Build(ds.graph, ds.ontology, idx));
+        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(ds.graph.num_edges()));
@@ -38,7 +38,8 @@ void BM_IncrementalUpdate(benchmark::State& state) {
   IndexOptions idx;
   idx.num_concept_graphs = 2;
   Graph g = ds.graph;
-  OntologyIndex index = OntologyIndex::Build(g, ds.ontology, idx);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(g, ds.ontology, idx);
   Rng rng(11);
   for (auto _ : state) {
     // Insert + delete a random edge: net size constant across iterations.
@@ -56,7 +57,8 @@ void BM_IndexValidate(benchmark::State& state) {
   gen::Dataset ds = MakeData(8000);
   IndexOptions idx;
   idx.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.Validate());
   }

@@ -130,20 +130,13 @@ std::vector<std::pair<std::string, double>> FilterStatExtras(const World& w) {
   FilterStats sum;
   for (const Graph& q : w.queries) {
     FilterResult r = GviewFilter(*w.index, q, options);
-    sum.initial_blocks += r.stats.initial_blocks;
-    sum.pruned_blocks += r.stats.pruned_blocks;
     sum.pruned_nodes += r.stats.pruned_nodes;
-    sum.sig_block_rejections += r.stats.sig_block_rejections;
     sum.sig_node_rejections += r.stats.sig_node_rejections;
     sum.seed_visits += r.stats.seed_visits;
     sum.fixpoint_checks += r.stats.fixpoint_checks;
     sum.gv_nodes += r.stats.gv_nodes;
   }
-  return {{"initial_blocks", static_cast<double>(sum.initial_blocks)},
-          {"pruned_blocks", static_cast<double>(sum.pruned_blocks)},
-          {"pruned_nodes", static_cast<double>(sum.pruned_nodes)},
-          {"sig_block_rejections",
-           static_cast<double>(sum.sig_block_rejections)},
+  return {{"pruned_nodes", static_cast<double>(sum.pruned_nodes)},
           {"sig_node_rejections",
            static_cast<double>(sum.sig_node_rejections)},
           {"seed_visits", static_cast<double>(sum.seed_visits)},

@@ -56,7 +56,8 @@ int main() {
   for (double frac : {0.001, 0.005, 0.01, 0.05, 0.10}) {
     // Fresh graph + index per batch size so runs are independent.
     Graph g = ds.graph;
-    OntologyIndex index = OntologyIndex::Build(g, ds.ontology, idx);
+    OntologyIndex index =
+        OntologyIndex::BuildWithConceptGraphs(g, ds.ontology, idx);
     size_t count = static_cast<size_t>(frac * static_cast<double>(
                                                   g.num_edges()));
     if (count == 0) count = 1;
@@ -68,7 +69,7 @@ int main() {
     double inc_ms = inc_timer.ElapsedMillis();
 
     double batch_ms = bench::MedianMs(1, [&] {
-      OntologyIndex::Build(g, ds.ontology, idx);
+      OntologyIndex::BuildWithConceptGraphs(g, ds.ontology, idx);
     });
 
     std::printf("%-12.3f %10zu %12.2f %12.2f %9.1f%% %12zu\n", frac, count,

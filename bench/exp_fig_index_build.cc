@@ -30,9 +30,10 @@ int main() {
     IndexOptions idx;
     idx.num_concept_graphs = 2;
     double ms = bench::MedianMs(3, [&] {
-      OntologyIndex::Build(ds.graph, ds.ontology, idx);
+      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
     });
-    OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+    OntologyIndex index =
+        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
     size_t size = index.TotalSize();
     std::printf("%-10zu %10zu %12.2f %12zu %12.4f\n", ds.graph.num_nodes(),
                 ds.graph.num_edges(), ms, size,
@@ -41,30 +42,32 @@ int main() {
                                         ds.graph.num_edges()));
   }
 
-  std::printf("\n(b) vs N = card(I)  (|V|=20000, beta=0.81)\n");
+  const size_t sweep_nodes = bench::Scaled(20000);
+  std::printf("\n(b) vs N = card(I)  (|V|=%zu, beta=0.81)\n", sweep_nodes);
   std::printf("%-10s %12s %12s\n", "N", "build_ms", "|I|");
   {
     gen::ScenarioParams p;
-    p.scale = bench::Scaled(20000);
+    p.scale = sweep_nodes;
     p.seed = 31;
     gen::Dataset ds = gen::MakeCrossDomainLike(p);
     for (size_t n : {1, 2, 3, 4}) {
       IndexOptions idx;
       idx.num_concept_graphs = n;
       double ms = bench::MedianMs(3, [&] {
-        OntologyIndex::Build(ds.graph, ds.ontology, idx);
+        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
       });
-      OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+      OntologyIndex index =
+          OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
       std::printf("%-10zu %12.2f %12zu\n", n, ms, index.TotalSize());
     }
   }
 
-  std::printf("\n(c) vs beta  (|V|=20000, N=2)\n");
+  std::printf("\n(c) vs beta  (|V|=%zu, N=2)\n", sweep_nodes);
   std::printf("%-10s %12s %12s %14s\n", "beta", "build_ms", "|I|",
               "avg#blocks");
   {
     gen::ScenarioParams p;
-    p.scale = bench::Scaled(20000);
+    p.scale = sweep_nodes;
     p.seed = 31;
     gen::Dataset ds = gen::MakeCrossDomainLike(p);
     for (double beta : {0.95, 0.9, 0.81, 0.729}) {
@@ -72,11 +75,12 @@ int main() {
       idx.num_concept_graphs = 2;
       idx.beta = beta;
       double ms = bench::MedianMs(3, [&] {
-        OntologyIndex::Build(ds.graph, ds.ontology, idx);
+        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
       });
       IndexBuildStats stats;
       OntologyIndex index =
-          OntologyIndex::Build(ds.graph, ds.ontology, idx, &stats);
+          OntologyIndex::BuildWithConceptGraphs(
+              ds.graph, ds.ontology, idx, &stats);
       std::printf("%-10.3f %12.2f %12zu %14.0f\n", beta, ms,
                   index.TotalSize(),
                   static_cast<double>(stats.total_blocks) /

@@ -41,8 +41,7 @@ int main() {
   IndexOptions idx;
   idx.num_concept_graphs = 2;
   QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
-  std::printf("index built in %.1f ms (%zu blocks total)\n\n",
-              engine.index_build_ms(), engine.build_stats().total_blocks);
+  std::printf("index built in %.1f ms\n\n", engine.index_build_ms());
 
   std::printf("%-6s %10s %14s %10s %12s\n", "query", "SubIso", "OSQ(0.9)",
               "best", "Gv nodes");

@@ -24,8 +24,8 @@
 # - lint (scripts/lint.sh) runs osq_lint + clang-tidy-with-baseline +
 #   clang-format --check; see DESIGN.md §10.
 # - OSQ_BENCH_CHECK=1 adds an opt-in bench regression stage: one
-#   bench_micro_match run checked against BENCH_match.json (including the
-#   >=5x candidate-index floor and a live sig_node_rejections counter),
+#   bench_micro_match run checked against BENCH_match.json (including live
+#   signature rejections on both worlds),
 #   one bench_load run checked against BENCH_load.json (including the
 #   >=11.2x rebuild-vs-snapshot-load cold-start floor), and one bench_shard
 #   run checked against BENCH_shard.json (including the structural sharding
@@ -73,15 +73,15 @@ scripts/lint.sh build
 # Opt-in bench regression gate (off by default: benchmark timings on shared
 # runners are too noisy to block every run).  Runs the matcher microbench
 # once at --threads 1 and checks the rows against the committed baseline,
-# including that the block- and node-level signature tests still reject
-# candidates.
+# including that the signature test still rejects candidates on both
+# worlds.
 if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
   echo "== tier-1 (opt-in): bench regression check vs BENCH_match.json =="
   cmake --build build -j "$(nproc)" --target bench_micro_match bench_load
   build/bench/bench_micro_match --threads 1 --json build/bench_fresh.json
   python3 scripts/bench_check.py build/bench_fresh.json \
     --baseline BENCH_match.json \
-    --min-extra BM_GviewFilter,sig_block_rejections,1 \
+    --min-extra BM_GviewFilter,sig_node_rejections,1 \
     --min-extra BM_GviewFilterHighDegree,sig_node_rejections,1
 
   echo "== tier-1 (opt-in): cold-start check vs BENCH_load.json =="

@@ -135,6 +135,7 @@ CandidateIndex CandidateIndex::Build(const Graph& g,
     index.node_sigs_[v] =
         index.ComputeNodeSignature(g, static_cast<NodeId>(v));
   });
+  for (NodeId v = 0; v < g.num_nodes(); ++v) index.AddToLabelList(g, v);
   index.per_graph_.resize(graphs.size());
   ParallelFor(num_threads, graphs.size(), [&](size_t i) {
     const ConceptGraph& cg = graphs[i];
@@ -163,9 +164,11 @@ CandidateIndex::SnapshotParts CandidateIndex::ExportSnapshotParts() const {
   return parts;
 }
 
-CandidateIndex CandidateIndex::FromSnapshotParts(SnapshotParts parts) {
+CandidateIndex CandidateIndex::FromSnapshotParts(const Graph& g,
+                                                 SnapshotParts parts) {
   CandidateIndex index;
   index.node_sigs_ = std::move(parts.node_sigs);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) index.AddToLabelList(g, v);
   index.per_graph_.resize(parts.per_graph_blocks.size());
   for (size_t i = 0; i < parts.per_graph_blocks.size(); ++i) {
     PerGraph& pg = index.per_graph_[i];
@@ -181,6 +184,18 @@ CandidateIndex CandidateIndex::FromSnapshotParts(SnapshotParts parts) {
     }
   }
   return index;
+}
+
+void CandidateIndex::AddToLabelList(const Graph& g, NodeId v) {
+  LabelId label = g.NodeLabel(v);
+  if (label >= nodes_by_label_.size()) nodes_by_label_.resize(label + 1);
+  nodes_by_label_[label].push_back(v);
+}
+
+const std::vector<NodeId>& CandidateIndex::NodesWithLabel(
+    LabelId label) const {
+  static const std::vector<NodeId>* const kEmpty = new std::vector<NodeId>();
+  return label < nodes_by_label_.size() ? nodes_by_label_[label] : *kEmpty;
 }
 
 const std::vector<BlockId>& CandidateIndex::BlocksWithMemberLabel(
@@ -204,6 +219,7 @@ void CandidateIndex::OnEdgeChanged(const Graph& g, NodeId from, NodeId to) {
 void CandidateIndex::OnNodeAdded(const Graph& g, NodeId v) {
   OSQ_CHECK(v == node_sigs_.size());  // ids are dense and registered in order
   node_sigs_.push_back(ComputeNodeSignature(g, v));
+  AddToLabelList(g, v);  // v is the largest id, so the list stays sorted
 }
 
 void CandidateIndex::RepairBlocks(size_t graph_index, const Graph& g,

@@ -5,15 +5,18 @@
 //     one for the out- and one for the in-neighborhood (the label-pair
 //     encoding of l2Match);
 //   * exact degree-per-edge-label counts, out and in (the CNI spirit).
-// Per concept graph it additionally aggregates the member signatures of
-// every block (bitsets OR-ed, counts max-ed) and inverts the block
-// partition by member label, so the Gview filter can
-//   (a) seed the block fixpoint with exactly the blocks holding a
-//       theta-passing member — found by inverted-index lookup instead of
-//       an ontology ball over concept labels — minus blocks whose
-//       aggregated signature cannot satisfy some incident query edge, and
-//   (b) reject data-node candidates by signature before the node-level
-//       refinement ever scans their adjacency.
+// It inverts the node set by label (ascending node lists), so the Gview
+// filter (core/filtering.h) seeds with exactly the nodes carrying a
+// theta-passing label — found by list lookup instead of a scan — minus
+// those whose signature cannot satisfy some incident query edge, and
+// rejects expansion candidates by signature before the refinement fixpoint
+// ever scans their adjacency.
+//
+// For an index with concept graphs (OntologyIndex::BuildWithConceptGraphs)
+// it also aggregates the member signatures of every block (bitsets OR-ed,
+// counts max-ed) and inverts each partition by member label; Gview reads
+// neither (its node stage needs no block level), and incIdx keeps them
+// repaired.
 //
 // Losslessness contract (see DESIGN.md §11 for the full argument): every
 // signature test is a *necessary* condition for a node to appear in a
@@ -152,15 +155,18 @@ class CandidateIndex {
   static uint32_t PairBit(LabelId edge_label, LabelId node_label);
 
   // Builds the full index: node signatures in parallel over nodes, block
-  // aggregates in parallel over concept graphs.  Identical result for
-  // every thread count (all aggregation is commutative and every output
-  // vector is canonically sorted).
+  // aggregates in parallel over concept graphs (`graphs` may be empty).
+  // Identical result for every thread count (all aggregation is
+  // commutative and every output vector is canonically sorted).
   static CandidateIndex Build(const Graph& g,
                               const std::vector<ConceptGraph>& graphs,
                               size_t num_threads);
 
   size_t num_nodes() const { return node_sigs_.size(); }
   size_t num_graphs() const { return per_graph_.size(); }
+
+  // Data nodes labelled `label`, ascending.  Empty if none.
+  const std::vector<NodeId>& NodesWithLabel(LabelId label) const;
 
   const NodeSignature& node_signature(NodeId v) const {
     return node_sigs_[v];
@@ -201,7 +207,8 @@ class CandidateIndex {
   // Recomputes both endpoint signatures after an edge insertion/deletion;
   // the data graph must already reflect the change.
   void OnEdgeChanged(const Graph& g, NodeId from, NodeId to);
-  // Appends the signature of freshly added node v (must be the next id).
+  // Appends the signature and label-list entry of freshly added node v
+  // (must be the next id).
   void OnNodeAdded(const Graph& g, NodeId v);
   // Recomputes the block signatures of `dirty` (sorted unique block ids;
   // dead ids are cleared) against the current partition of `cg`, fixing
@@ -217,15 +224,17 @@ class CandidateIndex {
 
   // --- Binary snapshot support (core/snapshot.h) --------------------------
   // The signatures are the expensive-to-recompute state; the packed bits
-  // mirror and the member-label inverted index are canonical derivations
-  // (ascending block ids) and are rebuilt on restore, exactly as Build
-  // produces them.
+  // mirror, the member-label inverted index and the node label lists are
+  // canonical derivations (ascending ids) and are rebuilt on restore, from
+  // the parts and the restored data graph `g`, exactly as Build produces
+  // them.
   struct SnapshotParts {
     std::vector<NodeSignature> node_sigs;
     std::vector<std::vector<BlockSignature>> per_graph_blocks;
   };
   SnapshotParts ExportSnapshotParts() const;
-  static CandidateIndex FromSnapshotParts(SnapshotParts parts);
+  static CandidateIndex FromSnapshotParts(const Graph& g,
+                                          SnapshotParts parts);
 
  private:
   struct PerGraph {
@@ -244,8 +253,11 @@ class CandidateIndex {
   NodeSignature ComputeNodeSignature(const Graph& g, NodeId v) const;
   BlockSignature ComputeBlockSignature(const Graph& g, const ConceptGraph& cg,
                                        BlockId b) const;
+  void AddToLabelList(const Graph& g, NodeId v);
 
   std::vector<NodeSignature> node_sigs_;
+  // Indexed by data label; trailing labels with no node may be absent.
+  std::vector<std::vector<NodeId>> nodes_by_label_;
   std::vector<PerGraph> per_graph_;
 };
 

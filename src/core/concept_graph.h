@@ -10,8 +10,10 @@
 // data edge between members of two blocks implies the concept edge, i.e.
 // whenever some member of b1 points into b2, all members do.  Equivalently:
 // all members of a block share the same successor-block set and the same
-// predecessor-block set.  This is the invariant that makes Gview filtering
-// lossless (Prop. 4.2), and it is what Validate() checks.
+// predecessor-block set.  This is the invariant that makes the paper's
+// block-level Gview filtering lossless (Prop. 4.2), and it is what
+// Validate() checks.  The serving engine filters at the node level instead
+// and builds no concept graph (core/ontology_index.h).
 //
 // We implement CGraph as worklist-driven partition refinement: start from
 // the concept-label partition and split any block whose members disagree on
@@ -157,8 +159,8 @@ class ConceptGraph {
   bool HasSuccessorBlock(BlockId b, BlockId target, LabelId edge_label) const;
   bool HasPredecessorBlock(BlockId b, BlockId source, LabelId edge_label) const;
 
-  // The neighbour-block scan behind the filter's block fixpoint and seed
-  // expansion: calls visit(block) for the block of each out-edge
+  // The neighbour-block scan behind HasSuccessorBlock and
+  // HasPredecessorBlock: calls visit(block) for the block of each out-edge
   // (`forward`) or in-edge of b's representative member, and returns true
   // as soon as visit does.  Edges whose label differs from `edge_label`
   // (unless kInvalidLabel) are skipped when the graph is edge-label aware
@@ -180,14 +182,6 @@ class ConceptGraph {
       if (visit(block_of_[e.node])) return true;
     }
     return false;
-  }
-
-  // Out-degree (`forward`) or in-degree of b's representative: the number
-  // of entries AnyNeighborBlock scans on a label-unaware graph.
-  size_t RepresentativeDegree(BlockId b, bool forward) const {
-    OSQ_DCHECK(IsAlive(b));
-    NodeId rep = members_[b][0];
-    return forward ? g_->OutDegree(rep) : g_->InDegree(rep);
   }
 
   // Index size |I| contribution: number of blocks plus block edges.

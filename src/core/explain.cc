@@ -67,12 +67,9 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
   WallTimer timer;
   FilterResult filter = GviewFilter(index, query, options);
   double filter_ms = timer.ElapsedMillis();
-  out << "\nfiltering (Gview): " << filter_ms << " ms; initial candidate "
-      << "blocks=" << filter.stats.initial_blocks
-      << ", pruned=" << filter.stats.pruned_blocks << "\n";
-  out << "  signature pruning: block rejections="
-      << filter.stats.sig_block_rejections
-      << ", node rejections=" << filter.stats.sig_node_rejections
+  out << "\nfiltering (Gview): " << filter_ms << " ms\n";
+  out << "  signature pruning: node rejections="
+      << filter.stats.sig_node_rejections
       << "; refinement pruned nodes=" << filter.stats.pruned_nodes << "\n";
   out << "  work: seed visits=" << filter.stats.seed_visits
       << ", fixpoint checks=" << filter.stats.fixpoint_checks << "\n";

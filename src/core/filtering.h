@@ -5,34 +5,32 @@
 // every match (Prop. 4.2): if G_v is empty then Q(G) is empty, otherwise
 // Q(G) = Q(G_v).
 //
-// Per concept graph G_o in the index:
-//   1. Candidate blocks, from the neighbourhood-signature index
-//      (core/candidate_index.h), which replaces the paper's lazy
-//      concept-label seeding.  ONE query node — the one with the shortest
-//      inverted member-label lists — is seeded from those lists (the
-//      blocks holding a theta-passing member, minus those whose aggregated
-//      signature fails the node's incident edges).  Every other query node
-//      is formed, cheapest step first, by the cheaper of the same seeding
-//      or *expansion* from an already formed neighbour across a query
-//      edge: the neighbour blocks of that neighbour's block
-//      representatives, under the same label and signature tests.
-//      Expansion is lossless because all members of a block share
-//      successor and predecessor blocks (concept_graph.h), so the
-//      representative reaches every block a match can continue into.
-//   2. Fixpoint refinement: a candidate block of u is dropped when some
-//      query edge (u, u') has no corresponding block edge into (resp. from)
-//      a candidate of u' — sound because the concept-graph invariant makes
-//      one member representative for the whole block.
-//   3. mat(u) is intersected across concept graphs.
-// Finally the surviving data nodes are checked against the *exact*
-// similarity threshold theta and their node signatures, refined by a
-// node-level fixpoint (the same loop as step 2, over data-node adjacency),
-// and G_v is materialized as the induced subgraph of their union, with
-// per-query-node candidate lists annotated with similarities (consumed by
-// KMatch).
+// The paper's Gview refines candidate *blocks* of every concept graph in
+// the index, intersects their members across graphs, and then refines the
+// surviving data nodes.  This Gview runs only that last, node-level stage,
+// seeded from the data itself:
+//   1. Candidates, from the neighbourhood-signature index
+//      (core/candidate_index.h).  ONE query node — the one with the
+//      shortest per-label node lists — is seeded from those lists (the
+//      nodes carrying a theta-passing label, minus those whose signature
+//      fails the node's incident query edges).  Every other query node is
+//      formed, cheapest step first, by the cheaper of the same seeding or
+//      *expansion* from an already formed neighbour across a query edge:
+//      the data neighbours, along the query edge's label, of that
+//      neighbour's candidates, under the same label and signature tests.
+//      Expansion is lossless because a match maps the query edge to such a
+//      data edge.
+//   2. Fixpoint refinement: a candidate of u is dropped when some query
+//      edge (u, u') has no data edge with its label into (resp. from) a
+//      candidate of u'.
+// The result is the greatest fixpoint among the nodes that clear theta and
+// their signature test.  The block stages only ever narrowed the set this
+// stage starts from, never its fixpoint, so G_v is the one the paper's
+// Gview extracts (DESIGN.md §3).  G_v is materialized as the induced
+// subgraph of the candidates' union, with per-query-node candidate lists
+// annotated with similarities (consumed by KMatch).
 //
-// No stage allocates or clears anything sized by |V| or the block count
-// per query: candidate-set membership lives in per-thread, epoch-stamped
+// No stage allocates or clears anything sized by |V| per query: candidate-set membership lives in per-thread, epoch-stamped
 // scratch (common/scratch_slots.h).
 
 #ifndef OSQ_CORE_FILTERING_H_
@@ -54,27 +52,25 @@
 namespace osq {
 
 struct FilterStats {
-  // Candidate blocks after seeding and expansion, summed over query nodes
-  // and concept graphs.
+  // The paper's block-level counters.  Always 0: this Gview has no block
+  // level (see above); kept for readers of the per-layer counters.
   size_t initial_blocks = 0;
-  // Candidate blocks dropped by the fixpoint refinement.
   size_t pruned_blocks = 0;
-  // Data-node candidates dropped by the node-level refinement fixpoint.
-  size_t pruned_nodes = 0;
-  // Candidate blocks / data nodes rejected up front by the precomputed
-  // neighborhood signatures (core/candidate_index.h).
   size_t sig_block_rejections = 0;
+  // Data-node candidates dropped by the refinement fixpoint.
+  size_t pruned_nodes = 0;
+  // Data-node candidates rejected up front by the precomputed neighborhood
+  // signatures (core/candidate_index.h).
   size_t sig_node_rejections = 0;
   // Work counters, deterministic for a fixed index and query.  seed_visits:
-  // blocks the seed stage examined — inverted-list entries and expansion
-  // neighbours, each counted once per query node.  fixpoint_checks:
-  // block-fixpoint neighbour-set tests plus adjacency entries the
-  // node-level fixpoint scanned.
+  // nodes the seed stage examined — label-list entries and expansion
+  // neighbours, each counted once per query node.  fixpoint_checks: support
+  // tests the refinement fixpoint ran, one per (candidate, query edge end)
+  // test.
   size_t seed_visits = 0;
   size_t fixpoint_checks = 0;
-  // Pivot candidate blocks / data nodes dropped by a PivotRestriction
-  // (sharded serving); zero for unrestricted runs.
-  size_t pivot_restricted_blocks = 0;
+  // Pivot candidates dropped by a PivotRestriction (sharded serving); zero
+  // for unrestricted runs.
   size_t pivot_restricted_nodes = 0;
   // Size of the extracted G_v.
   size_t gv_nodes = 0;
@@ -108,19 +104,18 @@ struct FilterResult {
 
 // Optional pivot-seed restriction for sharded serving (shard/): candidates
 // of `query_node` are limited to data nodes v with allowed[v] != 0, applied
-// BEFORE both refinement fixpoints — candidate blocks of the pivot with no
-// allowed member are dropped as soon as the pivot's set is formed (so
-// expansion starts only from owned blocks), and disallowed data nodes are
-// dropped at the exact-theta step.  Refinement then propagates the cut to
-// the other query nodes, so per-shard filtering cost scales with the
-// shard's partition instead of re-deriving the full candidate sets.
+// BEFORE the refinement fixpoint — disallowed pivot candidates are dropped
+// as soon as the pivot's set is formed, so expansion starts only from
+// owned nodes.  Refinement then propagates the cut to the other query
+// nodes, so per-shard filtering cost scales with the shard's partition
+// instead of re-deriving the full candidate sets.
 //
 // Soundness: for any match M with allowed M[query_node], every node of M
-// survives (M[query_node] sits in an allowed block and clears theta; the
-// fixpoints never prune a block/node all of whose match images remain), so
-// the restricted G_v contains every match whose pivot is allowed.  KMatch's
-// exact-top-K contract then makes the output the true top-K of that match
-// partition — the property the shard merge relies on for bit-identity.
+// survives (M[query_node] is allowed and clears theta; the fixpoint never
+// prunes a node all of whose match images remain), so the restricted G_v
+// contains every match whose pivot is allowed.  KMatch's exact-top-K
+// contract then makes the output the true top-K of that match partition —
+// the property the shard merge relies on for bit-identity.
 struct PivotRestriction {
   NodeId query_node = 0;
   // Data-node id -> allowed; ids at or beyond size() are disallowed.
@@ -151,27 +146,26 @@ struct QuerySimTables {
 // graph (see ValidateQuery); options.theta in (0, 1].
 //
 // The precomputed neighborhood signatures (core/candidate_index.h) seed
-// and expand the block candidates (step 1 above) and pre-reject candidates
-// whose signature cannot satisfy some incident query edge.  Every test is
+// and expand the candidates (step 1 above) and pre-reject candidates whose
+// signature cannot satisfy some incident query edge.  Every test is
 // lossless: the candidate sets and G_v contain every node of every match
-// (Prop. 4.2).
+// (Prop. 4.2).  The index's concept graphs, if any, are not read.
 //
-// With options.num_threads > 1 the per-concept-graph refinement and the
-// per-query-node candidate stages run on the shared thread pool; every
-// merge happens in index order, so the result (including stats) is
-// identical for any thread count.
+// With options.num_threads > 1 the per-query-node stages (similarity
+// tables, signature requirements, candidate lists) run on the shared
+// thread pool; every merge happens in index order, so the result
+// (including stats) is identical for any thread count.
 //
 // `exec` (optional) carries the query's deadline / cancellation state.
-// The block seed stage polls it once per examined block and, when it
-// fires, returns no_match with stats.stopped set (QueryEngine turns that
-// into a partial, uncached answer).  The two refinement fixpoints —
-// block-level and node-level — poll it the same way but, when it fires,
-// stop refining and keep the current (over-approximate but sound)
-// candidate sets, with stats.stopped recording why.  The remaining stages
-// (similarity tables, cross-graph intersection, exact-theta, G_v build)
-// are linear in the candidates and run to completion.  A stopped filter
-// result is timing-dependent; the thread-count determinism contract
-// applies only to runs that complete.
+// The seed stage polls it once per examined node and, when it fires,
+// returns no_match with stats.stopped set (QueryEngine turns that into a
+// partial, uncached answer).  The refinement fixpoint polls it the same
+// way but, when it fires, stops refining and keeps the current
+// (over-approximate but sound) candidate sets, with stats.stopped
+// recording why.  The remaining stages (similarity tables, G_v build) are
+// linear in the candidates and run to completion.  A stopped filter result
+// is timing-dependent; the thread-count determinism contract applies only
+// to runs that complete.
 //
 // `restriction` (optional) applies the pivot-seed restriction documented
 // on PivotRestriction above; restriction->query_node must be a node of

@@ -54,7 +54,6 @@ NodeId AddNodeWithIndex(Graph* g, OntologyIndex* index, LabelId label) {
   OSQ_CHECK(g != nullptr && index != nullptr);
   OSQ_CHECK(g == &index->data_graph());
   NodeId v = g->AddNode(label);
-  index->RegisterDataLabel(label);
   for (size_t i = 0; i < index->num_concept_graphs(); ++i) {
     index->mutable_concept_graph(i)->RegisterNewNode(v);
   }

@@ -26,14 +26,18 @@ SimilarityFunction MakeSimilarity(const IndexOptions& options) {
 OntologyIndex OntologyIndex::Build(const Graph& g, const OntologyGraph& o,
                                    const IndexOptions& options,
                                    IndexBuildStats* stats) {
-  OSQ_CHECK(options.num_concept_graphs >= 1);
-  OntologyIndex index;
-  index.g_ = &g;
-  index.o_ = &o;
-  index.sim_ = MakeSimilarity(options);
-  index.options_ = options;
+  if (stats != nullptr) {
+    *stats = IndexBuildStats();
+  }
+  return FromLoadedParts(g, o, options, {},
+                         CandidateIndex::Build(g, {}, options.num_threads));
+}
 
-  Rng rng(options.seed);
+OntologyIndex OntologyIndex::BuildWithConceptGraphs(
+    const Graph& g, const OntologyGraph& o, const IndexOptions& options,
+    IndexBuildStats* stats) {
+  OSQ_CHECK(options.num_concept_graphs >= 1);
+  SimilarityFunction sim = MakeSimilarity(options);
   ConceptGraphOptions cg_options;
   cg_options.beta = options.beta;
   cg_options.edge_label_aware = options.edge_label_aware;
@@ -42,35 +46,35 @@ OntologyIndex OntologyIndex::Build(const Graph& g, const OntologyGraph& o,
   // the built index) is identical for every thread count; the expensive
   // per-partition ConceptGraph::Build calls then fan out, and stats merge
   // in graph order.
+  Rng rng(options.seed);
   size_t ng = options.num_concept_graphs;
   std::vector<std::vector<LabelId>> concepts(ng);
   for (size_t i = 0; i < ng; ++i) {
-    concepts[i] = SelectConceptLabels(o, index.sim_, options.beta,
+    concepts[i] = SelectConceptLabels(o, sim, options.beta,
                                       options.num_clusters, &rng);
   }
-  std::vector<std::optional<ConceptGraph>> graphs(ng);
+  std::vector<std::optional<ConceptGraph>> built(ng);
   std::vector<ConceptGraphStats> cg_stats(ng);
   ParallelFor(options.num_threads, ng, [&](size_t i) {
-    graphs[i] = ConceptGraph::Build(g, o, index.sim_, cg_options,
-                                    std::move(concepts[i]), &cg_stats[i]);
+    built[i] = ConceptGraph::Build(g, o, sim, cg_options,
+                                   std::move(concepts[i]), &cg_stats[i]);
   });
 
   IndexBuildStats local;
+  std::vector<ConceptGraph> graphs;
   for (size_t i = 0; i < ng; ++i) {
-    index.graphs_.push_back(std::move(*graphs[i]));
+    graphs.push_back(std::move(*built[i]));
     local.total_blocks += cg_stats[i].final_blocks;
     local.total_splits += cg_stats[i].splits;
     local.per_graph.push_back(cg_stats[i]);
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    index.RegisterDataLabel(g.NodeLabel(v));
-  }
-  index.candidate_index_ =
-      CandidateIndex::Build(g, index.graphs_, options.num_threads);
+  CandidateIndex candidate_index =
+      CandidateIndex::Build(g, graphs, options.num_threads);
   if (stats != nullptr) {
     *stats = local;
   }
-  return index;
+  return FromLoadedParts(g, o, options, std::move(graphs),
+                         std::move(candidate_index));
 }
 
 OntologyIndex OntologyIndex::FromLoadedParts(const Graph& g,
@@ -78,25 +82,15 @@ OntologyIndex OntologyIndex::FromLoadedParts(const Graph& g,
                                              const IndexOptions& options,
                                              std::vector<ConceptGraph> graphs,
                                              CandidateIndex candidate_index) {
-  OSQ_CHECK(!graphs.empty());
+  OSQ_CHECK(candidate_index.num_graphs() == graphs.size());
   OntologyIndex index;
   index.g_ = &g;
   index.o_ = &o;
   index.sim_ = MakeSimilarity(options);
   index.options_ = options;
   index.graphs_ = std::move(graphs);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    index.RegisterDataLabel(g.NodeLabel(v));
-  }
   index.candidate_index_ = std::move(candidate_index);
   return index;
-}
-
-void OntologyIndex::RegisterDataLabel(LabelId label) {
-  if (label >= data_label_count_.size()) {
-    data_label_count_.resize(label + 1, 0);
-  }
-  ++data_label_count_[label];
 }
 
 void OntologyIndex::RepairCandidateIndexAfterEdge(NodeId from, NodeId to) {

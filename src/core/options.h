@@ -31,10 +31,15 @@ struct IndexOptions {
   double similarity_base = 0.9;
   // Zero-similarity cutoff in hops (linear model).
   uint32_t similarity_cutoff = 2;
+  // beta, num_concept_graphs, num_clusters, seed and edge_label_aware
+  // shape the concept graphs, which only OntologyIndex::
+  // BuildWithConceptGraphs builds (the paper's index); the serving index
+  // (OntologyIndex::Build) has none.
+  //
   // Similarity threshold beta used to group nodes under concept labels.
   // The paper's experiments use beta = 0.8/0.81 (two ontology hops).
   double beta = 0.81;
-  // N: number of concept graphs in the index (card(I)).
+  // N: number of concept graphs in the paper's index (card(I)).
   size_t num_concept_graphs = 2;
   // Number of ontology clusters used during concept label selection.
   size_t num_clusters = 8;
@@ -43,8 +48,8 @@ struct IndexOptions {
   // Build edge-label-aware concept graphs (ablation; default is the
   // paper's label-unaware index).
   bool edge_label_aware = false;
-  // Worker threads for concept-graph construction.  1 (default) builds
-  // sequentially; 0 means "all hardware threads".  The built index is
+  // Worker threads for the index build (node signatures, concept graphs).
+  // 1 (default) builds sequentially; 0 means "all hardware threads".  The built index is
   // identical for every value — concept-label selection stays sequential
   // so the RNG stream is unchanged, and per-graph results merge in index
   // order.

@@ -8,6 +8,13 @@
 
 namespace osq {
 
+Status ValidateQueryRequest(const Graph& query, const QueryOptions& options) {
+  if (!(options.theta > 0.0 && options.theta <= 1.0)) {
+    return Status::InvalidArgument("theta must be in (0, 1]");
+  }
+  return ValidateQuery(query);
+}
+
 QueryEngine::QueryEngine(Graph g, OntologyGraph o,
                          const IndexOptions& options)
     : graph_(std::move(g)), ontology_(std::move(o)) {
@@ -56,7 +63,7 @@ QueryResult QueryEngine::Query(const Graph& query,
                                const QueryOptions& options,
                                const EvalInputs& inputs) const {
   QueryResult result;
-  result.status = ValidateQuery(query);
+  result.status = ValidateQueryRequest(query, options);
   if (!result.status.ok()) {
     return result;
   }

@@ -72,6 +72,13 @@ struct EvalInputs {
   const std::vector<NodeId>* ids = nullptr;
 };
 
+// InvalidArgument when options.theta is outside (0, 1] or `query` is not a
+// valid query graph (ValidateQuery); Ok otherwise.  Every evaluation entry
+// point (QueryEngine::Query, ShardSet::Evaluate) checks a request with it
+// first.
+[[nodiscard]] Status ValidateQueryRequest(const Graph& query,
+                                          const QueryOptions& options);
+
 class QueryEngine {
  public:
   // Takes ownership of the graphs; the index is built immediately.
@@ -98,7 +105,8 @@ class QueryEngine {
   const IndexBuildStats& build_stats() const { return build_stats_; }
   double index_build_ms() const { return index_build_ms_; }
 
-  // Evaluates `query` (paper's KMatch over the Gview-extracted G_v).  An
+  // Evaluates `query` (paper's KMatch over the Gview-extracted G_v).  A
+  // request ValidateQueryRequest rejects fails with its status.  An
   // evaluation whose deadline has already passed, or whose token is
   // already cancelled, returns at once with that completeness and no work
   // done.  [[nodiscard]]: QueryResult carries the error status; dropping

@@ -529,8 +529,9 @@ bool ValidCsr(size_t n, uint64_t m, const EdgeIndex* offsets,
 
   ByteReader r(data, size);
   uint64_t count = 0;
-  // Each concept graph needs at least its six count fields.
-  if (!r.U64(&count) || count == 0 || count > r.remaining() / 48) {
+  // Each concept graph needs at least its six count fields.  Zero graphs is
+  // legal: the serving index builds none (OntologyIndex::Build).
+  if (!r.U64(&count) || count > r.remaining() / 48) {
     return Status::Corruption("concept-graph section malformed");
   }
   std::vector<ConceptGraph> graphs;
@@ -589,12 +590,12 @@ bool ValidCsr(size_t n, uint64_t m, const EdgeIndex* offsets,
 }
 
 [[nodiscard]] Status DecodeCandidateIndex(const char* data, size_t size,
-                                          size_t num_nodes, size_t num_graphs,
+                                          const Graph& g, size_t num_graphs,
                                           CandidateIndex* out) {
   ByteReader r(data, size);
   CandidateIndex::SnapshotParts parts;
   uint64_t n = 0;
-  if (!r.U64(&n) || n != num_nodes) {
+  if (!r.U64(&n) || n != g.num_nodes()) {
     return Status::Corruption("candidate-index section: node count "
                               "disagrees with the graph");
   }
@@ -628,7 +629,7 @@ bool ValidCsr(size_t n, uint64_t m, const EdgeIndex* offsets,
   if (!r.Done()) {
     return Status::Corruption("candidate-index section has trailing bytes");
   }
-  *out = CandidateIndex::FromSnapshotParts(std::move(parts));
+  *out = CandidateIndex::FromSnapshotParts(g, std::move(parts));
   return Status::Ok();
 }
 
@@ -813,8 +814,8 @@ Status LoadEngineSnapshot(const std::string& path, LabelDictionary* dict,
   CandidateIndex candidates;
   auto [ci_data, ci_size] = section(kSecCandidateIndex);
   stage_timer = WallTimer();
-  status = DecodeCandidateIndex(ci_data, ci_size, graph.num_nodes(),
-                                graphs.size(), &candidates);
+  status = DecodeCandidateIndex(ci_data, ci_size, graph, graphs.size(),
+                                &candidates);
   if (!status.ok()) return status;
   if (stats != nullptr) {
     stats->candidate_index_ms = stage_timer.ElapsedMillis();

@@ -3,12 +3,13 @@
 //
 // One mmap-able file holds everything a serving process needs to answer
 // queries: the label dictionary, the data graph's frozen CSR arrays, the
-// ontology, every concept graph of the ontology index, and the candidate-
-// pruning index.  Loading maps the file and adopts the graph's CSR arrays
-// *in place* (zero-copy; the Graph keeps the mapping alive through its
-// anchor), deserializes the comparatively small index structures, and
-// skips every expensive build stage: no text parsing, no concept-label
-// BFS, no partition refinement, no candidate-signature recomputation.
+// ontology, every concept graph of the ontology index (none when it came
+// from OntologyIndex::Build), and the candidate-pruning index.  Loading
+// maps the file and adopts the graph's CSR arrays *in place* (zero-copy;
+// the Graph keeps the mapping alive through its anchor), deserializes the
+// comparatively small index structures, and skips every expensive build
+// stage: no text parsing, no concept-label BFS, no partition refinement,
+// no candidate-signature recomputation.
 // The index is "computed once for all" (paper §III): a deployment builds
 // it once, saves the engine, and cold-starts every later process from the
 // file in a fraction of the rebuild time (bench/bench_load.cc).

@@ -8,6 +8,7 @@
 #include "common/thread_pool.h"
 #include "core/filtering.h"
 #include "core/match.h"
+#include "core/query_engine.h"
 #include "graph/query_graph.h"
 
 namespace osq {
@@ -15,11 +16,7 @@ namespace osq {
 namespace {
 
 void MergeShardStats(const QueryResult& from, QueryResult* into) {
-  into->filter_stats.initial_blocks += from.filter_stats.initial_blocks;
-  into->filter_stats.pruned_blocks += from.filter_stats.pruned_blocks;
   into->filter_stats.pruned_nodes += from.filter_stats.pruned_nodes;
-  into->filter_stats.sig_block_rejections +=
-      from.filter_stats.sig_block_rejections;
   into->filter_stats.sig_node_rejections +=
       from.filter_stats.sig_node_rejections;
   into->filter_stats.gv_nodes += from.filter_stats.gv_nodes;
@@ -68,7 +65,7 @@ VersionVector ShardSet::Version() const {
 void ShardSet::Evaluate(const Graph& query, const QueryOptions& options,
                         Served* served) const {
   QueryResult& merged = served->result;
-  merged.status = ValidateQuery(query);
+  merged.status = ValidateQueryRequest(query, options);
   if (!merged.status.ok()) return;
   PivotChoice pivot = ChoosePivot(query);
   if (pivot.eccentricity > shard_options_.halo_radius) {

@@ -29,7 +29,7 @@ OntologyIndex BuildTravelIndex(const test::TravelFixture& f) {
   IndexOptions options;
   options.beta = 0.81;
   options.num_concept_graphs = 2;
-  return OntologyIndex::Build(f.g, f.o, options);
+  return OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
 }
 
 // Independent oracle for one node's signature, straight from the graph.
@@ -66,6 +66,7 @@ TEST(CandidateIndexTest, BlockSignaturesAggregateMembers) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = BuildTravelIndex(f);
   const CandidateIndex& ci = index.candidate_index();
+  ASSERT_EQ(index.num_concept_graphs(), 2u);
   ASSERT_EQ(ci.num_graphs(), index.num_concept_graphs());
   for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
     const ConceptGraph& cg = index.concept_graph(i);
@@ -137,7 +138,9 @@ struct SmallWorld {
   std::vector<Graph> queries;
 };
 
-std::unique_ptr<SmallWorld> MakeSmallWorld(uint64_t seed) {
+// `with_graphs`: the paper's index (two concept graphs, whose block
+// aggregates the candidate index keeps too) instead of the serving one.
+std::unique_ptr<SmallWorld> MakeSmallWorld(uint64_t seed, bool with_graphs) {
   auto w = std::make_unique<SmallWorld>();
   gen::ScenarioParams p;
   p.scale = 500;
@@ -146,7 +149,9 @@ std::unique_ptr<SmallWorld> MakeSmallWorld(uint64_t seed) {
   IndexOptions idx;
   idx.num_concept_graphs = 2;
   w->index = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(w->ds.graph, w->ds.ontology, idx));
+      with_graphs ? OntologyIndex::BuildWithConceptGraphs(w->ds.graph,
+                                                          w->ds.ontology, idx)
+                  : OntologyIndex::Build(w->ds.graph, w->ds.ontology, idx));
   Rng rng(seed + 7);
   gen::QueryGenParams qp;
   qp.num_nodes = 4;
@@ -171,7 +176,7 @@ std::set<NodeId> CandidateOriginals(const FilterResult& r, NodeId q) {
 // answer equals both brute-force baselines, and every node of every
 // baseline match survives into its query node's candidate list (Prop. 4.2).
 TEST(CandidateIndexTest, FilterWithIndexIsLossless) {
-  std::unique_ptr<SmallWorld> w = MakeSmallWorld(19);
+  std::unique_ptr<SmallWorld> w = MakeSmallWorld(19, /*with_graphs=*/false);
   ASSERT_FALSE(w->queries.empty());
   const SimilarityFunction& sim = w->index->sim();
   for (const Graph& q : w->queries) {
@@ -231,7 +236,7 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
   IndexOptions idx;
   idx.num_concept_graphs = 1;
   idx.num_clusters = 1;
-  OntologyIndex index = OntologyIndex::Build(g, o, idx);
+  OntologyIndex index = OntologyIndex::BuildWithConceptGraphs(g, o, idx);
   const ConceptGraph& cg = index.concept_graph(0);
   ASSERT_EQ(cg.BlockOf(0), cg.BlockOf(1))
       << "fixture invariant: equal refinement signatures share a block";
@@ -261,7 +266,8 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
 }
 
 TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
-  std::unique_ptr<SmallWorld> w = MakeSmallWorld(29);
+  std::unique_ptr<SmallWorld> w = MakeSmallWorld(29, /*with_graphs=*/true);
+  ASSERT_EQ(w->index->num_concept_graphs(), 2u);
   Graph& g = w->ds.graph;
   Rng rng(31);
   std::set<LabelId> edge_labels;

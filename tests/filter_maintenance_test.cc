@@ -84,7 +84,9 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   IndexOptions idx;
   idx.num_concept_graphs = 2;
   idx.num_threads = 2;  // exercise the parallel build under TSan
-  OntologyIndex inc = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  OntologyIndex inc =
+      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
+  ASSERT_EQ(inc.num_concept_graphs(), 2u);
   ASSERT_TRUE(inc.Validate());
 
   std::vector<Graph> queries = MakeWorkload(ds, 4, stream_seed + 1);
@@ -143,7 +145,8 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
         << step;
 
     // (b) + (c) against a batch rebuild over the twin.
-    OntologyIndex batch = OntologyIndex::Build(twin, ds.ontology, idx);
+    OntologyIndex batch =
+        OntologyIndex::BuildWithConceptGraphs(twin, ds.ontology, idx);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       FilterResult inc_filter = GviewFilter(inc, queries[qi], options);
       FilterResult batch_filter = GviewFilter(batch, queries[qi], options);

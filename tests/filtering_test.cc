@@ -11,11 +11,10 @@
 namespace osq {
 namespace {
 
-OntologyIndex BuildTravelIndex(const test::TravelFixture& f,
-                               size_t num_graphs = 2) {
+OntologyIndex BuildTravelIndex(const test::TravelFixture& f) {
   IndexOptions options;
   options.beta = 0.81;
-  options.num_concept_graphs = num_graphs;
+  options.num_concept_graphs = 2;
   return OntologyIndex::Build(f.g, f.o, options);
 }
 
@@ -142,8 +141,15 @@ TEST(FilteringTest, FilteringNeverLosesIdenticalMatches) {
 
 TEST(FilteringTest, MoreConceptGraphsNeverEnlargeCandidates) {
   test::TravelFixture f = test::MakeTravelFixture();
-  OntologyIndex one = BuildTravelIndex(f, 1);
-  OntologyIndex four = BuildTravelIndex(f, 4);
+  IndexOptions options1;
+  options1.beta = 0.81;
+  options1.num_concept_graphs = 1;
+  IndexOptions options4 = options1;
+  options4.num_concept_graphs = 4;
+  OntologyIndex one =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options1);
+  OntologyIndex four =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options4);
   QueryOptions options;
   options.theta = 0.81;
   FilterResult r1 = GviewFilter(one, f.query, options);
@@ -186,7 +192,11 @@ TEST(FilteringTest, ExpansionFollowsEveryRepresentativeEdge) {
     NodeId by = gb.NodeIdOf("by");
     IndexOptions index_options;
     index_options.num_concept_graphs = 1;
-    QueryEngine engine(gb.TakeGraph(), std::move(o), index_options);
+    // The paper's index, whose block structure the asserts below pin.
+    QueryEngine engine =
+        test::EngineWithConceptGraphs(gb.TakeGraph(), std::move(o),
+                                      index_options);
+    ASSERT_EQ(engine.index().num_concept_graphs(), 1u);
     const ConceptGraph& cg = engine.index().concept_graph(0);
     ASSERT_EQ(cg.BlockOf(x), cg.BlockOf(y));
     ASSERT_EQ(cg.BlockOf(bx), cg.BlockOf(by));

@@ -185,7 +185,9 @@ TEST(ScenarioTest, CatalogLikeShape) {
   // variance to prune.  Guard the coarseness, not an exact block count.
   IndexOptions idx;
   idx.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
+  ASSERT_EQ(index.num_concept_graphs(), 2u);
   EXPECT_LT(index.concept_graph(0).AliveBlocks().size(),
             ds.graph.num_nodes() / 10);
 }

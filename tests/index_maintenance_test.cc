@@ -21,7 +21,8 @@ TEST(MaintenanceTest, InsertionSplitsAndPropagates) {
   IndexOptions options;
   options.num_concept_graphs = 1;
   options.beta = 0.81;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   ASSERT_TRUE(index.Validate());
   EXPECT_EQ(index.concept_graph(0).num_blocks(), 3u);
 
@@ -35,7 +36,8 @@ TEST(MaintenanceTest, InsertionSplitsAndPropagates) {
   EXPECT_EQ(stats.applied, 1u);
 
   // Equivalent to the batch rebuild.
-  OntologyIndex batch = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex batch =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   EXPECT_EQ(index.concept_graph(0).num_blocks(),
             batch.concept_graph(0).num_blocks());
 }
@@ -45,7 +47,8 @@ TEST(MaintenanceTest, DeletionMergesBack) {
   IndexOptions options;
   options.num_concept_graphs = 1;
   options.beta = 0.81;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   ASSERT_EQ(index.concept_graph(0).num_blocks(), 6u);
 
   MaintenanceStats stats;
@@ -63,7 +66,8 @@ TEST(MaintenanceTest, NoOpUpdatesSkipped) {
   test::ColorFixture f = test::MakeColorFixture();
   IndexOptions options;
   options.num_concept_graphs = 1;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   MaintenanceStats stats;
   // Duplicate insertion.
   EXPECT_FALSE(ApplyUpdate(
@@ -82,7 +86,8 @@ TEST(MaintenanceTest, InsertThenDeleteRestoresBlockCount) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   size_t before = 0;
   for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
     before += index.concept_graph(i).num_blocks();
@@ -104,7 +109,8 @@ TEST(MaintenanceTest, BatchUpdatesAggregateStats) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 1;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   std::vector<GraphUpdate> updates = {
       GraphUpdate::Insert(f.ht, f.starlight, f.fav),
       GraphUpdate::Insert(f.ht, f.starlight, f.fav),  // duplicate
@@ -121,7 +127,8 @@ TEST(MaintenanceTest, AddNodeWithIndex) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   NodeId v = AddNodeWithIndex(&f.g, &index, f.dict.Lookup("holiday_cafe"));
   EXPECT_EQ(v, f.g.num_nodes() - 1);
   EXPECT_TRUE(index.Validate());
@@ -135,7 +142,8 @@ TEST(MaintenanceTest, AddNodeWithBrandNewLabel) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 1;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   LabelId fresh = f.dict.Intern("spaceport");  // not in the ontology
   NodeId v = AddNodeWithIndex(&f.g, &index, fresh);
   EXPECT_TRUE(index.Validate());
@@ -147,7 +155,8 @@ TEST(MaintenanceTest, RandomStreamStaysValid) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   Rng rng(99);
   std::vector<LabelId> edge_labels = {f.guide, f.fav, f.near};
   for (int step = 0; step < 200; ++step) {

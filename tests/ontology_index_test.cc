@@ -11,8 +11,27 @@ TEST(OntologyIndexTest, BuildsRequestedNumberOfConceptGraphs) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.num_concept_graphs = 3;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   EXPECT_EQ(index.num_concept_graphs(), 3u);
+  EXPECT_TRUE(index.Validate());
+}
+
+// The serving index holds the candidate index alone: no concept graph,
+// zero build stats, nothing to validate or maintain beyond the signatures.
+TEST(OntologyIndexTest, BuildMakesNoConceptGraph) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  IndexOptions options;
+  options.num_concept_graphs = 3;
+  IndexBuildStats stats;
+  stats.total_blocks = 7;
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options, &stats);
+  EXPECT_EQ(index.num_concept_graphs(), 0u);
+  EXPECT_EQ(index.TotalSize(), 0u);
+  EXPECT_EQ(stats.total_blocks, 0u);
+  EXPECT_TRUE(stats.per_graph.empty());
+  EXPECT_EQ(index.candidate_index().num_nodes(), f.g.num_nodes());
+  EXPECT_EQ(index.candidate_index().num_graphs(), 0u);
   EXPECT_TRUE(index.Validate());
 }
 
@@ -21,7 +40,8 @@ TEST(OntologyIndexTest, StatsReported) {
   IndexOptions options;
   options.num_concept_graphs = 2;
   IndexBuildStats stats;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options, &stats);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options, &stats);
   EXPECT_EQ(stats.per_graph.size(), 2u);
   EXPECT_GT(stats.total_blocks, 0u);
   size_t sum = 0;
@@ -34,7 +54,8 @@ TEST(OntologyIndexTest, SimilarityBaseRespected) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.similarity_base = 0.8;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
   EXPECT_DOUBLE_EQ(index.sim().base(), 0.8);
 }
 
@@ -43,7 +64,9 @@ TEST(OntologyIndexTest, EachBlockCoversItsMembers) {
   IndexOptions options;
   options.beta = 0.81;
   options.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  ASSERT_EQ(index.num_concept_graphs(), 2u);
   for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
     const ConceptGraph& cg = index.concept_graph(i);
     for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
@@ -59,8 +82,8 @@ TEST(OntologyIndexTest, DistinctSeedsProduceDistinctIndexes) {
   a.seed = 1;
   IndexOptions b;
   b.seed = 99;
-  OntologyIndex ia = OntologyIndex::Build(f.g, f.o, a);
-  OntologyIndex ib = OntologyIndex::Build(f.g, f.o, b);
+  OntologyIndex ia = OntologyIndex::BuildWithConceptGraphs(f.g, f.o, a);
+  OntologyIndex ib = OntologyIndex::BuildWithConceptGraphs(f.g, f.o, b);
   // Both valid regardless of the concept label sets drawn.
   EXPECT_TRUE(ia.Validate());
   EXPECT_TRUE(ib.Validate());
@@ -68,7 +91,8 @@ TEST(OntologyIndexTest, DistinctSeedsProduceDistinctIndexes) {
 
 TEST(OntologyIndexTest, MoveKeepsPointersValid) {
   test::TravelFixture f = test::MakeTravelFixture();
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, IndexOptions{});
   OntologyIndex moved = std::move(index);
   EXPECT_TRUE(moved.Validate());
   EXPECT_EQ(&moved.data_graph(), &f.g);
@@ -87,7 +111,8 @@ TEST(OntologyIndexTest, SyntheticGraphIndexValidates) {
   IndexOptions options;
   options.num_concept_graphs = 2;
   IndexBuildStats stats;
-  OntologyIndex index = OntologyIndex::Build(g, o, options, &stats);
+  OntologyIndex index =
+      OntologyIndex::BuildWithConceptGraphs(g, o, options, &stats);
   EXPECT_TRUE(index.Validate());
   // Refinement can only refine: block count between #concepts and #nodes.
   for (const auto& s : stats.per_graph) {

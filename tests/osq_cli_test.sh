@@ -8,8 +8,8 @@
 #   * `query --snapshot` and plain `query` print the same match lines;
 #   * a pattern that is not weakly connected exits 2 with "weakly
 #     connected" on stderr, as QueryEngine::Query rejects it;
-#   * bad numeric flag values (`bench --reps 0`, `--n 0`, `--k abc`) exit
-#     2 with the flag named on stderr.
+#   * bad numeric flag values (`bench --reps 0`, `--n 0`, `--k abc`,
+#     `--theta abc`, `--theta 1.5`) exit 2 with the flag named on stderr.
 set -euo pipefail
 
 cli="$(realpath "$1")"
@@ -58,5 +58,7 @@ bad_flag reps bench --graph g.txt --ontology o.txt --queries queries.txt \
   --reps 0
 bad_flag n query --graph g.txt --ontology o.txt --pattern "$pattern" --n 0
 bad_flag k query --snapshot engine.snp --pattern "$pattern" --k abc
+bad_flag theta query --snapshot engine.snp --pattern "$pattern" --theta abc
+bad_flag theta query --snapshot engine.snp --pattern "$pattern" --theta 1.5
 
 echo "osq_cli query paths: OK"

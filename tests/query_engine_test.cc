@@ -1,5 +1,6 @@
 #include "core/query_engine.h"
 
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -38,6 +39,23 @@ TEST(QueryEngineTest, RejectsEmptyQuery) {
   EXPECT_TRUE(r.matches.empty());
 }
 
+// GviewFilter's precondition is theta in (0, 1]; the engine checks it.
+TEST(QueryEngineTest, RejectsThetaOutsideUnitInterval) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  Graph query = f.query;
+  QueryEngine engine = MakeTravelEngine(&f);
+  for (double theta : {0.0, -0.5, 1.5, std::nan("")}) {
+    QueryOptions options;
+    options.theta = theta;
+    QueryResult r = engine.Query(query, options);
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument) << theta;
+    EXPECT_TRUE(r.matches.empty());
+  }
+  QueryOptions exact;
+  exact.theta = 1.0;
+  EXPECT_TRUE(engine.Query(query, exact).status.ok());
+}
+
 TEST(QueryEngineTest, RejectsDisconnectedQuery) {
   test::TravelFixture f = test::MakeTravelFixture();
   QueryEngine engine = MakeTravelEngine(&f);
@@ -52,9 +70,13 @@ TEST(QueryEngineTest, BuildStatsPopulated) {
   IndexOptions options;
   options.num_concept_graphs = 2;
   QueryEngine engine = MakeTravelEngine(&f, options);
-  EXPECT_EQ(engine.build_stats().per_graph.size(), 2u);
+  // The engine's index builds no concept graph (OntologyIndex::Build).
+  EXPECT_TRUE(engine.build_stats().per_graph.empty());
+  EXPECT_EQ(engine.build_stats().total_blocks, 0u);
   EXPECT_GE(engine.index_build_ms(), 0.0);
-  EXPECT_EQ(engine.index().num_concept_graphs(), 2u);
+  EXPECT_EQ(engine.index().num_concept_graphs(), 0u);
+  EXPECT_EQ(engine.index().candidate_index().num_nodes(),
+            engine.graph().num_nodes());
 }
 
 TEST(QueryEngineTest, EngineIsMovable) {

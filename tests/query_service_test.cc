@@ -37,8 +37,8 @@ void ExpectIdenticalResult(const QueryResult& a, const QueryResult& b) {
   EXPECT_EQ(a.status.code(), b.status.code());
   EXPECT_EQ(a.status.message(), b.status.message());
   EXPECT_EQ(a.matches, b.matches);
-  EXPECT_EQ(a.filter_stats.initial_blocks, b.filter_stats.initial_blocks);
-  EXPECT_EQ(a.filter_stats.pruned_blocks, b.filter_stats.pruned_blocks);
+  EXPECT_EQ(a.filter_stats.pruned_nodes, b.filter_stats.pruned_nodes);
+  EXPECT_EQ(a.filter_stats.seed_visits, b.filter_stats.seed_visits);
   EXPECT_EQ(a.filter_stats.gv_nodes, b.filter_stats.gv_nodes);
   EXPECT_EQ(a.filter_stats.gv_edges, b.filter_stats.gv_edges);
   EXPECT_EQ(a.verify_stats.search_steps, b.verify_stats.search_steps);

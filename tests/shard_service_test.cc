@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -221,6 +222,24 @@ TEST(ShardedQueryServiceTest, PivotEccentricityBeyondHaloIsRejected) {
   ShardedServedResult served = service.Query(f.query, QueryOptions{});
   EXPECT_EQ(served.result.status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(served.result.matches.empty());
+}
+
+// The sharded path rejects theta outside (0, 1] like QueryEngine::Query
+// (ValidateQueryRequest), instead of answering from per-shard errors.
+TEST(ShardedQueryServiceTest, RejectsThetaOutsideUnitInterval) {
+  TravelFixture f = MakeTravelFixture();
+  ShardedQueryService service(f.g, f.o, IndexOptions{}, Shards(2));
+  for (double theta : {0.0, -0.5, 1.5, std::nan("")}) {
+    QueryOptions qo;
+    qo.theta = theta;
+    ShardedServedResult served = service.Query(f.query, qo);
+    EXPECT_EQ(served.result.status.code(), StatusCode::kInvalidArgument)
+        << theta;
+    EXPECT_TRUE(served.result.matches.empty());
+  }
+  QueryOptions exact;
+  exact.theta = 1.0;
+  EXPECT_TRUE(service.Query(f.query, exact).result.status.ok());
 }
 
 TEST(ShardedQueryServiceTest, AdmissionControlShedsAtCapacity) {

@@ -21,11 +21,13 @@ std::string TempPath(const std::string& name) {
 }
 
 // Builds the travel engine and its dictionary (copies of the fixture's
-// graphs so the fixture stays usable for queries).
+// graphs so the fixture stays usable for queries).  Its index is the
+// paper's, with two concept graphs, so that the snapshot carries
+// concept-graph state.
 QueryEngine MakeTravelEngine(test::TravelFixture* f) {
   IndexOptions options;
   options.num_concept_graphs = 2;
-  return QueryEngine(f->g, f->o, options);
+  return test::EngineWithConceptGraphs(f->g, f->o, options);
 }
 
 // Two graphs describe the same data graph: same nodes, labels, and exact
@@ -117,6 +119,7 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
     SCOPED_TRACE("travel fixture, default options");
     test::TravelFixture f = test::MakeTravelFixture();
     QueryEngine engine = MakeTravelEngine(&f);
+    ASSERT_EQ(engine.index().num_concept_graphs(), 2u);
     ExpectRoundTrip(engine, f.dict, TempPath("osq_snapshot_roundtrip.snp"));
   }
   {
@@ -131,7 +134,8 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
     options.num_clusters = 4;
     options.seed = 7;
     options.edge_label_aware = true;
-    QueryEngine engine(f.g, f.o, options);
+    QueryEngine engine = test::EngineWithConceptGraphs(f.g, f.o, options);
+    ASSERT_EQ(engine.index().num_concept_graphs(), 3u);
     ExpectRoundTrip(engine, f.dict, TempPath("osq_snapshot_options.snp"));
   }
   {
@@ -182,6 +186,7 @@ TEST(SnapshotTest, MaintenanceAfterLoadMatchesNeverSaved) {
   // was never saved must produce identical indexes and identical answers.
   test::TravelFixture f = test::MakeTravelFixture();
   QueryEngine engine = MakeTravelEngine(&f);
+  ASSERT_EQ(engine.index().num_concept_graphs(), 2u);
   const std::string path = TempPath("osq_snapshot_maintenance.snp");
   ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
 
@@ -212,6 +217,10 @@ TEST(SnapshotTest, MaintenanceAfterLoadMatchesNeverSaved) {
   EXPECT_EQ(ra.matches, rb.matches);
 }
 
+// Generated data with edge-label-aware, linear-similarity options, saved
+// twice: the serving engine (no concept graph, the empty concept-graph
+// section) and an engine over the paper's index (two graphs of hundreds of
+// blocks each).
 TEST(SnapshotTest, RoundTripOnGeneratedDataset) {
   gen::ScenarioParams p;
   p.scale = 400;
@@ -221,33 +230,40 @@ TEST(SnapshotTest, RoundTripOnGeneratedDataset) {
   options.edge_label_aware = true;
   options.similarity_model = SimilarityModel::kLinear;
   options.similarity_cutoff = 3;
-  QueryEngine engine(ds.graph, ds.ontology, options);
+  for (bool with_graphs : {false, true}) {
+    SCOPED_TRACE(with_graphs ? "paper's index" : "serving index");
+    QueryEngine engine =
+        with_graphs
+            ? test::EngineWithConceptGraphs(ds.graph, ds.ontology, options)
+            : QueryEngine(ds.graph, ds.ontology, options);
+    ASSERT_EQ(engine.index().num_concept_graphs(), with_graphs ? 2u : 0u);
 
-  const std::string path = TempPath("osq_snapshot_generated.snp");
-  ASSERT_TRUE(SaveEngineSnapshot(engine, ds.dict, path).ok());
+    const std::string path = TempPath("osq_snapshot_generated.snp");
+    ASSERT_TRUE(SaveEngineSnapshot(engine, ds.dict, path).ok());
 
-  LabelDictionary dict;
-  std::unique_ptr<QueryEngine> loaded;
-  SnapshotLoadStats stats;
-  ASSERT_TRUE(LoadEngineSnapshot(path, &dict, &loaded, &stats).ok());
-  ASSERT_TRUE(loaded->index().Validate());
-  EXPECT_TRUE(loaded->index().options().edge_label_aware);
-  EXPECT_EQ(loaded->index().options().similarity_model,
-            SimilarityModel::kLinear);
-  ExpectSameGraph(engine.graph(), loaded->graph());
-  ExpectSameIndex(engine.index(), loaded->index(), engine.graph());
+    LabelDictionary dict;
+    std::unique_ptr<QueryEngine> loaded;
+    SnapshotLoadStats stats;
+    ASSERT_TRUE(LoadEngineSnapshot(path, &dict, &loaded, &stats).ok());
+    ASSERT_TRUE(loaded->index().Validate());
+    EXPECT_TRUE(loaded->index().options().edge_label_aware);
+    EXPECT_EQ(loaded->index().options().similarity_model,
+              SimilarityModel::kLinear);
+    ExpectSameGraph(engine.graph(), loaded->graph());
+    ExpectSameIndex(engine.index(), loaded->index(), engine.graph());
 
-  gen::QueryGenParams qp;
-  Rng rng(7);
-  QueryOptions qopts;
-  qopts.theta = 0.8;
-  for (int i = 0; i < 4; ++i) {
-    Graph q = gen::ExtractQuery(ds.graph, ds.ontology, qp, &rng);
-    if (q.num_nodes() == 0) continue;
-    QueryResult ra = engine.Query(q, qopts);
-    QueryResult rb = loaded->Query(q, qopts);
-    EXPECT_EQ(ra.status.ok(), rb.status.ok());
-    EXPECT_EQ(ra.matches, rb.matches);
+    gen::QueryGenParams qp;
+    Rng rng(7);
+    QueryOptions qopts;
+    qopts.theta = 0.8;
+    for (int i = 0; i < 4; ++i) {
+      Graph q = gen::ExtractQuery(ds.graph, ds.ontology, qp, &rng);
+      if (q.num_nodes() == 0) continue;
+      QueryResult ra = engine.Query(q, qopts);
+      QueryResult rb = loaded->Query(q, qopts);
+      EXPECT_EQ(ra.status.ok(), rb.status.ok());
+      EXPECT_EQ(ra.matches, rb.matches);
+    }
   }
 }
 

@@ -18,12 +18,15 @@
 #define OSQ_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/match.h"
+#include "core/ontology_index.h"
+#include "core/query_engine.h"
 #include "graph/graph.h"
 #include "graph/label_dictionary.h"
 #include "graph/query_graph.h"
@@ -162,6 +165,18 @@ inline std::set<std::pair<std::vector<NodeId>, int64_t>> Canon(
     out.insert({m.mapping, static_cast<int64_t>(m.score * 1e9 + 0.5)});
   }
   return out;
+}
+
+// A QueryEngine over the paper's index (OntologyIndex::
+// BuildWithConceptGraphs), for tests of concept-graph structure and repair
+// through the engine; the engine's own constructor builds none.
+inline QueryEngine EngineWithConceptGraphs(Graph g, OntologyGraph o,
+                                           const IndexOptions& options) {
+  g.Freeze();
+  auto index = std::make_unique<OntologyIndex>(
+      OntologyIndex::BuildWithConceptGraphs(g, o, options));
+  return QueryEngine::FromPrebuilt(std::move(g), std::move(o),
+                                   std::move(index));
 }
 
 }  // namespace test

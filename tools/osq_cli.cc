@@ -3,7 +3,7 @@
 //   osq_cli generate --type crossdomain --scale 5000 --seed 7
 //           --graph g.txt --ontology o.txt
 //   osq_cli snapshot --graph g.txt --ontology o.txt --out engine.snp
-//           [--beta 0.81] [--n 2] [--seed 42] [--threads N]
+//           [--threads N]
 //           (build the engine, save it as a binary v2 snapshot)
 //   osq_cli query    --graph g.txt --ontology o.txt
 //           --pattern '(t:tourists)-[guide]->(m:museum)'
@@ -16,6 +16,9 @@
 //   osq_cli bench    --graph g.txt --ontology o.txt --queries q.txt
 //           [--theta 0.9] [--k 10] [--reps 3] [--threads N]
 //   osq_cli stats    --graph g.txt --ontology o.txt
+//           [--beta 0.81] [--n 2] [--seed 42] [--edge-label-aware 1]
+//           (graph and ontology sizes, and the paper's index of --n
+//            concept graphs; the engine itself builds no concept graph)
 //
 // `query` and `bench` evaluate every pattern through QueryEngine::Query,
 // so a pattern the engine rejects (e.g. one that is not weakly
@@ -28,13 +31,16 @@
 // Concurrent serving, caching and live ingest are measured by servebench
 // (`python3 servebench/run.py`), not by this tool.
 //
-// Numeric flags take whole decimal numbers; --n and --reps at least 1.
+// Count flags take whole decimal numbers, --n and --reps at least 1.
+// Real-valued flags take finite decimal numbers: --theta and --beta in
+// (0, 1], --base in (0, 1), --deadline-ms >= 0.
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on runtime errors
 // (including a query the engine rejects) and on a bad numeric flag value.
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -84,9 +90,44 @@ std::string GetFlag(const FlagMap& flags, const std::string& name,
   return it == flags.end() ? def : it->second;
 }
 
-double GetDouble(const FlagMap& flags, const std::string& name, double def) {
+// An interval a real-valued flag must fall in.
+struct Interval {
+  double lo;
+  double hi;
+  bool lo_open;
+  bool hi_open;
+  const char* text;
+
+  bool Contains(double x) const {
+    return (lo_open ? x > lo : x >= lo) && (hi_open ? x < hi : x <= hi);
+  }
+};
+constexpr Interval kUnitOpenClosed{0.0, 1.0, true, false, "in (0, 1]"};
+constexpr Interval kUnitOpen{0.0, 1.0, true, true, "in (0, 1)"};
+constexpr Interval kNonNegative{0.0, HUGE_VAL, false, true, ">= 0"};
+
+// Reads --name as a finite decimal number (the whole value must parse) in
+// `range`.  Any other value is a bad flag: the program ends with exit
+// status 2.
+double GetDouble(const FlagMap& flags, const std::string& name, double def,
+                 const Interval& range) {
   auto it = flags.find(name);
-  return it == flags.end() ? def : std::atof(it->second.c_str());
+  if (it == flags.end()) return def;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(text, &end);
+  // strtod skips leading blanks: the value must start the text.
+  bool ok = text[0] != '\0' &&
+            std::isspace(static_cast<unsigned char>(text[0])) == 0 &&
+            *end == '\0' && errno != ERANGE && std::isfinite(value) &&
+            range.Contains(value);
+  if (!ok) {
+    std::fprintf(stderr, "error: --%s %s: want a number %s\n", name.c_str(),
+                 text, range.text);
+    std::exit(2);
+  }
+  return value;
 }
 
 // Reads --name as a whole decimal number of at least `min`.  Any other
@@ -185,11 +226,12 @@ int LoadDataset(const FlagMap& flags, gen::Dataset* ds) {
 
 IndexOptions IndexOptionsFromFlags(const FlagMap& flags) {
   IndexOptions idx;
-  idx.beta = GetDouble(flags, "beta", idx.beta);
+  idx.beta = GetDouble(flags, "beta", idx.beta, kUnitOpenClosed);
   idx.num_concept_graphs =
       GetSize(flags, "n", idx.num_concept_graphs, /*min=*/1);
   idx.seed = GetSize(flags, "seed", idx.seed);
-  idx.similarity_base = GetDouble(flags, "base", idx.similarity_base);
+  idx.similarity_base =
+      GetDouble(flags, "base", idx.similarity_base, kUnitOpen);
   idx.edge_label_aware = GetFlag(flags, "edge-label-aware", "0") == "1";
   idx.num_threads = GetSize(flags, "threads", idx.num_threads);
   return idx;
@@ -250,10 +292,11 @@ int CmdQuery(const FlagMap& flags) {
   if (!s.ok()) return Fail(s);
 
   QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
+  options.theta =
+      GetDouble(flags, "theta", options.theta, kUnitOpenClosed);
   options.k = GetSize(flags, "k", options.k);
   options.num_threads = GetSize(flags, "threads", options.num_threads);
-  options.deadline_ms = GetDouble(flags, "deadline-ms", 0.0);
+  options.deadline_ms = GetDouble(flags, "deadline-ms", 0.0, kNonNegative);
   std::string semantics = GetFlag(flags, "semantics", "induced");
   if (semantics == "homomorphic") {
     options.semantics = MatchSemantics::kHomomorphicEdges;
@@ -316,7 +359,8 @@ int CmdBench(const FlagMap& flags) {
   }
 
   QueryOptions options;
-  options.theta = GetDouble(flags, "theta", options.theta);
+  options.theta =
+      GetDouble(flags, "theta", options.theta, kUnitOpenClosed);
   options.k = GetSize(flags, "k", options.k);
   options.num_threads = GetSize(flags, "threads", options.num_threads);
   size_t reps = GetSize(flags, "reps", 3, /*min=*/1);
@@ -366,8 +410,8 @@ int CmdStats(const FlagMap& flags) {
   IndexOptions idx = IndexOptionsFromFlags(flags);
   WallTimer timer;
   IndexBuildStats stats;
-  OntologyIndex index =
-      OntologyIndex::Build(ds.graph, ds.ontology, idx, &stats);
+  OntologyIndex index = OntologyIndex::BuildWithConceptGraphs(
+      ds.graph, ds.ontology, idx, &stats);
   std::printf("index:    %zu concept graphs, %zu blocks, |I|=%zu "
               "(built in %.1f ms)\n",
               index.num_concept_graphs(), stats.total_blocks,

@@ -178,6 +178,25 @@ void BM_GviewFilterHighDegree(benchmark::State& state) {
 }
 BENCHMARK(BM_GviewFilterHighDegree)->Unit(benchmark::kMicrosecond);
 
+// Summed KMatch work counters over the world's queries (k = 10, as
+// BM_KMatchVerify runs them), reported as extras on its JSON row.
+std::vector<std::pair<std::string, double>> VerifyStatExtras(const World& w) {
+  QueryOptions options;
+  options.theta = 0.85;
+  options.k = 10;
+  options.num_threads = g_threads;
+  KMatchStats sum;
+  for (const Graph& q : w.queries) {
+    KMatchStats stats;
+    FilterResult filter = GviewFilter(*w.index, q, options);
+    benchmark::DoNotOptimize(KMatch(q, filter, options, &stats));
+    sum.search_steps += stats.search_steps;
+    sum.candidate_checks += stats.candidate_checks;
+  }
+  return {{"search_steps", static_cast<double>(sum.search_steps)},
+          {"candidate_checks", static_cast<double>(sum.candidate_checks)}};
+}
+
 void BM_KMatchVerify(benchmark::State& state) {
   World& w = TheWorld();
   QueryOptions options;
@@ -253,6 +272,8 @@ class JsonCapture : public benchmark::ConsoleReporter {
         extras = FilterStatExtras(TheWorld());
       } else if (run.benchmark_name() == "BM_GviewFilterHighDegree") {
         extras = FilterStatExtras(StarWorld());
+      } else if (run.benchmark_name() == "BM_KMatchVerify") {
+        extras = VerifyStatExtras(TheWorld());
       }
       report_->Add(run.benchmark_name(), run.GetAdjustedRealTime() / 1000.0,
                    g_threads, extras);

@@ -106,7 +106,8 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
   std::vector<Match> matches = KMatch(query, filter, options, &stats);
   double verify_ms = timer.ElapsedMillis();
   out << "\nverification (KMatch): " << verify_ms << " ms; "
-      << stats.search_steps << " search steps, " << stats.matches_found
+      << stats.search_steps << " search steps, " << stats.candidate_checks
+      << " candidate checks, " << stats.matches_found
       << " matches found" << (stats.truncated ? " (truncated)" : "") << "\n";
   size_t listed = std::min(matches.size(), eopts.max_listed);
   for (size_t i = 0; i < listed; ++i) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <mutex>
 
@@ -43,13 +44,24 @@ bool LabelsInclude(Graph::EdgeLabelView sup, Graph::EdgeLabelView sub) {
   return true;
 }
 
+// The query neighbour whose image generates a depth's candidates: order
+// node `node` was placed earlier, and the query edge runs node -> order[d]
+// when `out` is true, order[d] -> node otherwise.  `node == kInvalidNode`
+// (depth 0, or a query node with no placed neighbour) scans the whole
+// candidate list.
+struct Anchor {
+  NodeId node = kInvalidNode;
+  bool out = true;
+};
+
 // Read-only state shared by every root-partition search of one query:
-// the matching order, its optimistic suffix bounds, and the inputs.
-// `exec` (possibly null) is the query's shared deadline / cancellation
-// block; each worker polls it through its own CancelCheck.  `ids`
-// (possibly null = identity) maps target nodes to the ids matches report;
-// the pool orders ties by those ids, so the top-K is exact in the caller's
-// id space rather than the target's.
+// the matching order, its optimistic suffix bounds, the candidate rank
+// table and per-depth anchors, and the inputs.  `exec` (possibly null) is
+// the query's shared deadline / cancellation block; each worker polls it
+// through its own CancelCheck.  `ids` (possibly null = identity) maps
+// target nodes to the ids matches report; the pool orders ties by those
+// ids, so the top-K is exact in the caller's id space rather than the
+// target's.
 struct SearchContext {
   const Graph& query;
   const Graph& target;
@@ -59,8 +71,15 @@ struct SearchContext {
   const std::vector<NodeId>* ids;
   std::vector<NodeId> order;
   std::vector<double> suffix_best;
+  // rank[u * |target| + v] = position of v in candidates[u], -1 if v is
+  // not a candidate of u.
+  std::vector<int32_t> rank;
+  std::vector<Anchor> anchors;  // indexed by depth
 
   NodeId Reported(NodeId v) const { return ids == nullptr ? v : (*ids)[v]; }
+  const int32_t* RankRow(NodeId u) const {
+    return rank.data() + static_cast<size_t>(u) * target.num_nodes();
+  }
 };
 
 // Query-node matching order: start at the node with the fewest candidates,
@@ -114,10 +133,43 @@ void BuildSuffixBounds(SearchContext* ctx) {
   }
 }
 
+// Candidate rank table and per-depth anchors.  Every order prefix is
+// connected (BuildOrder), so a weakly connected query has an anchor at
+// every depth > 0: the earliest-placed query neighbour of order[d].
+// Under both semantics a candidate that passes Consistent shares a data
+// edge with the anchor's image in the query edge's direction, so walking
+// that image's adjacency finds every successful extension.
+void BuildGenerators(SearchContext* ctx) {
+  const Graph& query = ctx->query;
+  size_t nq = query.num_nodes();
+  size_t nt = ctx->target.num_nodes();
+  ctx->rank.assign(nq * nt, -1);
+  for (NodeId u = 0; u < nq; ++u) {
+    int32_t* row = ctx->rank.data() + static_cast<size_t>(u) * nt;
+    const std::vector<Candidate>& list = ctx->candidates[u];
+    for (size_t i = 0; i < list.size(); ++i) {
+      row[list[i].node] = static_cast<int32_t>(i);
+    }
+  }
+  ctx->anchors.assign(nq, Anchor{});
+  for (size_t d = 1; d < nq; ++d) {
+    NodeId q = ctx->order[d];
+    for (size_t i = 0; i < d && ctx->anchors[d].node == kInvalidNode; ++i) {
+      NodeId p = ctx->order[i];
+      if (!query.EdgeLabelRange(p, q).empty()) {
+        ctx->anchors[d] = Anchor{p, true};
+      } else if (!query.EdgeLabelRange(q, p).empty()) {
+        ctx->anchors[d] = Anchor{p, false};
+      }
+    }
+  }
+}
+
 // Backtracking searcher for the subtrees rooted at single candidates of
 // the first order node.  One instance per worker thread; the per-depth
-// buffers (assign_, used_, pool_) are allocated once and reused across
-// every root the worker processes, so the hot path never allocates.
+// buffers (assign_, used_, gen_, record_, pool_) are allocated once and
+// reused across every root the worker processes, so the hot path
+// allocates only for matches that enter the pool.
 class Searcher {
  public:
   explicit Searcher(const SearchContext& ctx)
@@ -125,6 +177,7 @@ class Searcher {
     assign_.assign(ctx_.query.num_nodes(), kInvalidNode);
     assign_sim_.assign(ctx_.query.num_nodes(), 0.0);
     used_.assign(ctx_.target.num_nodes(), false);
+    gen_.resize(ctx_.query.num_nodes());
   }
 
   // Explores the subtree that maps order[0] to root candidate `root`.
@@ -136,6 +189,7 @@ class Searcher {
     pool_ = seed;
     steps_ = 0;
     found_ = 0;
+    checks_ = 0;
     truncated_ = false;
 
     const Candidate& c = ctx_.candidates[ctx_.order[0]][root];
@@ -143,6 +197,7 @@ class Searcher {
     double bound = c.sim + ctx_.suffix_best[1];
     if (HaveK() && bound < Threshold() - kScoreEps) return;
     NodeId q = ctx_.order[0];
+    ++checks_;
     if (!Consistent(q, c.node, 0)) return;
     assign_[q] = c.node;
     assign_sim_[q] = c.sim;
@@ -161,6 +216,7 @@ class Searcher {
   const std::vector<Match>& pool() const { return pool_; }
   size_t steps() const { return steps_; }
   size_t found() const { return found_; }
+  size_t checks() const { return checks_; }
   bool truncated() const { return truncated_; }
 
   // Moves the pool entries this subtree discovered (those mapping order[0]
@@ -210,12 +266,16 @@ class Searcher {
 
   double Threshold() const { return pool_.back().score; }
 
+  // Builds the complete match in record_ and copies it into the pool only
+  // when it enters: k == 0, a pool short of K, or a match that beats the
+  // current K-th under MatchBetter.  A full pool recycles the evicted
+  // K-th's mapping as the next record_ buffer.
   void Record() {
     ++found_;
-    Match m;
-    m.mapping.assign(ctx_.query.num_nodes(), kInvalidNode);
-    for (size_t i = 0; i < ctx_.order.size(); ++i) {
-      m.mapping[ctx_.order[i]] = ctx_.Reported(assign_[ctx_.order[i]]);
+    size_t nq = ctx_.query.num_nodes();
+    record_.mapping.resize(nq);
+    for (NodeId u = 0; u < nq; ++u) {
+      record_.mapping[u] = ctx_.Reported(assign_[u]);
     }
     // Canonical score: per-node similarities summed in query-node-id order,
     // NOT in matching order.  The matching order depends on candidate-list
@@ -224,20 +284,25 @@ class Searcher {
     // no matter which partition discovered them, so merged top-K pools
     // agree to the last bit.
     double score = 0.0;
-    for (NodeId u = 0; u < ctx_.query.num_nodes(); ++u) {
+    for (NodeId u = 0; u < nq; ++u) {
       score += assign_sim_[u];
     }
-    m.score = score;
+    record_.score = score;
     if (ctx_.options.k == 0) {
       // Enumerating everything: append now, sort once at the end.
-      pool_.push_back(std::move(m));
+      pool_.push_back(record_);
       return;
     }
-    auto pos = std::upper_bound(pool_.begin(), pool_.end(), m, MatchBetter());
-    pool_.insert(pos, std::move(m));
-    if (pool_.size() > ctx_.options.k) {
+    Match evicted;
+    if (pool_.size() == ctx_.options.k) {
+      if (!MatchBetter()(record_, pool_.back())) return;
+      evicted = std::move(pool_.back());
       pool_.pop_back();
     }
+    auto pos =
+        std::upper_bound(pool_.begin(), pool_.end(), record_, MatchBetter());
+    pool_.insert(pos, std::move(record_));
+    record_ = std::move(evicted);
   }
 
   void Recurse(size_t depth, double score) {
@@ -258,29 +323,61 @@ class Searcher {
       return;
     }
     NodeId q = ctx_.order[depth];
-    for (const Candidate& c : ctx_.candidates[q]) {
-      double bound = score + c.sim + ctx_.suffix_best[depth + 1];
-      // Candidates are sorted by sim, so all later bounds are worse.  Once
-      // K matches are held, a branch is abandoned only when its optimistic
-      // bound falls strictly below the current K-th score (minus the eps
-      // slack): branches that can merely TIE the K-th are still explored,
-      // so the pool is the exact top-K under the MatchBetter total order —
-      // ties resolve by lexicographic mapping, never by discovery order.
-      // That exactness is what lets per-root results merge associatively
-      // across thread and shard partitionings (DESIGN.md §13).
-      if (HaveK() && bound < Threshold() - kScoreEps) {
-        break;
+    const std::vector<Candidate>& list = ctx_.candidates[q];
+    const Anchor& anchor = ctx_.anchors[depth];
+    if (anchor.node == kInvalidNode) {
+      for (const Candidate& c : list) {
+        if (!Extend(depth, score, q, c)) return;
       }
-      if (used_[c.node]) continue;
-      if (!Consistent(q, c.node, depth)) continue;
-      assign_[q] = c.node;
-      assign_sim_[q] = c.sim;
-      used_[c.node] = true;
-      Recurse(depth + 1, score + c.sim);
-      used_[c.node] = false;
-      assign_[q] = kInvalidNode;
-      if (truncated_ || check_.reason() != StopReason::kNone) return;
+      return;
     }
+    // Candidates adjacent to the anchor's image, as ascending ranks: the
+    // same candidates in the same (descending-sim) order as the full list,
+    // minus those Consistent would reject for lack of the anchor edge.
+    // Parallel labelled edges repeat a neighbour in the sorted adjacency;
+    // it is taken once.
+    NodeId image = assign_[anchor.node];
+    Graph::AdjSpan adj = anchor.out ? ctx_.target.OutEdges(image)
+                                    : ctx_.target.InEdges(image);
+    const int32_t* rank = ctx_.RankRow(q);
+    std::vector<int32_t>& ranks = gen_[depth];
+    ranks.clear();
+    NodeId prev = kInvalidNode;
+    for (const AdjEntry& e : adj) {
+      if (e.node == prev) continue;
+      prev = e.node;
+      if (rank[e.node] >= 0) ranks.push_back(rank[e.node]);
+    }
+    std::sort(ranks.begin(), ranks.end());
+    for (int32_t r : ranks) {
+      if (!Extend(depth, score, q, list[static_cast<size_t>(r)])) return;
+    }
+  }
+
+  // Tries order[depth] = q -> c.node and searches below it.  Returns false
+  // when the caller's candidate loop must end: the bound check failed
+  // (candidates come in descending sim, so every later bound is worse),
+  // or the search was truncated or stopped.
+  bool Extend(size_t depth, double score, NodeId q, const Candidate& c) {
+    double bound = score + c.sim + ctx_.suffix_best[depth + 1];
+    // Once K matches are held, a branch is abandoned only when its
+    // optimistic bound falls strictly below the current K-th score (minus
+    // the eps slack): branches that can merely TIE the K-th are still
+    // explored, so the pool is the exact top-K under the MatchBetter total
+    // order — ties resolve by lexicographic mapping, never by discovery
+    // order.  That exactness is what lets per-root results merge
+    // associatively across thread and shard partitionings (DESIGN.md §13).
+    if (HaveK() && bound < Threshold() - kScoreEps) return false;
+    if (used_[c.node]) return true;
+    ++checks_;
+    if (!Consistent(q, c.node, depth)) return true;
+    assign_[q] = c.node;
+    assign_sim_[q] = c.sim;
+    used_[c.node] = true;
+    Recurse(depth + 1, score + c.sim);
+    used_[c.node] = false;
+    assign_[q] = kInvalidNode;
+    return !truncated_ && check_.reason() == StopReason::kNone;
   }
 
   const SearchContext& ctx_;
@@ -290,9 +387,13 @@ class Searcher {
   // depth (Record), where every entry is live.
   std::vector<double> assign_sim_;
   std::vector<bool> used_;
+  // gen_[d]: ranks of the anchor-generated candidates at depth d.
+  std::vector<std::vector<int32_t>> gen_;
+  Match record_;             // the complete match Record is judging
   std::vector<Match> pool_;  // kept sorted by MatchBetter when k > 0
   size_t steps_ = 0;
   size_t found_ = 0;
+  size_t checks_ = 0;
   bool truncated_ = false;
 };
 
@@ -325,14 +426,17 @@ std::vector<Match> SearchTopK(
     if (candidates[u].empty()) return {};
   }
 
-  SearchContext ctx{query, target, candidates, options, exec, ids, {}, {}};
+  SearchContext ctx{query, target, candidates, options, exec, ids, {}, {}, {},
+                    {}};
   BuildOrder(&ctx);
   BuildSuffixBounds(&ctx);
+  BuildGenerators(&ctx);
   const std::vector<Candidate>& roots = candidates[ctx.order[0]];
   size_t num_roots = roots.size();
 
   std::atomic<size_t> total_steps{0};
   std::atomic<size_t> total_found{0};
+  std::atomic<size_t> total_checks{0};
   std::atomic<bool> any_truncated{false};
   std::atomic<size_t> skipped{0};
   // Highest-precedence stop reason observed by any worker (monotone
@@ -355,6 +459,7 @@ std::vector<Match> SearchTopK(
   first_searcher.SearchRoot(0, {});
   total_steps += first_searcher.steps();
   total_found += first_searcher.found();
+  total_checks += first_searcher.checks();
   if (first_searcher.truncated()) any_truncated = true;
   merge_stop(first_searcher.stop_reason());
 
@@ -400,6 +505,7 @@ std::vector<Match> SearchTopK(
         searcher.SearchRoot(i, seed);
         total_steps += searcher.steps();
         total_found += searcher.found();
+        total_checks += searcher.checks();
         if (searcher.truncated()) any_truncated = true;
         own.clear();
         searcher.ExtractOwn(roots[i].node, &own);
@@ -427,6 +533,7 @@ std::vector<Match> SearchTopK(
   if (stats != nullptr) {
     stats->search_steps = total_steps.load();
     stats->matches_found = total_found.load();
+    stats->candidate_checks = total_checks.load();
     stats->truncated = any_truncated.load();
     stats->stopped = static_cast<StopReason>(stop_reason.load());
     stats->root_partitions = num_roots;

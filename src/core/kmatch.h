@@ -2,13 +2,25 @@
 //
 // KMatch receives the compact subgraph G_v and the per-query-node candidate
 // lists produced by Gview (each sorted by descending similarity) and
-// enumerates ontology-based matches by backtracking, maintaining a
-// min-heap of the K best matches found so far.  Branches whose optimistic
-// score bound (current score + best possible remaining similarity) cannot
-// beat the current K-th best are pruned — together with the
-// similarity-sorted candidate lists this realizes the paper's "construct
-// node lists with maximum overall similarity first" strategy without
-// materializing the combination lattice.
+// enumerates ontology-based matches by backtracking, keeping the K best
+// matches found so far in a sorted pool.  Branches whose optimistic score
+// bound (current score + best possible remaining similarity) cannot beat
+// the current K-th best are pruned — together with the similarity-sorted
+// candidate lists this realizes the paper's "construct node lists with
+// maximum overall similarity first" strategy without materializing the
+// combination lattice.
+//
+// Candidates are generated from the neighbourhood of what is already
+// matched.  The matching order keeps every prefix connected, so each
+// query node after the first has an anchor: an earlier-placed query
+// neighbour.  Every consistent image of the node shares a data edge with
+// the anchor's image (under both semantics), so the search walks that
+// image's adjacency in G_v in the query edge's direction, keeps the nodes
+// that are candidates, and visits them in candidate-list order — the same
+// extensions, bound cuts and matches as scanning the whole list, without
+// testing the candidates that could not connect.  Only the first order
+// node (and a node with no placed neighbour, possible only for a
+// disconnected query given to KMatchOnGraph) scans its whole list.
 //
 // Matching semantics follow QueryOptions::semantics; the paper's
 // definition (induced / "iff") is the default.
@@ -52,6 +64,10 @@ struct KMatchStats {
   size_t search_steps = 0;
   // Complete assignments that passed all checks.
   size_t matches_found = 0;
+  // Consistent calls (root candidates included): the candidate tests the
+  // search paid for, successful or not.  Deterministic at num_threads = 1,
+  // like search_steps.
+  size_t candidate_checks = 0;
   // True when max_search_steps stopped the enumeration early (any
   // partition, under parallel execution).
   bool truncated = false;
@@ -93,7 +109,8 @@ struct KMatchStats {
 
 // Lower-level entry point used by baselines and tests: matches `query`
 // against `target` given explicit candidate lists (target-local ids,
-// sorted by descending similarity).  Results use target-local ids.
+// sorted by descending similarity, each node at most once per list).
+// Results use target-local ids.
 [[nodiscard]] std::vector<Match> KMatchOnGraph(
     const Graph& query, const Graph& target,
     const std::vector<std::vector<Candidate>>& candidates,

@@ -24,6 +24,7 @@ void MergeShardStats(const QueryResult& from, QueryResult* into) {
   into->filter_stats.stopped =
       MergeStopReason(into->filter_stats.stopped, from.filter_stats.stopped);
   into->verify_stats.search_steps += from.verify_stats.search_steps;
+  into->verify_stats.candidate_checks += from.verify_stats.candidate_checks;
   into->verify_stats.matches_found += from.verify_stats.matches_found;
   into->verify_stats.truncated =
       into->verify_stats.truncated || from.verify_stats.truncated;

@@ -26,6 +26,22 @@ TEST(ExplainTest, ReportsMatchesForTravelExample) {
   EXPECT_NE(report.find("culture_tours"), std::string::npos);
 }
 
+// The verification line reports KMatch's Consistent calls.  At theta 0.81
+// every query node has two candidates and two matches exist; the anchor
+// edge leaves one candidate per deeper node, so each root's subtree makes
+// two checks: 2 roots + 2 * 2 = 6.
+TEST(ExplainTest, ReportsCandidateChecks) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
+  QueryOptions qopts;
+  qopts.theta = 0.81;
+  qopts.k = 0;
+  std::string report = ExplainQuery(index, f.query, qopts, f.dict);
+  EXPECT_NE(report.find("6 candidate checks, 2 matches found"),
+            std::string::npos)
+      << report;
+}
+
 TEST(ExplainTest, ReportsEmptinessProof) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});

@@ -1,7 +1,9 @@
-// Gview work ledger: deterministic work counts of the filter on fixed-seed
-// scenario workloads, held under ceilings, so a change that makes Gview do
-// more work per query fails here even when host noise hides it in timing.
+// Work ledger: deterministic work counts of Gview and KMatch on fixed-seed
+// scenario workloads, held under ceilings, so a change that makes either
+// phase do more work per query fails here even when host noise hides it in
+// timing.
 //
+// FilterWorkLedgerTest:
 // Each case builds one scenario (data seed 11; 20 queries per template, or
 // 40 extracted queries on Catalog), the default index (no concept graph)
 // and theta 0.9, at threads = 1, and sums FilterStats over its valid
@@ -34,6 +36,26 @@
 // Seed-visit ceilings sit ~2% above the recorded counts.  The gv_nodes and
 // fixpoint-check ceilings are the figures themselves: G_v is the greatest
 // node-level fixpoint, the same one the block stages led to.
+//
+// KMatchWorkLedgerTest runs KMatch (k = 10) over the same CrossDomain and
+// Community inputs and sums KMatchStats.  Figures when the ceilings were
+// set ("now"), against the KMatch that ran Consistent on every candidate
+// of the next order node ("before"); neighbour-driven generation left the
+// search tree, and so search_steps, unchanged:
+//
+//   scenario     |V|   search steps   candidate checks
+//                                     before          now
+//   CrossDomain   8k            734        2,407         605
+//   CrossDomain  32k          2,584       93,690       2,143
+//   CrossDomain 128k          7,973      719,760       6,601
+//   Community     8k          8,449      900,408       8,430
+//   Community    32k         35,236   16,061,432      37,775
+//   Community   128k        133,900  207,903,014     140,316
+//
+// Both ceilings are the "now" figures.  Flickr and Catalog stay
+// filter-only: their KMatch is dominated by enumerating matches tied at
+// the K-th score (one Catalog 8k query alone visits 256M of them), which
+// takes tens of seconds to minutes per case.
 
 #include <cstddef>
 #include <ostream>
@@ -45,6 +67,7 @@
 
 #include "common/rng.h"
 #include "core/filtering.h"
+#include "core/kmatch.h"
 #include "core/ontology_index.h"
 #include "gen/query_gen.h"
 #include "gen/scenarios.h"
@@ -169,6 +192,70 @@ INSTANTIATE_TEST_SUITE_P(
                       LedgerCase{"Flickr128k", kFlickr, 128000, 5180500,
                                  4632381, 2389641}),
     CaseName);
+
+struct KMatchLedgerCase {
+  std::string name;
+  MakeInput make = nullptr;
+  size_t scale = 0;
+  size_t max_search_steps = 0;
+  size_t max_candidate_checks = 0;
+};
+
+std::ostream& operator<<(std::ostream& os, const KMatchLedgerCase& c) {
+  return os << c.name;
+}
+
+class KMatchWorkLedgerTest
+    : public ::testing::TestWithParam<KMatchLedgerCase> {};
+
+TEST_P(KMatchWorkLedgerTest, WorkStaysUnderCeilings) {
+  const KMatchLedgerCase& c = GetParam();
+  LedgerInput in = c.make(c.scale);
+  OntologyIndex index =
+      OntologyIndex::Build(in.data.graph, in.data.ontology, IndexOptions{});
+  QueryOptions options;
+  options.theta = 0.9;
+  options.k = 10;
+  KMatchStats sum;
+  for (const Graph& q : in.queries) {
+    FilterResult filter = GviewFilter(index, q, options);
+    KMatchStats stats;
+    std::vector<Match> matches = KMatch(q, filter, options, &stats);
+    EXPECT_LE(matches.size(), options.k);
+    EXPECT_FALSE(stats.truncated);
+    EXPECT_EQ(stats.stopped, StopReason::kNone);
+    sum.search_steps += stats.search_steps;
+    sum.candidate_checks += stats.candidate_checks;
+  }
+  RecordProperty("search_steps", std::to_string(sum.search_steps));
+  RecordProperty("candidate_checks", std::to_string(sum.candidate_checks));
+  EXPECT_GT(in.queries.size(), 0u);
+  EXPECT_LE(sum.search_steps, c.max_search_steps);
+  EXPECT_LE(sum.candidate_checks, c.max_candidate_checks);
+}
+
+std::string KMatchCaseName(
+    const ::testing::TestParamInfo<KMatchLedgerCase>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ledger, KMatchWorkLedgerTest,
+    ::testing::Values(
+        KMatchLedgerCase{"CrossDomain8k", kCrossDomain, 8000, 734, 605},
+        KMatchLedgerCase{"CrossDomain32k", kCrossDomain, 32000, 2584, 2143},
+        KMatchLedgerCase{"Community8k", kCommunity, 8000, 8449, 8430},
+        KMatchLedgerCase{"Community32k", kCommunity, 32000, 35236, 37775}),
+    KMatchCaseName);
+
+// Discovered under the ctest label `slow` (tests/CMakeLists.txt).
+INSTANTIATE_TEST_SUITE_P(
+    Slow, KMatchWorkLedgerTest,
+    ::testing::Values(KMatchLedgerCase{"CrossDomain128k", kCrossDomain,
+                                       128000, 7973, 6601},
+                      KMatchLedgerCase{"Community128k", kCommunity, 128000,
+                                       133900, 140316}),
+    KMatchCaseName);
 
 }  // namespace
 }  // namespace osq

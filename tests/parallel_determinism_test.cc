@@ -18,7 +18,9 @@
 #include "core/query_engine.h"
 #include "gen/query_gen.h"
 #include "gen/scenarios.h"
+#include "gen/workload.h"
 #include "graph/graph.h"
+#include "graph/query_graph.h"
 
 namespace osq {
 namespace {
@@ -143,6 +145,42 @@ TEST(ParallelDeterminismTest, AllMatchesModeIsThreadCountInvariant) {
     }
     options.num_threads = 1;
   }
+}
+
+// Community-like |V| = 8k (data seed 11, the work ledger's input): every
+// worker reads the one candidate rank table and per-depth anchor table of
+// a query while generating candidates from its own assignment, so the
+// pools must be bit-identical at 1 and 4 threads.
+TEST(ParallelDeterminismTest, Community8kKMatchIsThreadCountInvariant) {
+  gen::ScenarioParams p;
+  p.scale = 8000;
+  p.seed = 11;
+  gen::Workload w = gen::MakeCommunityWorkload(p, 20);
+  OntologyIndex index =
+      OntologyIndex::Build(w.data.graph, w.data.ontology, IndexOptions{});
+
+  QueryOptions options;
+  options.theta = 0.9;
+  options.k = 10;
+  size_t queries = 0;
+  size_t matches = 0;
+  for (const gen::QueryTemplate& t : w.templates) {
+    for (const Graph& q : t.queries) {
+      if (!ValidateQuery(q).ok()) continue;
+      ++queries;
+      FilterResult filter = GviewFilter(index, q, options);
+      options.num_threads = 1;
+      std::vector<Match> reference = KMatch(q, filter, options);
+      matches += reference.size();
+      options.num_threads = 4;
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        EXPECT_EQ(KMatch(q, filter, options), reference)
+            << "query=" << queries << " repeat=" << repeat;
+      }
+    }
+  }
+  EXPECT_GT(queries, 0u);
+  EXPECT_GT(matches, 0u);
 }
 
 TEST(ParallelDeterminismTest, IndexBuildIsThreadCountInvariant) {

@@ -4,8 +4,9 @@
 // (CrossDomain-like, >= 1M elements = nodes + edges at the default scale):
 //
 //   BM_BuildFromScratch    graph + ontology already in memory; build the
-//                          ontology index (the no-persistence baseline).
-//   BM_LoadSnapshotV2Binary  map the binary v2 snapshot (core/snapshot.h):
+//                          serving index (the no-persistence baseline).
+//   BM_LoadSnapshotV2Binary  map the binary snapshot (core/snapshot.h; the
+//                          row keeps the name it had in format v2):
 //                          hash + structural validation, zero-copy CSR
 //                          adoption, no text parsing, no rebuild.
 //
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
   fs::create_directories(dir, ec);
   const std::string snapshot_path = (dir / "engine.snp").string();
 
-  bench::PrintTitle("cold start: build vs binary v2 snapshot");
+  bench::PrintTitle("cold start: build vs binary snapshot");
 
   gen::ScenarioParams p;
   p.scale = scale;
@@ -67,7 +68,6 @@ int main(int argc, char** argv) {
               ds.graph.num_nodes(), ds.graph.num_edges(), scale);
 
   IndexOptions idx;
-  idx.num_concept_graphs = 2;
   QueryEngine engine(ds.graph, ds.ontology, idx);
   if (Status s = SaveEngineSnapshot(engine, ds.dict, snapshot_path);
       !s.ok()) {
@@ -112,11 +112,11 @@ int main(int argc, char** argv) {
   std::printf("   BM_BuildFromScratch      %10.1f ms\n", build_ms);
   std::printf("   BM_LoadSnapshotV2Binary  %10.1f ms  (%.1f MB, %s)\n", v2_ms,
               v2_bytes / 1e6, load_stats.mapped ? "mmap" : "read");
-  std::printf("   v2 stages: hash %.1f ms, graph %.1f ms, concept graphs "
-              "%.1f ms, candidate index %.1f ms\n",
+  std::printf("   load stages: hash %.1f ms, graph %.1f ms, candidate index "
+              "%.1f ms\n",
               load_stats.hash_ms, load_stats.graph_ms,
-              load_stats.concept_graphs_ms, load_stats.candidate_index_ms);
-  std::printf("   v2 speedup: %.1fx vs rebuild\n", build_ms / v2_ms);
+              load_stats.candidate_index_ms);
+  std::printf("   snapshot speedup: %.1fx vs rebuild\n", build_ms / v2_ms);
 
   if (!json_path.empty()) {
     bench::JsonReport report;

@@ -78,10 +78,8 @@ World* MakeWorld() {
   p.scale = 8000;
   p.seed = 13;
   w->ds = gen::MakeCrossDomainLike(p);
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
   w->index = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(w->ds.graph, w->ds.ontology, idx));
+      OntologyIndex::Build(w->ds.graph, w->ds.ontology, IndexOptions{}));
   Rng rng(17);
   gen::QueryGenParams qp;
   qp.num_nodes = 4;
@@ -107,10 +105,8 @@ World* MakeStarWorld() {
   p.scale = 8000;
   p.seed = 13;
   w->ds = gen::MakeCatalogLike(p);
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
   w->index = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(w->ds.graph, w->ds.ontology, idx));
+      OntologyIndex::Build(w->ds.graph, w->ds.ontology, IndexOptions{}));
   w->queries = MakeStarQueries(w->ds.graph, 8);
   return w;
 }

@@ -20,9 +20,8 @@ using namespace osq;
 void RunWorkload(const char* name, gen::Dataset ds, uint64_t seed) {
   Graph g_copy = ds.graph;
   OntologyGraph o_copy = ds.ontology;
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
+  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptions{});
 
   Rng rng(seed);
   gen::QueryGenParams qp;

@@ -11,8 +11,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "core/index_maintenance.h"
-#include "core/ontology_index.h"
+#include "concept/concept_index.h"
 #include "gen/scenarios.h"
 
 namespace {
@@ -48,16 +47,14 @@ int main() {
                    ", N=2; mixed 50/50 insert/delete batches");
   p.seed = 37;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
+  ConceptIndexOptions cidx;
 
   std::printf("%-12s %10s %12s %12s %10s %12s\n", "|dG|/|E|", "|dG|",
               "inc_ms", "batch_ms", "inc/batch", "AFF");
   for (double frac : {0.001, 0.005, 0.01, 0.05, 0.10}) {
     // Fresh graph + index per batch size so runs are independent.
     Graph g = ds.graph;
-    OntologyIndex index =
-        OntologyIndex::BuildWithConceptGraphs(g, ds.ontology, idx);
+    ConceptIndex index = ConceptIndex::Build(g, ds.ontology, {}, cidx);
     size_t count = static_cast<size_t>(frac * static_cast<double>(
                                                   g.num_edges()));
     if (count == 0) count = 1;
@@ -68,9 +65,8 @@ int main() {
     MaintenanceStats stats = ApplyUpdates(&g, &index, updates);
     double inc_ms = inc_timer.ElapsedMillis();
 
-    double batch_ms = bench::MedianMs(1, [&] {
-      OntologyIndex::BuildWithConceptGraphs(g, ds.ontology, idx);
-    });
+    double batch_ms = bench::MedianMs(
+        1, [&] { ConceptIndex::Build(g, ds.ontology, {}, cidx); });
 
     std::printf("%-12.3f %10zu %12.2f %12.2f %9.1f%% %12zu\n", frac, count,
                 inc_ms, batch_ms,

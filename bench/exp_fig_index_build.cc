@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/ontology_index.h"
+#include "concept/concept_index.h"
 #include "gen/scenarios.h"
 
 namespace {
@@ -27,13 +27,10 @@ int main() {
     p.scale = bench::Scaled(scale);
     p.seed = 31;
     gen::Dataset ds = gen::MakeCrossDomainLike(p);
-    IndexOptions idx;
-    idx.num_concept_graphs = 2;
-    double ms = bench::MedianMs(3, [&] {
-      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
-    });
-    OntologyIndex index =
-        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
+    ConceptIndexOptions cidx;
+    double ms = bench::MedianMs(
+        3, [&] { ConceptIndex::Build(ds.graph, ds.ontology, {}, cidx); });
+    ConceptIndex index = ConceptIndex::Build(ds.graph, ds.ontology, {}, cidx);
     size_t size = index.TotalSize();
     std::printf("%-10zu %10zu %12.2f %12zu %12.4f\n", ds.graph.num_nodes(),
                 ds.graph.num_edges(), ms, size,
@@ -51,13 +48,12 @@ int main() {
     p.seed = 31;
     gen::Dataset ds = gen::MakeCrossDomainLike(p);
     for (size_t n : {1, 2, 3, 4}) {
-      IndexOptions idx;
-      idx.num_concept_graphs = n;
-      double ms = bench::MedianMs(3, [&] {
-        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
-      });
-      OntologyIndex index =
-          OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
+      ConceptIndexOptions cidx;
+      cidx.num_concept_graphs = n;
+      double ms = bench::MedianMs(
+          3, [&] { ConceptIndex::Build(ds.graph, ds.ontology, {}, cidx); });
+      ConceptIndex index =
+          ConceptIndex::Build(ds.graph, ds.ontology, {}, cidx);
       std::printf("%-10zu %12.2f %12zu\n", n, ms, index.TotalSize());
     }
   }
@@ -71,20 +67,17 @@ int main() {
     p.seed = 31;
     gen::Dataset ds = gen::MakeCrossDomainLike(p);
     for (double beta : {0.95, 0.9, 0.81, 0.729}) {
-      IndexOptions idx;
-      idx.num_concept_graphs = 2;
-      idx.beta = beta;
-      double ms = bench::MedianMs(3, [&] {
-        OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
-      });
+      ConceptIndexOptions cidx;
+      cidx.beta = beta;
+      double ms = bench::MedianMs(
+          3, [&] { ConceptIndex::Build(ds.graph, ds.ontology, {}, cidx); });
       IndexBuildStats stats;
-      OntologyIndex index =
-          OntologyIndex::BuildWithConceptGraphs(
-              ds.graph, ds.ontology, idx, &stats);
+      ConceptIndex index =
+          ConceptIndex::Build(ds.graph, ds.ontology, {}, cidx, &stats);
       std::printf("%-10.3f %12.2f %12zu %14.0f\n", beta, ms,
                   index.TotalSize(),
                   static_cast<double>(stats.total_blocks) /
-                      static_cast<double>(idx.num_concept_graphs));
+                      static_cast<double>(cidx.num_concept_graphs));
     }
   }
   return 0;

@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
     }
 
     IndexOptions idx;
-    idx.num_concept_graphs = 2;
     idx.num_threads = threads;
     QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
 

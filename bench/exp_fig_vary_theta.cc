@@ -37,9 +37,8 @@ int main() {
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   Graph g_copy = ds.graph;
   OntologyGraph o_copy = ds.ontology;
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
+  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptions{});
   SimilarityFunction sim(0.9);
 
   Rng rng(555);

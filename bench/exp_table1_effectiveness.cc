@@ -25,10 +25,8 @@ void RunWorkload(gen::Workload w) {
               w.name.c_str(), w.data.graph.num_nodes(),
               w.data.graph.num_edges(), w.data.ontology.num_labels());
   Graph g_copy = w.data.graph;
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
   QueryEngine engine(std::move(w.data.graph), std::move(w.data.ontology),
-                     idx);
+                     IndexOptions{});
 
   const std::vector<double> thetas = {1.0, 0.9, 0.8};
   std::printf("%-6s %8s", "tmpl", "SubIso");

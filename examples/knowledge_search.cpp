@@ -38,9 +38,8 @@ int main() {
   }
 
   Graph g_copy = ds.graph;  // SubIso runs against the original graph
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
+  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptions{});
   std::printf("index built in %.1f ms\n\n", engine.index_build_ms());
 
   std::printf("%-6s %10s %14s %10s %12s\n", "query", "SubIso", "OSQ(0.9)",

@@ -1,8 +1,8 @@
 // Fixed-size thread pool and data-parallel loop helper.
 //
 // The engine parallelizes three pipelines — index construction across
-// concept graphs, Gview filtering across concept graphs / query nodes, and
-// KMatch verification across first-order-node candidates.  All of them are
+// nodes (and across the paper's concept graphs), Gview filtering across
+// query nodes, and KMatch verification across first-order-node candidates.  All of them are
 // expressed as ParallelFor over an index range; the pool exists so query
 // evaluation never pays thread start-up cost on the hot path.
 //

@@ -1,4 +1,4 @@
-#include "core/concept_graph.h"
+#include "concept/concept_graph.h"
 
 #include <algorithm>
 #include <deque>
@@ -10,6 +10,16 @@
 namespace osq {
 
 namespace {
+
+// Repair locality bounds (§VI): during incremental maintenance, a
+// same-label block group is re-coarsened (merged and re-split to the local
+// optimum) only when it has at most kMaxCoarsenGroup blocks; larger groups
+// fall back to pairwise mcondition merging, which scans a candidate's
+// same-label peers only when the group has at most kMaxMergePeers blocks.
+// Keeps AFF — and repair cost — proportional to the change instead of the
+// label population.
+constexpr size_t kMaxCoarsenGroup = 8;
+constexpr size_t kMaxMergePeers = 64;
 
 // Removes one occurrence of `value` from `v` (order not preserved).
 template <typename T>
@@ -44,7 +54,6 @@ BlockId ConceptGraph::NewBlock(LabelId concept_label) {
   }
   ++num_alive_;
   blocks_by_label_[concept_label].push_back(b);
-  MarkDirty(b);
   return b;
 }
 
@@ -55,27 +64,6 @@ void ConceptGraph::ReleaseBlock(BlockId b) {
   --num_alive_;
   SwapRemove(&blocks_by_label_[block_label_[b]], b);
   free_blocks_.push_back(b);
-  MarkDirty(b);
-}
-
-void ConceptGraph::MarkDirty(BlockId b) {
-  if (b >= dirty_flag_.size()) {
-    dirty_flag_.resize(members_.size(), false);
-  }
-  if (!dirty_flag_[b]) {
-    dirty_flag_[b] = true;
-    dirty_blocks_.push_back(b);
-  }
-}
-
-std::vector<BlockId> ConceptGraph::TakeDirtyBlocks() {
-  for (BlockId b : dirty_blocks_) {
-    dirty_flag_[b] = false;
-  }
-  std::vector<BlockId> result = std::move(dirty_blocks_);
-  dirty_blocks_.clear();
-  std::sort(result.begin(), result.end());
-  return result;
 }
 
 void ConceptGraph::InitCore(const Graph& g, const OntologyGraph& o,
@@ -168,122 +156,7 @@ ConceptGraph ConceptGraph::Build(const Graph& g, const OntologyGraph& o,
   if (stats != nullptr) {
     *stats = local_stats;
   }
-  // Construction dirtied every block; derived indexes start from a fresh
-  // build of the finished partition, so the set begins empty.
-  cg.TakeDirtyBlocks();
   return cg;
-}
-
-ConceptGraph::SnapshotParts ConceptGraph::ExportSnapshotParts() const {
-  SnapshotParts parts;
-  parts.concept_labels = concept_labels_;
-  parts.members = members_;
-  parts.block_label = block_label_;
-  parts.alive.reserve(alive_.size());
-  for (bool a : alive_) parts.alive.push_back(a ? 1 : 0);
-  parts.free_blocks = free_blocks_;
-  parts.blocks_by_label.reserve(blocks_by_label_.size());
-  for (const auto& [label, blocks] : blocks_by_label_) {
-    parts.blocks_by_label.emplace_back(label, blocks);
-  }
-  std::sort(parts.blocks_by_label.begin(), parts.blocks_by_label.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  parts.concept_of_label.reserve(concept_of_label_.size());
-  for (const auto& [label, concept_label] : concept_of_label_) {
-    parts.concept_of_label.emplace_back(label, concept_label);
-  }
-  std::sort(parts.concept_of_label.begin(), parts.concept_of_label.end());
-  return parts;
-}
-
-Status ConceptGraph::FromSnapshotParts(const Graph& g, const OntologyGraph& o,
-                                       const SimilarityFunction& sim,
-                                       const ConceptGraphOptions& options,
-                                       SnapshotParts parts,
-                                       std::vector<ConceptGraph>* out) {
-  const size_t cap = parts.members.size();
-  if (parts.block_label.size() != cap || parts.alive.size() != cap) {
-    return Status::Corruption("concept graph: block table sizes disagree");
-  }
-  ConceptGraph cg;
-  cg.g_ = &g;
-  cg.o_ = &o;
-  cg.sim_ = sim;
-  cg.options_ = options;
-  cg.concept_labels_ = std::move(parts.concept_labels);
-
-  // block_of_ is derived from the member lists; the derivation doubles as
-  // the partition check (every node in exactly one live block).
-  cg.block_of_.assign(g.num_nodes(), kInvalidBlock);
-  size_t member_total = 0;
-  for (BlockId b = 0; b < cap; ++b) {
-    if (parts.alive[b] == 0) {
-      if (!parts.members[b].empty()) {
-        return Status::Corruption("concept graph: dead block has members");
-      }
-      continue;
-    }
-    if (parts.members[b].empty()) {
-      return Status::Corruption("concept graph: live block has no members");
-    }
-    for (NodeId v : parts.members[b]) {
-      if (!g.IsValidNode(v) || cg.block_of_[v] != kInvalidBlock) {
-        return Status::Corruption(
-            "concept graph: partition is not a partition of V(G)");
-      }
-      cg.block_of_[v] = b;
-    }
-    member_total += parts.members[b].size();
-    ++cg.num_alive_;
-  }
-  if (member_total != g.num_nodes()) {
-    return Status::Corruption("concept graph: partition does not cover V(G)");
-  }
-  // The free list must be exactly the dead ids (allocation order matters,
-  // so the stored order is adopted verbatim).
-  std::vector<uint8_t> freed(cap, 0);
-  for (BlockId b : parts.free_blocks) {
-    if (b >= cap || parts.alive[b] != 0 || freed[b] != 0) {
-      return Status::Corruption("concept graph: bad free list");
-    }
-    freed[b] = 1;
-  }
-  if (parts.free_blocks.size() + cg.num_alive_ != cap) {
-    return Status::Corruption("concept graph: free list incomplete");
-  }
-  // Label index: every live block exactly once, under its own label.
-  size_t indexed = 0;
-  for (const auto& [label, blocks] : parts.blocks_by_label) {
-    if (blocks.empty()) {
-      return Status::Corruption("concept graph: empty label-index entry");
-    }
-    for (BlockId b : blocks) {
-      if (b >= cap || parts.alive[b] == 0 || parts.block_label[b] != label) {
-        return Status::Corruption("concept graph: bad label-index entry");
-      }
-    }
-    indexed += blocks.size();
-  }
-  if (indexed != cg.num_alive_) {
-    return Status::Corruption("concept graph: label index incomplete");
-  }
-
-  cg.members_ = std::move(parts.members);
-  cg.block_label_ = std::move(parts.block_label);
-  cg.alive_.assign(cap, false);
-  for (BlockId b = 0; b < cap; ++b) {
-    if (parts.alive[b] != 0) cg.alive_[b] = true;
-  }
-  cg.free_blocks_ = std::move(parts.free_blocks);
-  for (auto& [label, blocks] : parts.blocks_by_label) {
-    cg.blocks_by_label_[label] = std::move(blocks);
-  }
-  for (const auto& [label, concept_label] : parts.concept_of_label) {
-    cg.concept_of_label_[label] = concept_label;
-  }
-  cg.dirty_flag_.assign(cap, false);
-  out->push_back(std::move(cg));
-  return Status::Ok();
 }
 
 BlockId ConceptGraph::BlockOf(NodeId v) const {
@@ -347,18 +220,6 @@ std::vector<BlockId> ConceptGraph::Predecessors(BlockId b) const {
   return pred;
 }
 
-bool ConceptGraph::HasSuccessorBlock(BlockId b, BlockId target,
-                                     LabelId edge_label) const {
-  return AnyNeighborBlock(b, /*forward=*/true, edge_label,
-                          [target](BlockId c) { return c == target; });
-}
-
-bool ConceptGraph::HasPredecessorBlock(BlockId b, BlockId source,
-                                       LabelId edge_label) const {
-  return AnyNeighborBlock(b, /*forward=*/false, edge_label,
-                          [source](BlockId c) { return c == source; });
-}
-
 size_t ConceptGraph::SizeNodesPlusEdges() const {
   size_t total = num_alive_;
   for (BlockId b = 0; b < alive_.size(); ++b) {
@@ -402,7 +263,6 @@ bool ConceptGraph::SplitBlock(BlockId b, std::vector<BlockId>* created) {
     if (it->second.size() > largest->second.size()) largest = it;
   }
   members_[b] = std::move(largest->second);
-  MarkDirty(b);
   LabelId label = block_label_[b];
   for (auto it = groups.begin(); it != groups.end(); ++it) {
     if (it == largest) continue;
@@ -481,7 +341,7 @@ size_t ConceptGraph::MergePass(const std::vector<BlockId>& candidates,
     // mcondition: same concept label, same successor-block set, same
     // predecessor-block set.
     const std::vector<BlockId>& peers = BlocksWithLabel(block_label_[b]);
-    if (peers.size() > options_.max_merge_peers) continue;
+    if (peers.size() > kMaxMergePeers) continue;
     std::vector<BlockId> succ_b = Successors(b);
     std::vector<BlockId> pred_b = Predecessors(b);
     BlockId target = kInvalidBlock;
@@ -500,7 +360,6 @@ size_t ConceptGraph::MergePass(const std::vector<BlockId>& candidates,
     }
     members_[b].clear();
     ReleaseBlock(b);
-    MarkDirty(target);
     ++merges;
     if (stats != nullptr) ++stats->merges;
     // The merge may unlock merges among the neighbors of the merged block.
@@ -536,7 +395,7 @@ size_t ConceptGraph::RepairAroundEdge(NodeId from, NodeId to,
   for (LabelId label : labels) {
     std::vector<BlockId> group = BlocksWithLabel(label);
     if (group.empty()) continue;
-    if (group.size() > options_.max_coarsen_group) continue;  // too costly
+    if (group.size() > kMaxCoarsenGroup) continue;  // too costly
     BlockId keep = group[0];
     for (size_t i = 1; i < group.size(); ++i) {
       BlockId victim = group[i];
@@ -548,7 +407,6 @@ size_t ConceptGraph::RepairAroundEdge(NodeId from, NodeId to,
       ReleaseBlock(victim);
       if (stats != nullptr) ++stats->merges;
     }
-    MarkDirty(keep);
     worklist.push_back(keep);
   }
   worklist.push_back(block_of_[from]);

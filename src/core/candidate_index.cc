@@ -1,6 +1,7 @@
 #include "core/candidate_index.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -24,28 +25,6 @@ void SortAndCombine(LabelCounts* counts) {
     i = j;
   }
   counts->resize(out);
-}
-
-// acc := per-label max(acc, add); both sorted by label.
-void MaxMerge(LabelCounts* acc, const LabelCounts& add) {
-  LabelCounts merged;
-  merged.reserve(acc->size() + add.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < acc->size() || j < add.size()) {
-    if (j == add.size() ||
-        (i < acc->size() && (*acc)[i].first < add[j].first)) {
-      merged.push_back((*acc)[i++]);
-    } else if (i == acc->size() || add[j].first < (*acc)[i].first) {
-      merged.push_back(add[j++]);
-    } else {
-      merged.push_back(
-          {(*acc)[i].first, std::max((*acc)[i].second, add[j].second)});
-      ++i;
-      ++j;
-    }
-  }
-  *acc = std::move(merged);
 }
 
 }  // namespace
@@ -107,28 +86,7 @@ NodeSignature CandidateIndex::ComputeNodeSignature(const Graph& g,
   return sig;
 }
 
-BlockSignature CandidateIndex::ComputeBlockSignature(const Graph& g,
-                                                     const ConceptGraph& cg,
-                                                     BlockId b) const {
-  BlockSignature bs;
-  for (NodeId v : cg.Members(b)) {
-    const NodeSignature& ns = node_sigs_[v];
-    bs.out_bits |= ns.out_bits;
-    bs.in_bits |= ns.in_bits;
-    bs.member_labels.push_back(g.NodeLabel(v));
-    MaxMerge(&bs.max_out_counts, ns.out_counts);
-    MaxMerge(&bs.max_in_counts, ns.in_counts);
-  }
-  std::sort(bs.member_labels.begin(), bs.member_labels.end());
-  bs.member_labels.erase(
-      std::unique(bs.member_labels.begin(), bs.member_labels.end()),
-      bs.member_labels.end());
-  return bs;
-}
-
-CandidateIndex CandidateIndex::Build(const Graph& g,
-                                     const std::vector<ConceptGraph>& graphs,
-                                     size_t num_threads) {
+CandidateIndex CandidateIndex::Build(const Graph& g, size_t num_threads) {
   CandidateIndex index;
   index.node_sigs_.resize(g.num_nodes());
   ParallelFor(num_threads, g.num_nodes(), [&](size_t v) {
@@ -136,31 +94,12 @@ CandidateIndex CandidateIndex::Build(const Graph& g,
         index.ComputeNodeSignature(g, static_cast<NodeId>(v));
   });
   for (NodeId v = 0; v < g.num_nodes(); ++v) index.AddToLabelList(g, v);
-  index.per_graph_.resize(graphs.size());
-  ParallelFor(num_threads, graphs.size(), [&](size_t i) {
-    const ConceptGraph& cg = graphs[i];
-    PerGraph& pg = index.per_graph_[i];
-    pg.blocks.assign(cg.block_capacity(), BlockSignature{});
-    pg.bits.assign(cg.block_capacity(), {0, 0});
-    // Ascending block ids keep every inverted list sorted by construction.
-    for (BlockId b : cg.AliveBlocks()) {
-      pg.blocks[b] = index.ComputeBlockSignature(g, cg, b);
-      pg.bits[b] = {pg.blocks[b].out_bits, pg.blocks[b].in_bits};
-      for (LabelId label : pg.blocks[b].member_labels) {
-        pg.blocks_by_member_label[label].push_back(b);
-      }
-    }
-  });
   return index;
 }
 
 CandidateIndex::SnapshotParts CandidateIndex::ExportSnapshotParts() const {
   SnapshotParts parts;
   parts.node_sigs = node_sigs_;
-  parts.per_graph_blocks.reserve(per_graph_.size());
-  for (const PerGraph& pg : per_graph_) {
-    parts.per_graph_blocks.push_back(pg.blocks);
-  }
   return parts;
 }
 
@@ -169,20 +108,6 @@ CandidateIndex CandidateIndex::FromSnapshotParts(const Graph& g,
   CandidateIndex index;
   index.node_sigs_ = std::move(parts.node_sigs);
   for (NodeId v = 0; v < g.num_nodes(); ++v) index.AddToLabelList(g, v);
-  index.per_graph_.resize(parts.per_graph_blocks.size());
-  for (size_t i = 0; i < parts.per_graph_blocks.size(); ++i) {
-    PerGraph& pg = index.per_graph_[i];
-    pg.blocks = std::move(parts.per_graph_blocks[i]);
-    pg.bits.reserve(pg.blocks.size());
-    // Ascending block ids keep every inverted list sorted, matching Build.
-    for (BlockId b = 0; b < pg.blocks.size(); ++b) {
-      const BlockSignature& bs = pg.blocks[b];
-      pg.bits.emplace_back(bs.out_bits, bs.in_bits);
-      for (LabelId label : bs.member_labels) {
-        pg.blocks_by_member_label[label].push_back(b);
-      }
-    }
-  }
   return index;
 }
 
@@ -198,18 +123,6 @@ const std::vector<NodeId>& CandidateIndex::NodesWithLabel(
   return label < nodes_by_label_.size() ? nodes_by_label_[label] : *kEmpty;
 }
 
-const std::vector<BlockId>& CandidateIndex::BlocksWithMemberLabel(
-    size_t graph_index, LabelId label) const {
-  static const std::vector<BlockId>* const kEmpty =
-      new std::vector<BlockId>();
-  const PerGraph& pg = per_graph_[graph_index];
-  auto it = pg.blocks_by_member_label.find(label);
-  if (it == pg.blocks_by_member_label.end()) {
-    return *kEmpty;
-  }
-  return it->second;
-}
-
 void CandidateIndex::OnEdgeChanged(const Graph& g, NodeId from, NodeId to) {
   OSQ_CHECK(from < node_sigs_.size() && to < node_sigs_.size());
   node_sigs_[from] = ComputeNodeSignature(g, from);
@@ -220,42 +133,6 @@ void CandidateIndex::OnNodeAdded(const Graph& g, NodeId v) {
   OSQ_CHECK(v == node_sigs_.size());  // ids are dense and registered in order
   node_sigs_.push_back(ComputeNodeSignature(g, v));
   AddToLabelList(g, v);  // v is the largest id, so the list stays sorted
-}
-
-void CandidateIndex::RepairBlocks(size_t graph_index, const Graph& g,
-                                  const ConceptGraph& cg,
-                                  const std::vector<BlockId>& dirty) {
-  PerGraph& pg = per_graph_[graph_index];
-  if (pg.blocks.size() < cg.block_capacity()) {
-    pg.blocks.resize(cg.block_capacity());
-    pg.bits.resize(cg.block_capacity(), {0, 0});
-  }
-  for (BlockId b : dirty) {
-    OSQ_CHECK(b < pg.blocks.size());
-    // Unhook the stale signature from the inverted index, erasing lists
-    // that empty out so the structure stays identical to a fresh build.
-    for (LabelId label : pg.blocks[b].member_labels) {
-      auto it = pg.blocks_by_member_label.find(label);
-      OSQ_CHECK(it != pg.blocks_by_member_label.end());
-      auto pos = std::lower_bound(it->second.begin(), it->second.end(), b);
-      OSQ_CHECK(pos != it->second.end() && *pos == b);
-      it->second.erase(pos);
-      if (it->second.empty()) {
-        pg.blocks_by_member_label.erase(it);
-      }
-    }
-    if (!cg.IsAlive(b)) {
-      pg.blocks[b] = BlockSignature{};
-      pg.bits[b] = {0, 0};
-      continue;
-    }
-    pg.blocks[b] = ComputeBlockSignature(g, cg, b);
-    pg.bits[b] = {pg.blocks[b].out_bits, pg.blocks[b].in_bits};
-    for (LabelId label : pg.blocks[b].member_labels) {
-      std::vector<BlockId>& list = pg.blocks_by_member_label[label];
-      list.insert(std::lower_bound(list.begin(), list.end(), b), b);
-    }
-  }
 }
 
 }  // namespace osq

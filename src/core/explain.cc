@@ -26,8 +26,7 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
                                                         : " (homomorphic)")
       << "\n";
   out << "data:  " << g.num_nodes() << " nodes, " << g.num_edges()
-      << " edges; index: " << index.num_concept_graphs()
-      << " concept graphs, |I|=" << index.TotalSize() << "\n";
+      << " edges\n";
 
   // GviewFilter requires a valid query graph: report a rejected query the
   // way QueryEngine::Query does, without running the pipeline.

@@ -53,7 +53,8 @@ namespace osq {
 
 struct FilterStats {
   // The paper's block-level counters.  Always 0: this Gview has no block
-  // level (see above); kept for readers of the per-layer counters.
+  // level (see above).  servebench's gview.initial_blocks,
+  // gview.pruned_blocks and gview.sig_block_rejections read them.
   size_t initial_blocks = 0;
   size_t pruned_blocks = 0;
   size_t sig_block_rejections = 0;
@@ -149,7 +150,7 @@ struct QuerySimTables {
 // and expand the candidates (step 1 above) and pre-reject candidates whose
 // signature cannot satisfy some incident query edge.  Every test is
 // lossless: the candidate sets and G_v contain every node of every match
-// (Prop. 4.2).  The index's concept graphs, if any, are not read.
+// (Prop. 4.2).
 //
 // With options.num_threads > 1 the per-query-node stages (similarity
 // tables, signature requirements, candidate lists) run on the shared

@@ -1,13 +1,10 @@
-// Incremental ontology-index maintenance — algorithm incIdx (paper §VI).
+// Maintenance of the serving index under edge insertions / deletions.
 //
-// Given a batch of edge insertions/deletions ΔG, incIdx repairs every
-// concept graph of the index in place instead of rebuilding it: the blocks
-// containing the edge endpoints are re-split to restore the signature
-// invariant, violations are propagated to neighboring blocks (the paper's
-// propUp/propDown), and blocks satisfying the merge condition (same concept
-// label, same successor- and predecessor-block sets) are merged back.  The
-// cost is measured in AFF — the number of blocks touched — matching the
-// paper's O(|AFF|^2 + |I|) bound rather than the size of G.
+// An update changes only the two endpoint signatures of the candidate
+// index (core/candidate_index.h), so the serving index is repaired exactly,
+// in O(degree), instead of rebuilt.  The paper's incIdx over concept graphs
+// (§VI) is ConceptIndex::RepairAfterUpdate (concept/concept_index.h); it
+// takes the same GraphUpdate once the graph reflects it.
 //
 // Protocol: these functions mutate BOTH the data graph and the index; the
 // graph passed must be the exact graph instance the index was built over.
@@ -44,7 +41,9 @@ struct MaintenanceStats {
   // Updates applied to the data graph (duplicates/missing edges skipped).
   size_t applied = 0;
   size_t skipped = 0;
-  // Total AFF blocks summed over updates and concept graphs.
+  // Concept-graph repair work (ConceptIndex::RepairAfterUpdate), summed
+  // over updates and concept graphs; 0 on the serving path.  servebench's
+  // maint.{aff_blocks,splits,merges}_per_update read them.
   size_t aff_blocks = 0;
   size_t splits = 0;
   size_t merges = 0;
@@ -59,6 +58,10 @@ struct MaintenanceStats {
   }
 };
 
+// Applies the update to the data graph alone; returns false when it is a
+// no-op (duplicate insertion / missing deletion).
+bool ApplyToGraph(Graph* g, const GraphUpdate& update);
+
 // Applies one update; returns false (and leaves everything unchanged) when
 // the update is a no-op (duplicate insertion / missing deletion).
 bool ApplyUpdate(Graph* g, OntologyIndex* index, const GraphUpdate& update,
@@ -68,7 +71,7 @@ bool ApplyUpdate(Graph* g, OntologyIndex* index, const GraphUpdate& update,
 MaintenanceStats ApplyUpdates(Graph* g, OntologyIndex* index,
                               const std::vector<GraphUpdate>& updates);
 
-// Adds a node to the graph and registers it with every concept graph.
+// Adds a node to the graph and registers it with the candidate index.
 NodeId AddNodeWithIndex(Graph* g, OntologyIndex* index, LabelId label);
 
 }  // namespace osq

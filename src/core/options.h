@@ -21,8 +21,9 @@ enum class MatchSemantics {
   kHomomorphicEdges,
 };
 
-// Parameters of ontology index construction (paper §IV-A, algorithm
-// OntoIdx).
+// Parameters of the serving index (core/ontology_index.h): the similarity
+// function and the build's thread count.  The paper's concept graphs take
+// their own options (ConceptIndexOptions, concept/concept_index.h).
 struct IndexOptions {
   // Which member of the similarity-function class to use (paper default:
   // exponential decay).  See ontology/similarity.h.
@@ -31,28 +32,9 @@ struct IndexOptions {
   double similarity_base = 0.9;
   // Zero-similarity cutoff in hops (linear model).
   uint32_t similarity_cutoff = 2;
-  // beta, num_concept_graphs, num_clusters, seed and edge_label_aware
-  // shape the concept graphs, which only OntologyIndex::
-  // BuildWithConceptGraphs builds (the paper's index); the serving index
-  // (OntologyIndex::Build) has none.
-  //
-  // Similarity threshold beta used to group nodes under concept labels.
-  // The paper's experiments use beta = 0.8/0.81 (two ontology hops).
-  double beta = 0.81;
-  // N: number of concept graphs in the paper's index (card(I)).
-  size_t num_concept_graphs = 2;
-  // Number of ontology clusters used during concept label selection.
-  size_t num_clusters = 8;
-  // Seed for the randomized concept-label selection.
-  uint64_t seed = 42;
-  // Build edge-label-aware concept graphs (ablation; default is the
-  // paper's label-unaware index).
-  bool edge_label_aware = false;
-  // Worker threads for the index build (node signatures, concept graphs).
-  // 1 (default) builds sequentially; 0 means "all hardware threads".  The built index is
-  // identical for every value — concept-label selection stays sequential
-  // so the RNG stream is unchanged, and per-graph results merge in index
-  // order.
+  // Worker threads for the index build (node signatures).  1 (default)
+  // builds sequentially; 0 means "all hardware threads".  The built index
+  // is identical for every value.
   size_t num_threads = 1;
 };
 

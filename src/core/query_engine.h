@@ -102,6 +102,8 @@ class QueryEngine {
   const Graph& graph() const { return graph_; }
   const OntologyGraph& ontology() const { return ontology_; }
   const OntologyIndex& index() const { return *index_; }
+  // All zero: the serving index builds no concept graph.  servebench's
+  // index.blocks_per_node reads total_blocks.
   const IndexBuildStats& build_stats() const { return build_stats_; }
   double index_build_ms() const { return index_build_ms_; }
 

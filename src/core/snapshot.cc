@@ -15,7 +15,6 @@
 
 #include "common/timer.h"
 #include "core/candidate_index.h"
-#include "core/concept_graph.h"
 #include "core/ontology_index.h"
 
 namespace osq {
@@ -28,7 +27,9 @@ static_assert(std::endian::native == std::endian::little,
               "snapshot format requires a little-endian host");
 
 constexpr char kMagic[8] = {'O', 'S', 'Q', 'S', 'N', 'P', '2', '\0'};
-constexpr uint32_t kVersion = 2;
+// Version 3 dropped v2's concept-graph section and block aggregates; a
+// file in the v2 layout fails the version check.
+constexpr uint32_t kVersion = 3;
 constexpr uint32_t kMaxSections = 64;
 
 enum SectionType : uint32_t {
@@ -36,12 +37,10 @@ enum SectionType : uint32_t {
   kSecOptions = 2,
   kSecGraph = 3,
   kSecOntology = 4,
-  kSecConceptGraphs = 5,
-  kSecCandidateIndex = 6,
+  kSecCandidateIndex = 5,
 };
-constexpr uint32_t kRequiredSections[] = {
-    kSecDict,     kSecOptions,       kSecGraph,
-    kSecOntology, kSecConceptGraphs, kSecCandidateIndex};
+constexpr uint32_t kRequiredSections[] = {kSecDict, kSecOptions, kSecGraph,
+                                          kSecOntology, kSecCandidateIndex};
 
 struct SnapshotHeader {
   char magic[8];
@@ -69,7 +68,7 @@ static_assert(sizeof(SectionEntry) == 24, "section-table layout is part of "
 // payload bytes makes hash verification a small fraction of cold-start
 // time instead of dominating it (the byte-serial variant is ~8x slower
 // and cannot be vectorized past its loop-carried multiply).  The word
-// definition is part of the v2 format.
+// definition is part of the format.
 uint64_t Fnv1a(const char* data, size_t size) {
   uint64_t h = 14695981039346656037ull;
   size_t i = 0;
@@ -101,11 +100,6 @@ class ByteWriter {
   void Align8() {
     while (buf.size() % 8 != 0) buf.push_back('\0');
   }
-  // Vectors of any 4-byte id type (NodeId / LabelId / BlockId == uint32_t).
-  void VecU32(const std::vector<uint32_t>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size() * sizeof(uint32_t));
-  }
   void Counts(const LabelCounts& c) {
     U32(static_cast<uint32_t>(c.size()));
     for (const auto& [label, count] : c) {
@@ -131,21 +125,14 @@ class ByteReader {
     pos_ += n;
     return true;
   }
-  bool U8(uint8_t* v) { return Raw(v, sizeof(*v)); }
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool VecU32(std::vector<uint32_t>* v) {
-    uint64_t n = 0;
-    if (!U64(&n) || n > remaining() / sizeof(uint32_t)) return false;
-    v->resize(static_cast<size_t>(n));
-    return Raw(v->data(), v->size() * sizeof(uint32_t));
-  }
   bool Counts(LabelCounts* c) {
     // The wire layout (label u32, count u32 per entry) is exactly the
     // in-memory pair layout, so the whole vector is one bounded memcpy —
-    // the candidate-index section holds two counts per node and two per
-    // block, making this the hottest reader on the cold-start path.
+    // the candidate-index section holds two counts per node, making this
+    // the hottest reader on the cold-start path.
     static_assert(sizeof(std::pair<LabelId, uint32_t>) == 8,
                   "bulk read relies on the packed pair layout");
     uint32_t n = 0;
@@ -242,11 +229,6 @@ std::string EncodeOptions(const IndexOptions& o) {
   w.U32(static_cast<uint32_t>(o.similarity_model));
   w.U32(o.similarity_cutoff);
   w.F64(o.similarity_base);
-  w.F64(o.beta);
-  w.U64(o.num_concept_graphs);
-  w.U64(o.num_clusters);
-  w.U64(o.seed);
-  w.U8(o.edge_label_aware ? 1 : 0);
   return std::move(w.buf);
 }
 
@@ -310,36 +292,6 @@ std::string EncodeOntology(const OntologyGraph& o, size_t dict_size) {
   return std::move(w.buf);
 }
 
-std::string EncodeConceptGraphs(const OntologyIndex& index) {
-  ByteWriter w;
-  w.U64(index.num_concept_graphs());
-  for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
-    ConceptGraph::SnapshotParts parts =
-        index.concept_graph(i).ExportSnapshotParts();
-    w.VecU32(parts.concept_labels);
-    const size_t cap = parts.members.size();
-    w.U64(cap);
-    for (const std::vector<NodeId>& m : parts.members) {
-      w.VecU32(m);
-    }
-    w.VecU32(parts.block_label);
-    w.U64(parts.alive.size());
-    w.Raw(parts.alive.data(), parts.alive.size());
-    w.VecU32(parts.free_blocks);
-    w.U64(parts.blocks_by_label.size());
-    for (const auto& [label, blocks] : parts.blocks_by_label) {
-      w.U32(label);
-      w.VecU32(blocks);
-    }
-    w.U64(parts.concept_of_label.size());
-    for (const auto& [label, concept_label] : parts.concept_of_label) {
-      w.U32(label);
-      w.U32(concept_label);
-    }
-  }
-  return std::move(w.buf);
-}
-
 std::string EncodeCandidateIndex(const CandidateIndex& index) {
   CandidateIndex::SnapshotParts parts = index.ExportSnapshotParts();
   ByteWriter w;
@@ -349,17 +301,6 @@ std::string EncodeCandidateIndex(const CandidateIndex& index) {
     w.U64(s.in_bits);
     w.Counts(s.out_counts);
     w.Counts(s.in_counts);
-  }
-  w.U64(parts.per_graph_blocks.size());
-  for (const std::vector<BlockSignature>& blocks : parts.per_graph_blocks) {
-    w.U64(blocks.size());
-    for (const BlockSignature& b : blocks) {
-      w.U64(b.out_bits);
-      w.U64(b.in_bits);
-      w.VecU32(b.member_labels);
-      w.Counts(b.max_out_counts);
-      w.Counts(b.max_in_counts);
-    }
   }
   return std::move(w.buf);
 }
@@ -393,19 +334,15 @@ std::string EncodeCandidateIndex(const CandidateIndex& index) {
                                    IndexOptions* options) {
   ByteReader r(data, size);
   uint32_t model = 0;
-  uint8_t aware = 0;
   IndexOptions o;
   if (!r.U32(&model) || !r.U32(&o.similarity_cutoff) ||
-      !r.F64(&o.similarity_base) || !r.F64(&o.beta) ||
-      !r.U64(&o.num_concept_graphs) || !r.U64(&o.num_clusters) ||
-      !r.U64(&o.seed) || !r.U8(&aware) || !r.Done()) {
+      !r.F64(&o.similarity_base) || !r.Done()) {
     return Status::Corruption("options section malformed");
   }
   if (model > static_cast<uint32_t>(SimilarityModel::kReciprocal)) {
     return Status::Corruption("options section: unknown similarity model");
   }
   o.similarity_model = static_cast<SimilarityModel>(model);
-  o.edge_label_aware = aware != 0;
   o.num_threads = 1;  // runtime knob, never persisted
   *options = o;
   return Status::Ok();
@@ -517,80 +454,8 @@ bool ValidCsr(size_t n, uint64_t m, const EdgeIndex* offsets,
   return Status::Ok();
 }
 
-[[nodiscard]] Status DecodeConceptGraphs(const char* data, size_t size,
-                                         const Graph& g,
-                                         const OntologyGraph& o,
-                                         const IndexOptions& options,
-                                         std::vector<ConceptGraph>* out) {
-  SimilarityFunction sim = MakeSimilarity(options);
-  ConceptGraphOptions cg_options;
-  cg_options.beta = options.beta;
-  cg_options.edge_label_aware = options.edge_label_aware;
-
-  ByteReader r(data, size);
-  uint64_t count = 0;
-  // Each concept graph needs at least its six count fields.  Zero graphs is
-  // legal: the serving index builds none (OntologyIndex::Build).
-  if (!r.U64(&count) || count > r.remaining() / 48) {
-    return Status::Corruption("concept-graph section malformed");
-  }
-  std::vector<ConceptGraph> graphs;
-  for (uint64_t i = 0; i < count; ++i) {
-    ConceptGraph::SnapshotParts parts;
-    uint64_t cap = 0;
-    if (!r.VecU32(&parts.concept_labels) || !r.U64(&cap) ||
-        cap > r.remaining() / 8) {
-      return Status::Corruption("concept-graph section truncated");
-    }
-    parts.members.resize(static_cast<size_t>(cap));
-    for (std::vector<NodeId>& m : parts.members) {
-      if (!r.VecU32(&m)) {
-        return Status::Corruption("concept-graph section truncated");
-      }
-    }
-    uint64_t alive_count = 0;
-    if (!r.VecU32(&parts.block_label) || !r.U64(&alive_count) ||
-        alive_count != cap || alive_count > r.remaining()) {
-      return Status::Corruption("concept-graph section truncated");
-    }
-    parts.alive.resize(static_cast<size_t>(alive_count));
-    if (!r.Raw(parts.alive.data(), parts.alive.size()) ||
-        !r.VecU32(&parts.free_blocks)) {
-      return Status::Corruption("concept-graph section truncated");
-    }
-    uint64_t label_entries = 0;
-    if (!r.U64(&label_entries) || label_entries > r.remaining() / 12) {
-      return Status::Corruption("concept-graph section truncated");
-    }
-    parts.blocks_by_label.resize(static_cast<size_t>(label_entries));
-    for (auto& [label, blocks] : parts.blocks_by_label) {
-      if (!r.U32(&label) || !r.VecU32(&blocks)) {
-        return Status::Corruption("concept-graph section truncated");
-      }
-    }
-    uint64_t col_entries = 0;
-    if (!r.U64(&col_entries) || col_entries > r.remaining() / 8) {
-      return Status::Corruption("concept-graph section truncated");
-    }
-    parts.concept_of_label.resize(static_cast<size_t>(col_entries));
-    for (auto& [label, concept_label] : parts.concept_of_label) {
-      if (!r.U32(&label) || !r.U32(&concept_label)) {
-        return Status::Corruption("concept-graph section truncated");
-      }
-    }
-    Status status = ConceptGraph::FromSnapshotParts(g, o, sim, cg_options,
-                                                    std::move(parts), &graphs);
-    if (!status.ok()) return status;
-  }
-  if (!r.Done()) {
-    return Status::Corruption("concept-graph section has trailing bytes");
-  }
-  *out = std::move(graphs);
-  return Status::Ok();
-}
-
 [[nodiscard]] Status DecodeCandidateIndex(const char* data, size_t size,
-                                          const Graph& g, size_t num_graphs,
+                                          const Graph& g,
                                           CandidateIndex* out) {
   ByteReader r(data, size);
   CandidateIndex::SnapshotParts parts;
@@ -604,26 +469,6 @@ bool ValidCsr(size_t n, uint64_t m, const EdgeIndex* offsets,
     if (!r.U64(&s.out_bits) || !r.U64(&s.in_bits) || !r.Counts(&s.out_counts) ||
         !r.Counts(&s.in_counts)) {
       return Status::Corruption("candidate-index section truncated");
-    }
-  }
-  uint64_t ng = 0;
-  if (!r.U64(&ng) || ng != num_graphs) {
-    return Status::Corruption("candidate-index section: graph count "
-                              "disagrees with the index");
-  }
-  parts.per_graph_blocks.resize(static_cast<size_t>(ng));
-  for (std::vector<BlockSignature>& blocks : parts.per_graph_blocks) {
-    uint64_t cap = 0;
-    if (!r.U64(&cap) || cap > r.remaining() / 16) {
-      return Status::Corruption("candidate-index section truncated");
-    }
-    blocks.resize(static_cast<size_t>(cap));
-    for (BlockSignature& b : blocks) {
-      if (!r.U64(&b.out_bits) || !r.U64(&b.in_bits) ||
-          !r.VecU32(&b.member_labels) || !r.Counts(&b.max_out_counts) ||
-          !r.Counts(&b.max_in_counts)) {
-        return Status::Corruption("candidate-index section truncated");
-      }
     }
   }
   if (!r.Done()) {
@@ -645,7 +490,6 @@ Status SaveEngineSnapshot(const QueryEngine& engine,
   sections.emplace_back(kSecGraph, EncodeGraph(engine.graph()));
   sections.emplace_back(kSecOntology,
                         EncodeOntology(engine.ontology(), dict.size()));
-  sections.emplace_back(kSecConceptGraphs, EncodeConceptGraphs(index));
   sections.emplace_back(kSecCandidateIndex,
                         EncodeCandidateIndex(index.candidate_index()));
 
@@ -705,16 +549,16 @@ Status LoadEngineSnapshot(const std::string& path, LabelDictionary* dict,
     stats->mapped = file->mapped();
   }
 
-  // Header: a file that is not a v2 snapshot at all is InvalidArgument;
-  // a v2 file that fails any structural check is Corruption.
+  // Header: a file that is not a snapshot of this version at all is
+  // InvalidArgument; one that fails any structural check is Corruption.
   if (size < sizeof(SnapshotHeader)) {
-    return Status::InvalidArgument("not an osq v2 snapshot (too small): " +
+    return Status::InvalidArgument("not an osq snapshot (too small): " +
                                    path);
   }
   SnapshotHeader header;
   std::memcpy(&header, data, sizeof(header));
   if (std::memcmp(header.magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not an osq v2 snapshot (bad magic): " +
+    return Status::InvalidArgument("not an osq snapshot (bad magic): " +
                                    path);
   }
   if (header.version != kVersion) {
@@ -801,28 +645,17 @@ Status LoadEngineSnapshot(const std::string& path, LabelDictionary* dict,
   status = DecodeOntology(onto_data, onto_size, dict->size(), &ontology);
   if (!status.ok()) return status;
 
-  std::vector<ConceptGraph> graphs;
-  auto [cg_data, cg_size] = section(kSecConceptGraphs);
-  stage_timer = WallTimer();
-  status = DecodeConceptGraphs(cg_data, cg_size, graph, ontology, options,
-                               &graphs);
-  if (!status.ok()) return status;
-  if (stats != nullptr) {
-    stats->concept_graphs_ms = stage_timer.ElapsedMillis();
-  }
-
   CandidateIndex candidates;
   auto [ci_data, ci_size] = section(kSecCandidateIndex);
   stage_timer = WallTimer();
-  status = DecodeCandidateIndex(ci_data, ci_size, graph, graphs.size(),
-                                &candidates);
+  status = DecodeCandidateIndex(ci_data, ci_size, graph, &candidates);
   if (!status.ok()) return status;
   if (stats != nullptr) {
     stats->candidate_index_ms = stage_timer.ElapsedMillis();
   }
 
   auto index = std::make_unique<OntologyIndex>(OntologyIndex::FromLoadedParts(
-      graph, ontology, options, std::move(graphs), std::move(candidates)));
+      graph, ontology, options, std::move(candidates)));
   *out = std::make_unique<QueryEngine>(QueryEngine::FromPrebuilt(
       std::move(graph), std::move(ontology), std::move(index)));
   return Status::Ok();

@@ -13,7 +13,7 @@
 // coordinator deduplicates by restricting the pivot's candidate list to
 // owned nodes, so each global match is produced by exactly one shard.
 //
-// UpdateRouter keeps the invariants alive under the incIdx± write path:
+// UpdateRouter keeps the invariants alive under the edge-update write path:
 // it owns a reference copy of the global graph plus per-shard hop-distance
 // tables, and translates each global update into per-shard deltas —
 // membership growth (a new edge can pull nodes into a halo; the router

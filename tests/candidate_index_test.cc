@@ -13,6 +13,7 @@
 #include "baseline/rewriting.h"
 #include "baseline/simmatrix.h"
 #include "common/rng.h"
+#include "concept/concept_index.h"
 #include "core/filtering.h"
 #include "core/index_maintenance.h"
 #include "core/kmatch.h"
@@ -26,10 +27,7 @@ namespace osq {
 namespace {
 
 OntologyIndex BuildTravelIndex(const test::TravelFixture& f) {
-  IndexOptions options;
-  options.beta = 0.81;
-  options.num_concept_graphs = 2;
-  return OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  return OntologyIndex::Build(f.g, f.o, IndexOptions{});
 }
 
 // Independent oracle for one node's signature, straight from the graph.
@@ -59,42 +57,6 @@ TEST(CandidateIndexTest, NodeSignaturesMatchAdjacency) {
   ASSERT_EQ(ci.num_nodes(), f.g.num_nodes());
   for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
     EXPECT_EQ(ci.node_signature(v), OracleSignature(f.g, v)) << "node " << v;
-  }
-}
-
-TEST(CandidateIndexTest, BlockSignaturesAggregateMembers) {
-  test::TravelFixture f = test::MakeTravelFixture();
-  OntologyIndex index = BuildTravelIndex(f);
-  const CandidateIndex& ci = index.candidate_index();
-  ASSERT_EQ(index.num_concept_graphs(), 2u);
-  ASSERT_EQ(ci.num_graphs(), index.num_concept_graphs());
-  for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
-    const ConceptGraph& cg = index.concept_graph(i);
-    std::map<LabelId, std::vector<BlockId>> inverted;
-    for (BlockId b : cg.AliveBlocks()) {
-      const BlockSignature& bs = ci.block_signature(i, b);
-      uint64_t out_bits = 0;
-      uint64_t in_bits = 0;
-      std::set<LabelId> labels;
-      for (NodeId v : cg.Members(b)) {
-        const NodeSignature& ns = ci.node_signature(v);
-        out_bits |= ns.out_bits;
-        in_bits |= ns.in_bits;
-        labels.insert(f.g.NodeLabel(v));
-        // Per-label max must dominate every member's per-label count.
-        EXPECT_TRUE(SignatureCountsDominate(bs.max_out_counts, ns.out_counts));
-        EXPECT_TRUE(SignatureCountsDominate(bs.max_in_counts, ns.in_counts));
-      }
-      EXPECT_EQ(bs.out_bits, out_bits);
-      EXPECT_EQ(bs.in_bits, in_bits);
-      EXPECT_EQ(bs.member_labels,
-                std::vector<LabelId>(labels.begin(), labels.end()));
-      for (LabelId l : bs.member_labels) inverted[l].push_back(b);
-    }
-    for (const auto& [label, blocks] : inverted) {
-      EXPECT_EQ(ci.BlocksWithMemberLabel(i, label), blocks);
-    }
-    EXPECT_TRUE(ci.BlocksWithMemberLabel(i, 999999).empty());
   }
 }
 
@@ -138,20 +100,14 @@ struct SmallWorld {
   std::vector<Graph> queries;
 };
 
-// `with_graphs`: the paper's index (two concept graphs, whose block
-// aggregates the candidate index keeps too) instead of the serving one.
-std::unique_ptr<SmallWorld> MakeSmallWorld(uint64_t seed, bool with_graphs) {
+std::unique_ptr<SmallWorld> MakeSmallWorld(uint64_t seed) {
   auto w = std::make_unique<SmallWorld>();
   gen::ScenarioParams p;
   p.scale = 500;
   p.seed = seed;
   w->ds = gen::MakeCrossDomainLike(p);
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
   w->index = std::make_unique<OntologyIndex>(
-      with_graphs ? OntologyIndex::BuildWithConceptGraphs(w->ds.graph,
-                                                          w->ds.ontology, idx)
-                  : OntologyIndex::Build(w->ds.graph, w->ds.ontology, idx));
+      OntologyIndex::Build(w->ds.graph, w->ds.ontology, IndexOptions{}));
   Rng rng(seed + 7);
   gen::QueryGenParams qp;
   qp.num_nodes = 4;
@@ -176,7 +132,7 @@ std::set<NodeId> CandidateOriginals(const FilterResult& r, NodeId q) {
 // answer equals both brute-force baselines, and every node of every
 // baseline match survives into its query node's candidate list (Prop. 4.2).
 TEST(CandidateIndexTest, FilterWithIndexIsLossless) {
-  std::unique_ptr<SmallWorld> w = MakeSmallWorld(19, /*with_graphs=*/false);
+  std::unique_ptr<SmallWorld> w = MakeSmallWorld(19);
   ASSERT_FALSE(w->queries.empty());
   const SimilarityFunction& sim = w->index->sim();
   for (const Graph& q : w->queries) {
@@ -206,11 +162,12 @@ TEST(CandidateIndexTest, FilterWithIndexIsLossless) {
 }
 
 TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
-  // Refinement signatures are *set*-based (which blocks a node reaches per
-  // edge label), but NodePasses also checks per-edge-label *counts*.  Two
-  // nodes with identical refinement signatures and different out-degrees
-  // therefore share a block — and a query demanding the higher degree must
-  // reject the lower-degree member at the node level, not the block level.
+  // Concept-graph refinement signatures are *set*-based (which blocks a
+  // node reaches per edge label), but NodePasses also checks per-edge-label
+  // *counts*.  Two nodes with identical refinement signatures and
+  // different out-degrees therefore share a block of the paper's index —
+  // and a query demanding the higher degree must reject the lower-degree
+  // one at the node level.
   LabelDictionary dict;
   const LabelId person = dict.Intern("person");
   const LabelId museum = dict.Intern("museum");
@@ -233,13 +190,14 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
   OntologyGraph o;
   o.AddRelation(museum, cafe);
 
-  IndexOptions idx;
-  idx.num_concept_graphs = 1;
-  idx.num_clusters = 1;
-  OntologyIndex index = OntologyIndex::BuildWithConceptGraphs(g, o, idx);
-  const ConceptGraph& cg = index.concept_graph(0);
+  ConceptIndexOptions cidx;
+  cidx.num_concept_graphs = 1;
+  cidx.num_clusters = 1;
+  ConceptIndex concepts = ConceptIndex::Build(g, o, IndexOptions{}, cidx);
+  const ConceptGraph& cg = concepts.concept_graph(0);
   ASSERT_EQ(cg.BlockOf(0), cg.BlockOf(1))
       << "fixture invariant: equal refinement signatures share a block";
+  OntologyIndex index = OntologyIndex::Build(g, o, IndexOptions{});
 
   // theta = 0.95 keeps cafe (sim 0.9) out of the museum candidate sets.
   Graph q;
@@ -266,8 +224,7 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
 }
 
 TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
-  std::unique_ptr<SmallWorld> w = MakeSmallWorld(29, /*with_graphs=*/true);
-  ASSERT_EQ(w->index->num_concept_graphs(), 2u);
+  std::unique_ptr<SmallWorld> w = MakeSmallWorld(29);
   Graph& g = w->ds.graph;
   Rng rng(31);
   std::set<LabelId> edge_labels;
@@ -300,11 +257,10 @@ TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
   ASSERT_GT(applied, 5u);
 
   // The incrementally maintained candidate index must be structurally
-  // identical to one rebuilt from scratch over the same (mutated) graph
-  // and the same (repaired) partitions — every vector is canonically
-  // sorted, so equality is exact, not modulo ordering.
-  CandidateIndex fresh =
-      CandidateIndex::Build(g, w->index->concept_graphs(), /*num_threads=*/1);
+  // identical to one rebuilt from scratch over the same (mutated) graph —
+  // every vector is canonically sorted, so equality is exact, not modulo
+  // ordering.
+  CandidateIndex fresh = CandidateIndex::Build(g, /*num_threads=*/1);
   EXPECT_TRUE(w->index->candidate_index() == fresh);
 }
 

@@ -1,4 +1,4 @@
-#include "core/concept_graph.h"
+#include "concept/concept_graph.h"
 
 #include <algorithm>
 #include <set>
@@ -74,9 +74,10 @@ TEST(ConceptGraphTest, ColorExampleBlockEdges) {
   std::vector<BlockId> expected = {red2, green2};
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(pred_violet, expected);
-  EXPECT_TRUE(cg.HasSuccessorBlock(red1, blue1, kInvalidLabel));
-  EXPECT_FALSE(cg.HasSuccessorBlock(red1, blue2, kInvalidLabel));
-  EXPECT_TRUE(cg.HasPredecessorBlock(blue2, green2, kInvalidLabel));
+  std::vector<BlockId> succ_red1 = cg.Successors(red1);
+  EXPECT_EQ(std::count(succ_red1.begin(), succ_red1.end(), blue1), 1);
+  EXPECT_EQ(std::count(succ_red1.begin(), succ_red1.end(), blue2), 0);
+  EXPECT_EQ(std::count(pred_violet.begin(), pred_violet.end(), green2), 1);
 }
 
 TEST(ConceptGraphTest, BlocksWithLabelTracksSplits) {

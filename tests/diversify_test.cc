@@ -87,9 +87,7 @@ TEST(DiversifyTest, DiversityMetric) {
 
 TEST(DiversifyTest, ImprovesDiversityOnTravelFixture) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
   QueryOptions qopts;
   qopts.theta = 0.81;
   qopts.k = 0;

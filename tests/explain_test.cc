@@ -9,9 +9,7 @@ namespace {
 
 TEST(ExplainTest, ReportsMatchesForTravelExample) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
   QueryOptions qopts;
   qopts.theta = 0.9;
   qopts.k = 5;

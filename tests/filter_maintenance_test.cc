@@ -1,17 +1,13 @@
 // Differential check of the candidate-pruning index under maintenance
 // (DESIGN.md §11): drive a randomized mixed insert/delete/add-node stream
-// through incIdx while mirroring every mutation onto a twin graph, and
-// periodically assert
+// through the serving index's maintenance (the one QueryEngine keeps)
+// while mirroring every mutation onto a twin graph, and periodically
+// assert
 //   (a) the incrementally repaired CandidateIndex is structurally EQUAL to
-//       one rebuilt from scratch over the same graph and the same
-//       (maintained) partitions — exact equality, every stored vector is
-//       canonically sorted;
+//       one rebuilt from scratch over the same graph — exact equality,
+//       every stored vector is canonically sorted;
 //   (b) the Gview candidate sets (in original node ids) of the maintained
-//       index equal those of a batch-rebuilt index.  The partitions may
-//       legally differ (incIdx can settle on a finer-but-stable
-//       partition), but the final candidate sets are partition-independent:
-//       they equal the greatest fixpoint of the exact node-level
-//       refinement for ANY stable partition;
+//       index equal those of a batch-rebuilt index;
 //   (c) the returned matches are identical.
 // Runs with num_threads = 2 so the TSan tier-1 stage exercises the
 // parallel build/filter paths.  Labeled `slow`.
@@ -59,9 +55,9 @@ std::vector<LabelId> EdgeLabelUniverse(const Graph& g) {
   return {labels.begin(), labels.end()};
 }
 
-// Per-query-node candidate sets in ORIGINAL node ids — the
-// partition-independent output the maintained and batch indexes must agree
-// on even when their block partitions differ.
+// Per-query-node candidate sets in ORIGINAL node ids — the output the
+// maintained and batch indexes must agree on, whatever their G_v node
+// numbering.
 std::vector<std::set<NodeId>> CandidateSets(const Graph& query,
                                             const FilterResult& r) {
   std::vector<std::set<NodeId>> sets(query.num_nodes());
@@ -82,12 +78,8 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   Graph twin = ds.graph;
 
   IndexOptions idx;
-  idx.num_concept_graphs = 2;
   idx.num_threads = 2;  // exercise the parallel build under TSan
-  OntologyIndex inc =
-      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
-  ASSERT_EQ(inc.num_concept_graphs(), 2u);
-  ASSERT_TRUE(inc.Validate());
+  OntologyIndex inc = OntologyIndex::Build(ds.graph, ds.ontology, idx);
 
   std::vector<Graph> queries = MakeWorkload(ds, 4, stream_seed + 1);
   ASSERT_FALSE(queries.empty());
@@ -136,17 +128,14 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
 
     if (step % kCheckEvery != 0 && step != kSteps) continue;
 
-    // (a) Repaired signatures == fresh build over the same partitions.
-    CandidateIndex fresh =
-        CandidateIndex::Build(ds.graph, inc.concept_graphs(),
-                              /*num_threads=*/2);
+    // (a) Repaired signatures == fresh build over the same graph.
+    CandidateIndex fresh = CandidateIndex::Build(ds.graph, /*num_threads=*/2);
     ASSERT_TRUE(inc.candidate_index() == fresh)
         << "seed " << scenario_seed << "/" << stream_seed << " step "
         << step;
 
     // (b) + (c) against a batch rebuild over the twin.
-    OntologyIndex batch =
-        OntologyIndex::BuildWithConceptGraphs(twin, ds.ontology, idx);
+    OntologyIndex batch = OntologyIndex::Build(twin, ds.ontology, idx);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       FilterResult inc_filter = GviewFilter(inc, queries[qi], options);
       FilterResult batch_filter = GviewFilter(batch, queries[qi], options);

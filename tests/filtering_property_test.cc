@@ -46,10 +46,7 @@ TEST_P(Prop42Test, GvContainsEveryGroundTruthMatch) {
   uint64_t seed = GetParam();
   World w = MakeWorld(seed);
   SimilarityFunction sim(0.9);
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  idx.seed = seed;
-  OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
+  OntologyIndex index = OntologyIndex::Build(w.g, w.o, IndexOptions{});
 
   Rng rng(seed + 3);
   gen::QueryGenParams qp;
@@ -92,9 +89,7 @@ TEST_P(Prop42Test, GvContainsEveryGroundTruthMatch) {
 TEST_P(Prop42Test, GvIsInducedSubgraphOverCandidates) {
   uint64_t seed = GetParam();
   World w = MakeWorld(seed);
-  IndexOptions idx;
-  idx.seed = seed;
-  OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
+  OntologyIndex index = OntologyIndex::Build(w.g, w.o, IndexOptions{});
   Rng rng(seed + 4);
   gen::QueryGenParams qp;
   qp.num_nodes = 3;
@@ -128,9 +123,7 @@ TEST_P(Prop42Test, CandidateSimilaritiesRespectTheta) {
   uint64_t seed = GetParam();
   World w = MakeWorld(seed);
   SimilarityFunction sim(0.9);
-  IndexOptions idx;
-  idx.seed = seed;
-  OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
+  OntologyIndex index = OntologyIndex::Build(w.g, w.o, IndexOptions{});
   Rng rng(seed + 5);
   gen::QueryGenParams qp;
   qp.num_nodes = 3;

@@ -5,7 +5,7 @@
 #include <tuple>
 
 #include <gtest/gtest.h>
-#include "core/ontology_index.h"
+#include "concept/concept_index.h"
 #include "gen/churn.h"
 #include "gen/query_gen.h"
 #include "gen/scenarios.h"
@@ -181,12 +181,10 @@ TEST(ScenarioTest, CatalogLikeShape) {
   }
   // The scenario's purpose: hub/spoke symmetry keeps partition refinement
   // coarse (the other scenarios collapse to near-singleton blocks), so the
-  // candidate index's node-level check has blocks with intra-block degree
-  // variance to prune.  Guard the coarseness, not an exact block count.
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
+  // paper's concept graphs have blocks with intra-block degree variance.
+  // Guard the coarseness, not an exact block count.
+  ConceptIndex index =
+      ConceptIndex::Build(ds.graph, ds.ontology, IndexOptions{}, {});
   ASSERT_EQ(index.num_concept_graphs(), 2u);
   EXPECT_LT(index.concept_graph(0).AliveBlocks().size(),
             ds.graph.num_nodes() / 10);

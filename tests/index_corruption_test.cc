@@ -1,5 +1,5 @@
 // Corrupted-snapshot suite for LoadEngineSnapshot (core/snapshot.cc): every
-// way a v2 file can lie — bad magic or version, truncation, bit flips, a
+// way a snapshot can lie — bad magic or version, truncation, bit flips, a
 // wrong stored hash or file size, malformed section tables, implausible
 // graph counts — must come back as a *distinct* error status, and must
 // never crash or return a half-built engine.
@@ -43,9 +43,7 @@ std::string PerTestPath(const std::string& stem) {
 
 std::string BuildValidSnapshotBytes() {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  QueryEngine engine(f.g, f.o, options);
+  QueryEngine engine(f.g, f.o, IndexOptions{});
   const std::string path = PerTestPath("osq_v2_corruption_base");
   EXPECT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
   std::ifstream in(path, std::ios::binary);
@@ -123,10 +121,15 @@ TEST(SnapshotCorruptionTest, BadMagicIsInvalidArgument) {
 }
 
 TEST(SnapshotCorruptionTest, UnsupportedVersionIsInvalidArgument) {
-  std::string bytes = BuildValidSnapshotBytes();
-  uint32_t version = 9;
-  std::memcpy(bytes.data() + 8, &version, sizeof(version));
-  EXPECT_EQ(LoadSnapshotBytes(bytes).code(), StatusCode::kInvalidArgument);
+  // 2 is the retired layout with a concept-graph section: such a file fails
+  // closed at the version check, before any section is read.
+  for (uint32_t version : {2u, 9u}) {
+    std::string bytes = BuildValidSnapshotBytes();
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    Status s = LoadSnapshotBytes(bytes);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "version " << version;
+    EXPECT_NE(s.message().find("version"), std::string::npos) << s.message();
+  }
 }
 
 TEST(SnapshotCorruptionTest, TruncationAtEveryStrideNeverCrashes) {

@@ -4,11 +4,45 @@
 
 #include <gtest/gtest.h>
 #include "common/rng.h"
-#include "core/concept_graph.h"
+#include "concept/concept_index.h"
 #include "test_util.h"
 
 namespace osq {
 namespace {
+
+// The serving index and the paper's concept graphs over one graph, both
+// repaired after each update: the stream shape incIdx runs in.
+struct Indexes {
+  OntologyIndex serving;
+  ConceptIndex concepts;
+
+  bool Validate() const { return concepts.Validate(); }
+  const ConceptGraph& concept_graph(size_t i) const {
+    return concepts.concept_graph(i);
+  }
+  size_t num_concept_graphs() const { return concepts.num_concept_graphs(); }
+};
+
+Indexes BuildIndexes(const Graph& g, const OntologyGraph& o,
+                     size_t num_concept_graphs) {
+  ConceptIndexOptions cidx;
+  cidx.num_concept_graphs = num_concept_graphs;
+  return {OntologyIndex::Build(g, o, IndexOptions{}),
+          ConceptIndex::Build(g, o, IndexOptions{}, cidx)};
+}
+
+bool Apply(Graph* g, Indexes* ix, const GraphUpdate& update,
+           MaintenanceStats* stats = nullptr) {
+  if (!ApplyUpdate(g, &ix->serving, update, stats)) return false;
+  ix->concepts.RepairAfterUpdate(update, stats);
+  return true;
+}
+
+NodeId AddNode(Graph* g, Indexes* ix, LabelId label) {
+  NodeId v = AddNodeWithIndex(g, &ix->serving, label);
+  ix->concepts.RegisterNewNode(v);
+  return v;
+}
 
 // The Example VI.1-style scenario on the color fixture: build the index on
 // a graph WITHOUT the olive->violet edge (coarse partition), insert it, and
@@ -18,16 +52,12 @@ TEST(MaintenanceTest, InsertionSplitsAndPropagates) {
   // Remove the edge that causes all splits; partition collapses to 3 blocks.
   ASSERT_TRUE(f.g.RemoveEdge(f.olive, f.violet, f.dict.Lookup("sim")));
 
-  IndexOptions options;
-  options.num_concept_graphs = 1;
-  options.beta = 0.81;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes index = BuildIndexes(f.g, f.o, 1);
   ASSERT_TRUE(index.Validate());
   EXPECT_EQ(index.concept_graph(0).num_blocks(), 3u);
 
   MaintenanceStats stats;
-  EXPECT_TRUE(ApplyUpdate(
+  EXPECT_TRUE(Apply(
       &f.g, &index,
       GraphUpdate::Insert(f.olive, f.violet, f.dict.Lookup("sim")), &stats));
   EXPECT_TRUE(index.Validate());
@@ -36,23 +66,18 @@ TEST(MaintenanceTest, InsertionSplitsAndPropagates) {
   EXPECT_EQ(stats.applied, 1u);
 
   // Equivalent to the batch rebuild.
-  OntologyIndex batch =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes batch = BuildIndexes(f.g, f.o, 1);
   EXPECT_EQ(index.concept_graph(0).num_blocks(),
             batch.concept_graph(0).num_blocks());
 }
 
 TEST(MaintenanceTest, DeletionMergesBack) {
   test::ColorFixture f = test::MakeColorFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 1;
-  options.beta = 0.81;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes index = BuildIndexes(f.g, f.o, 1);
   ASSERT_EQ(index.concept_graph(0).num_blocks(), 6u);
 
   MaintenanceStats stats;
-  EXPECT_TRUE(ApplyUpdate(
+  EXPECT_TRUE(Apply(
       &f.g, &index,
       GraphUpdate::Delete(f.olive, f.violet, f.dict.Lookup("sim")), &stats));
   EXPECT_TRUE(index.Validate());
@@ -64,17 +89,14 @@ TEST(MaintenanceTest, DeletionMergesBack) {
 
 TEST(MaintenanceTest, NoOpUpdatesSkipped) {
   test::ColorFixture f = test::MakeColorFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 1;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes index = BuildIndexes(f.g, f.o, 1);
   MaintenanceStats stats;
   // Duplicate insertion.
-  EXPECT_FALSE(ApplyUpdate(
+  EXPECT_FALSE(Apply(
       &f.g, &index,
       GraphUpdate::Insert(f.rose, f.blue, f.dict.Lookup("sim")), &stats));
   // Deleting a non-existent edge.
-  EXPECT_FALSE(ApplyUpdate(
+  EXPECT_FALSE(Apply(
       &f.g, &index,
       GraphUpdate::Delete(f.rose, f.olive, f.dict.Lookup("sim")), &stats));
   EXPECT_EQ(stats.applied, 0u);
@@ -84,19 +106,16 @@ TEST(MaintenanceTest, NoOpUpdatesSkipped) {
 
 TEST(MaintenanceTest, InsertThenDeleteRestoresBlockCount) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes index = BuildIndexes(f.g, f.o, 2);
   size_t before = 0;
   for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
     before += index.concept_graph(i).num_blocks();
   }
   GraphUpdate ins = GraphUpdate::Insert(f.hp, f.rg, f.near);
-  ASSERT_TRUE(ApplyUpdate(&f.g, &index, ins));
+  ASSERT_TRUE(Apply(&f.g, &index, ins));
   EXPECT_TRUE(index.Validate());
   GraphUpdate del = GraphUpdate::Delete(f.hp, f.rg, f.near);
-  ASSERT_TRUE(ApplyUpdate(&f.g, &index, del));
+  ASSERT_TRUE(Apply(&f.g, &index, del));
   EXPECT_TRUE(index.Validate());
   size_t after = 0;
   for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
@@ -107,10 +126,8 @@ TEST(MaintenanceTest, InsertThenDeleteRestoresBlockCount) {
 
 TEST(MaintenanceTest, BatchUpdatesAggregateStats) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 1;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  ConceptIndex index =
+      ConceptIndex::Build(f.g, f.o, IndexOptions{}, {.num_concept_graphs = 1});
   std::vector<GraphUpdate> updates = {
       GraphUpdate::Insert(f.ht, f.starlight, f.fav),
       GraphUpdate::Insert(f.ht, f.starlight, f.fav),  // duplicate
@@ -125,27 +142,20 @@ TEST(MaintenanceTest, BatchUpdatesAggregateStats) {
 
 TEST(MaintenanceTest, AddNodeWithIndex) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
-  NodeId v = AddNodeWithIndex(&f.g, &index, f.dict.Lookup("holiday_cafe"));
+  Indexes index = BuildIndexes(f.g, f.o, 2);
+  NodeId v = AddNode(&f.g, &index, f.dict.Lookup("holiday_cafe"));
   EXPECT_EQ(v, f.g.num_nodes() - 1);
   EXPECT_TRUE(index.Validate());
   // The new node can then participate in edge updates.
-  ASSERT_TRUE(ApplyUpdate(&f.g, &index,
-                          GraphUpdate::Insert(f.ct, v, f.fav)));
+  ASSERT_TRUE(Apply(&f.g, &index, GraphUpdate::Insert(f.ct, v, f.fav)));
   EXPECT_TRUE(index.Validate());
 }
 
 TEST(MaintenanceTest, AddNodeWithBrandNewLabel) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 1;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes index = BuildIndexes(f.g, f.o, 1);
   LabelId fresh = f.dict.Intern("spaceport");  // not in the ontology
-  NodeId v = AddNodeWithIndex(&f.g, &index, fresh);
+  NodeId v = AddNode(&f.g, &index, fresh);
   EXPECT_TRUE(index.Validate());
   const ConceptGraph& cg = index.concept_graph(0);
   EXPECT_EQ(cg.BlockLabel(cg.BlockOf(v)), fresh);
@@ -153,10 +163,7 @@ TEST(MaintenanceTest, AddNodeWithBrandNewLabel) {
 
 TEST(MaintenanceTest, RandomStreamStaysValid) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  Indexes index = BuildIndexes(f.g, f.o, 2);
   Rng rng(99);
   std::vector<LabelId> edge_labels = {f.guide, f.fav, f.near};
   for (int step = 0; step < 200; ++step) {
@@ -166,7 +173,7 @@ TEST(MaintenanceTest, RandomStreamStaysValid) {
     LabelId l = edge_labels[rng.Index(edge_labels.size())];
     GraphUpdate upd = rng.Bernoulli(0.5) ? GraphUpdate::Insert(u, w, l)
                                          : GraphUpdate::Delete(u, w, l);
-    ApplyUpdate(&f.g, &index, upd);
+    Apply(&f.g, &index, upd);
     ASSERT_TRUE(index.Validate()) << "step " << step;
     ASSERT_TRUE(f.g.CheckConsistency()) << "step " << step;
   }

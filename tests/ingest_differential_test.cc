@@ -167,7 +167,9 @@ void RunSingleEngineDifferential(uint64_t seed) {
         << "seed " << seed << " query " << qi;
   }
 
-  EXPECT_TRUE(service.engine_unsynchronized().index().Validate());
+  const QueryEngine& engine = service.engine_unsynchronized();
+  EXPECT_TRUE(engine.index().candidate_index() ==
+              CandidateIndex::Build(engine.graph(), /*num_threads=*/1));
   CheckServeInvariants(service.Stats());
   CheckIngestDrained(pipeline.Stats());
 }

@@ -78,9 +78,7 @@ TEST(IntegrationTest, DynamicGraphScenario) {
   qb.AddEdge("r", "b", "sim");
   Graph query = qb.TakeGraph();
 
-  IndexOptions idx;
-  idx.beta = 0.81;
-  QueryEngine engine(std::move(f.g), std::move(f.o), idx);
+  QueryEngine engine(std::move(f.g), std::move(f.o), IndexOptions{});
   QueryOptions options;
   options.theta = 0.9;
   options.k = 0;
@@ -90,13 +88,13 @@ TEST(IntegrationTest, DynamicGraphScenario) {
   // Delete rose->blue: one fewer match; index repaired incrementally.
   ASSERT_TRUE(engine.ApplyUpdate(
       GraphUpdate::Delete(rose, f.blue, sim_rel)));
-  EXPECT_TRUE(engine.index().Validate());
+  EXPECT_TRUE(test::IndexMatchesRebuild(engine));
   EXPECT_EQ(engine.Query(query, options).matches.size(), 2u);
 
   // Delete olive->violet (the Example VI.1 edge): still 2 matches, blocks
   // re-coarsen.
   ASSERT_TRUE(engine.ApplyUpdate(GraphUpdate::Delete(olive, violet, sim_rel)));
-  EXPECT_TRUE(engine.index().Validate());
+  EXPECT_TRUE(test::IndexMatchesRebuild(engine));
   EXPECT_EQ(engine.Query(query, options).matches.size(), 2u);
 }
 
@@ -118,10 +116,9 @@ TEST(IntegrationTest, GeneratedScenarioSmoke) {
   }
   ASSERT_FALSE(queries.empty());
 
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
-  EXPECT_TRUE(engine.index().Validate());
+  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptions{});
+  EXPECT_TRUE(test::IndexMatchesRebuild(engine));
 
   QueryOptions options;
   options.theta = 0.81;

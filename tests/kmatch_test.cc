@@ -47,10 +47,7 @@ void ExpectSameAsSubIso(const Graph& query, const Graph& target,
 }
 
 OntologyIndex BuildTravelIndex(const test::TravelFixture& f) {
-  IndexOptions options;
-  options.beta = 0.81;
-  options.num_concept_graphs = 2;
-  return OntologyIndex::Build(f.g, f.o, options);
+  return OntologyIndex::Build(f.g, f.o, IndexOptions{});
 }
 
 // Paper Example II.2: the best match maps museum->RG, tourists->CT,

@@ -1,8 +1,10 @@
 // End-to-end differential check of incremental index maintenance
 // (DESIGN.md §E8, "incremental ≡ batch"): drive a randomized mixed
-// insert/delete/add-node stream through incIdx on one graph while
-// mirroring every mutation onto a twin graph, and periodically assert
-// that the incrementally maintained index answers a generated query
+// insert/delete/add-node stream through one graph — repairing both the
+// serving index and the paper's concept graphs (incIdx) after each
+// update — while mirroring every mutation onto a twin graph, and
+// periodically assert that the maintained concept graphs still validate
+// and that the maintained serving index answers a generated query
 // workload *identically* to an index batch-rebuilt from scratch over the
 // twin.  The index is defined by what it answers, so query equivalence —
 // not structural equality — is the correctness contract (incIdx may
@@ -17,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "concept/concept_index.h"
 #include "core/filtering.h"
 #include "core/index_maintenance.h"
 #include "core/kmatch.h"
@@ -50,9 +53,10 @@ std::vector<LabelId> EdgeLabelUniverse(const Graph& g) {
 }
 
 // Runs one seeded stream: `steps` random updates applied incrementally to
-// (graph, index) and mirrored onto `twin`; every `check_every` steps the
-// full workload is answered by both the maintained index and a batch
-// rebuild and compared match-for-match.
+// (graph, serving index, concept index) and mirrored onto `twin`; every
+// `check_every` steps the concept graphs are validated and the full
+// workload is answered by both the maintained index and a batch rebuild
+// and compared match-for-match.
 void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   gen::ScenarioParams p;
   p.scale = 400;
@@ -61,11 +65,10 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   Graph twin = ds.graph;
 
   IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  OntologyIndex inc =
-      OntologyIndex::BuildWithConceptGraphs(ds.graph, ds.ontology, idx);
-  ASSERT_EQ(inc.num_concept_graphs(), 2u);
-  ASSERT_TRUE(inc.Validate());
+  OntologyIndex inc = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  ConceptIndex concepts = ConceptIndex::Build(ds.graph, ds.ontology, idx, {});
+  ASSERT_EQ(concepts.num_concept_graphs(), 2u);
+  ASSERT_TRUE(concepts.Validate());
 
   std::vector<Graph> queries = MakeWorkload(ds, 4, stream_seed + 1);
   ASSERT_FALSE(queries.empty());
@@ -87,6 +90,7 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
       LabelId label = ds.graph.NodeLabel(
           static_cast<NodeId>(rng.Index(ds.graph.num_nodes())));
       NodeId inc_id = AddNodeWithIndex(&ds.graph, &inc, label);
+      concepts.RegisterNewNode(inc_id);
       NodeId twin_id = twin.AddNode(label);
       ASSERT_EQ(inc_id, twin_id);
       continue;
@@ -104,6 +108,7 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
       update = GraphUpdate::Insert(u, v, labels[rng.Index(labels.size())]);
     }
     bool inc_applied = ApplyUpdate(&ds.graph, &inc, update);
+    if (inc_applied) concepts.RepairAfterUpdate(update);
     bool twin_applied =
         update.kind == GraphUpdate::Kind::kInsertEdge
             ? twin.AddEdge(update.edge.from, update.edge.to,
@@ -114,10 +119,9 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
     if (inc_applied) ++applied;
 
     if (step % kCheckEvery != 0 && step != kSteps) continue;
-    ASSERT_TRUE(inc.Validate()) << "step " << step;
+    ASSERT_TRUE(concepts.Validate()) << "step " << step;
     ASSERT_TRUE(ds.graph.CheckConsistency()) << "step " << step;
-    OntologyIndex batch =
-        OntologyIndex::BuildWithConceptGraphs(twin, ds.ontology, idx);
+    OntologyIndex batch = OntologyIndex::Build(twin, ds.ontology, idx);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       FilterResult inc_filter = GviewFilter(inc, queries[qi], options);
       FilterResult batch_filter = GviewFilter(batch, queries[qi], options);

@@ -1,6 +1,13 @@
+// Both indexes: the serving index (OntologyIndex: similarity plus the
+// candidate index) and the paper's ontology index I of concept graphs
+// (ConceptIndex, §IV-A OntoIdx).
+
 #include "core/ontology_index.h"
 
+#include <utility>
+
 #include <gtest/gtest.h>
+#include "concept/concept_index.h"
 #include "gen/synthetic.h"
 #include "test_util.h"
 
@@ -9,39 +16,31 @@ namespace {
 
 TEST(OntologyIndexTest, BuildsRequestedNumberOfConceptGraphs) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
+  ConceptIndexOptions options;
   options.num_concept_graphs = 3;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  ConceptIndex index = ConceptIndex::Build(f.g, f.o, IndexOptions{}, options);
   EXPECT_EQ(index.num_concept_graphs(), 3u);
   EXPECT_TRUE(index.Validate());
 }
 
-// The serving index holds the candidate index alone: no concept graph,
-// zero build stats, nothing to validate or maintain beyond the signatures.
+// The serving index holds the candidate index alone: no concept graph and
+// zero build stats.
 TEST(OntologyIndexTest, BuildMakesNoConceptGraph) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 3;
   IndexBuildStats stats;
   stats.total_blocks = 7;
-  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options, &stats);
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{}, &stats);
   EXPECT_EQ(index.num_concept_graphs(), 0u);
-  EXPECT_EQ(index.TotalSize(), 0u);
   EXPECT_EQ(stats.total_blocks, 0u);
   EXPECT_TRUE(stats.per_graph.empty());
   EXPECT_EQ(index.candidate_index().num_nodes(), f.g.num_nodes());
-  EXPECT_EQ(index.candidate_index().num_graphs(), 0u);
-  EXPECT_TRUE(index.Validate());
 }
 
 TEST(OntologyIndexTest, StatsReported) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
   IndexBuildStats stats;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options, &stats);
+  ConceptIndex index =
+      ConceptIndex::Build(f.g, f.o, IndexOptions{}, {}, &stats);
   EXPECT_EQ(stats.per_graph.size(), 2u);
   EXPECT_GT(stats.total_blocks, 0u);
   size_t sum = 0;
@@ -54,36 +53,32 @@ TEST(OntologyIndexTest, SimilarityBaseRespected) {
   test::TravelFixture f = test::MakeTravelFixture();
   IndexOptions options;
   options.similarity_base = 0.8;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, options);
   EXPECT_DOUBLE_EQ(index.sim().base(), 0.8);
 }
 
 TEST(OntologyIndexTest, EachBlockCoversItsMembers) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.beta = 0.81;
-  options.num_concept_graphs = 2;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, options);
+  ConceptIndex index = ConceptIndex::Build(f.g, f.o, IndexOptions{}, {});
+  SimilarityFunction sim = MakeSimilarity(IndexOptions{});
   ASSERT_EQ(index.num_concept_graphs(), 2u);
   for (size_t i = 0; i < index.num_concept_graphs(); ++i) {
     const ConceptGraph& cg = index.concept_graph(i);
     for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
-      EXPECT_TRUE(index.sim().AtLeast(f.o, f.g.NodeLabel(v),
-                                      cg.BlockLabel(cg.BlockOf(v)), 0.81));
+      EXPECT_TRUE(sim.AtLeast(f.o, f.g.NodeLabel(v),
+                              cg.BlockLabel(cg.BlockOf(v)), 0.81));
     }
   }
 }
 
 TEST(OntologyIndexTest, DistinctSeedsProduceDistinctIndexes) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions a;
+  ConceptIndexOptions a;
   a.seed = 1;
-  IndexOptions b;
+  ConceptIndexOptions b;
   b.seed = 99;
-  OntologyIndex ia = OntologyIndex::BuildWithConceptGraphs(f.g, f.o, a);
-  OntologyIndex ib = OntologyIndex::BuildWithConceptGraphs(f.g, f.o, b);
+  ConceptIndex ia = ConceptIndex::Build(f.g, f.o, IndexOptions{}, a);
+  ConceptIndex ib = ConceptIndex::Build(f.g, f.o, IndexOptions{}, b);
   // Both valid regardless of the concept label sets drawn.
   EXPECT_TRUE(ia.Validate());
   EXPECT_TRUE(ib.Validate());
@@ -91,11 +86,14 @@ TEST(OntologyIndexTest, DistinctSeedsProduceDistinctIndexes) {
 
 TEST(OntologyIndexTest, MoveKeepsPointersValid) {
   test::TravelFixture f = test::MakeTravelFixture();
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(f.g, f.o, IndexOptions{});
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
   OntologyIndex moved = std::move(index);
-  EXPECT_TRUE(moved.Validate());
   EXPECT_EQ(&moved.data_graph(), &f.g);
+  EXPECT_EQ(moved.candidate_index().num_nodes(), f.g.num_nodes());
+  ConceptIndex concepts = ConceptIndex::Build(f.g, f.o, IndexOptions{}, {});
+  ConceptIndex moved_concepts = std::move(concepts);
+  EXPECT_TRUE(moved_concepts.Validate());
+  EXPECT_EQ(&moved_concepts.concept_graph(0).data_graph(), &f.g);
 }
 
 TEST(OntologyIndexTest, SyntheticGraphIndexValidates) {
@@ -108,11 +106,8 @@ TEST(OntologyIndexTest, SyntheticGraphIndexValidates) {
   gen::SyntheticOntologyParams op;
   op.num_labels = 40;
   OntologyGraph o = gen::MakeTaxonomyOntology(op, &dict);
-  IndexOptions options;
-  options.num_concept_graphs = 2;
   IndexBuildStats stats;
-  OntologyIndex index =
-      OntologyIndex::BuildWithConceptGraphs(g, o, options, &stats);
+  ConceptIndex index = ConceptIndex::Build(g, o, IndexOptions{}, {}, &stats);
   EXPECT_TRUE(index.Validate());
   // Refinement can only refine: block count between #concepts and #nodes.
   for (const auto& s : stats.per_graph) {

@@ -8,7 +8,7 @@
 #   * `query --snapshot` and plain `query` print the same match lines;
 #   * a pattern that is not weakly connected exits 2 with "weakly
 #     connected" on stderr, as QueryEngine::Query rejects it;
-#   * bad numeric flag values (`bench --reps 0`, `--n 0`, `--k abc`,
+#   * bad numeric flag values (`bench --reps 0`, `stats --n 0`, `--k abc`,
 #     `--theta abc`, `--theta 1.5`) exit 2 with the flag named on stderr.
 set -euo pipefail
 
@@ -56,7 +56,7 @@ bad_flag() {
 echo "$pattern" > queries.txt
 bad_flag reps bench --graph g.txt --ontology o.txt --queries queries.txt \
   --reps 0
-bad_flag n query --graph g.txt --ontology o.txt --pattern "$pattern" --n 0
+bad_flag n stats --graph g.txt --ontology o.txt --n 0
 bad_flag k query --snapshot engine.snp --pattern "$pattern" --k abc
 bad_flag theta query --snapshot engine.snp --pattern "$pattern" --theta abc
 bad_flag theta query --snapshot engine.snp --pattern "$pattern" --theta 1.5

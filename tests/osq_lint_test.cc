@@ -268,8 +268,9 @@ TEST(OsqLintFixtureTest, CleanLockOrder) {
 
 TEST(OsqLintFixtureTest, BadLayering) {
   std::vector<Violation> core = LintFixture("bad_layering_core.cc");
-  EXPECT_EQ(CountRule(core, "osq-layering"), 2u);  // serve + shard includes
-  EXPECT_EQ(core.size(), 2u);
+  // serve + shard + concept includes
+  EXPECT_EQ(CountRule(core, "osq-layering"), 3u);
+  EXPECT_EQ(core.size(), 3u);
   std::vector<Violation> ingest = LintFixture("bad_layering_ingest.cc");
   EXPECT_EQ(CountRule(ingest, "osq-layering"), 1u);  // bypasses update_sink
   EXPECT_EQ(ingest.size(), 1u);

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "concept/concept_index.h"
 #include "core/filtering.h"
 #include "core/kmatch.h"
 #include "core/ontology_index.h"
@@ -48,9 +49,8 @@ TEST(ParallelDeterminismTest, EndToEndQueryMatchesAcrossThreadCounts) {
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   std::vector<Graph> queries = MakeQueries(ds, 5, 23);
 
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology), idx);
+  QueryEngine engine(std::move(ds.graph), std::move(ds.ontology),
+                     IndexOptions{});
 
   // Reference: the sequential path.
   QueryOptions options;
@@ -128,9 +128,8 @@ TEST(ParallelDeterminismTest, AllMatchesModeIsThreadCountInvariant) {
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   std::vector<Graph> queries = MakeQueries(ds, 3, 77);
 
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  OntologyIndex index =
+      OntologyIndex::Build(ds.graph, ds.ontology, IndexOptions{});
 
   QueryOptions options;
   options.theta = 0.9;
@@ -191,11 +190,13 @@ TEST(ParallelDeterminismTest, IndexBuildIsThreadCountInvariant) {
   std::vector<Graph> queries = MakeQueries(ds, 3, 31);
 
   IndexOptions idx;
-  idx.num_concept_graphs = 3;
+  ConceptIndexOptions cidx;
+  cidx.num_concept_graphs = 3;
+  OntologyIndex reference = OntologyIndex::Build(ds.graph, ds.ontology, idx);
   IndexBuildStats ref_stats;
-  OntologyIndex reference =
-      OntologyIndex::Build(ds.graph, ds.ontology, idx, &ref_stats);
-  ASSERT_TRUE(reference.Validate());
+  ConceptIndex ref_concepts =
+      ConceptIndex::Build(ds.graph, ds.ontology, idx, cidx, &ref_stats);
+  ASSERT_TRUE(ref_concepts.Validate());
 
   QueryOptions options;
   options.theta = 0.85;
@@ -208,11 +209,15 @@ TEST(ParallelDeterminismTest, IndexBuildIsThreadCountInvariant) {
 
   for (size_t threads : kThreadCounts) {
     idx.num_threads = threads;
+    OntologyIndex index = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+    EXPECT_TRUE(index.candidate_index() == reference.candidate_index())
+        << "threads=" << threads;
+    // The paper's index builds its concept graphs in parallel too.
     IndexBuildStats stats;
-    OntologyIndex index =
-        OntologyIndex::Build(ds.graph, ds.ontology, idx, &stats);
-    ASSERT_TRUE(index.Validate());
-    EXPECT_EQ(index.TotalSize(), reference.TotalSize())
+    ConceptIndex concepts =
+        ConceptIndex::Build(ds.graph, ds.ontology, idx, cidx, &stats);
+    ASSERT_TRUE(concepts.Validate());
+    EXPECT_EQ(concepts.TotalSize(), ref_concepts.TotalSize())
         << "threads=" << threads;
     EXPECT_EQ(stats.total_blocks, ref_stats.total_blocks);
     EXPECT_EQ(stats.total_splits, ref_stats.total_splits);

@@ -7,7 +7,8 @@
 //       (Prop. 4.2) and ranks identically.
 //   P2  theta == 1  =>  engine results == plain SubIso.
 //   P3  Incrementally maintained index == batch-rebuilt index (query
-//       equivalence) under random update streams, with Validate() green.
+//       equivalence) under random update streams, with the paper's concept
+//       graphs, repaired by the same stream, Validate()-green.
 //   P4  Monotonicity: lowering theta never loses a match.
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "baseline/simmatrix.h"
 #include "baseline/subiso.h"
 #include "common/rng.h"
+#include "concept/concept_index.h"
 #include "core/filtering.h"
 #include "core/index_maintenance.h"
 #include "core/kmatch.h"
@@ -83,11 +85,7 @@ TEST_P(CrossCheckTest, EngineAgreesWithBothBaselines) {
                                  : MatchSemantics::kHomomorphicEdges;
   RandomWorld w = MakeWorld(seed);
   SimilarityFunction sim(0.9);
-  IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  idx.seed = seed;
-  OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
-  ASSERT_TRUE(index.Validate());
+  OntologyIndex index = OntologyIndex::Build(w.g, w.o, IndexOptions{});
 
   for (const Graph& q : MakeQueries(w, seed + 100, 5, 3)) {
     QueryOptions options;
@@ -117,9 +115,7 @@ class ThetaOneTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ThetaOneTest, EngineEqualsSubIsoAtThetaOne) {
   uint64_t seed = GetParam();
   RandomWorld w = MakeWorld(seed);
-  IndexOptions idx;
-  idx.seed = seed;
-  OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
+  OntologyIndex index = OntologyIndex::Build(w.g, w.o, IndexOptions{});
   Rng rng(seed + 7);
   gen::QueryGenParams qp;
   qp.num_nodes = 3;
@@ -148,9 +144,10 @@ TEST_P(MaintenanceEquivalenceTest, IncrementalEqualsBatch) {
   uint64_t seed = GetParam();
   RandomWorld w = MakeWorld(seed, 80, 200, 15);
   IndexOptions idx;
-  idx.num_concept_graphs = 2;
-  idx.seed = seed;
   OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
+  ConceptIndexOptions cidx;
+  cidx.seed = seed;
+  ConceptIndex concepts = ConceptIndex::Build(w.g, w.o, idx, cidx);
   std::vector<Graph> queries = MakeQueries(w, seed + 50, 3, 3);
 
   Rng rng(seed + 9);
@@ -161,8 +158,8 @@ TEST_P(MaintenanceEquivalenceTest, IncrementalEqualsBatch) {
     LabelId el = static_cast<LabelId>(rng.Index(2));
     GraphUpdate upd = rng.Bernoulli(0.6) ? GraphUpdate::Insert(u, v, el)
                                          : GraphUpdate::Delete(u, v, el);
-    ApplyUpdate(&w.g, &index, upd);
-    ASSERT_TRUE(index.Validate()) << "step " << step;
+    if (ApplyUpdate(&w.g, &index, upd)) concepts.RepairAfterUpdate(upd);
+    ASSERT_TRUE(concepts.Validate()) << "step " << step;
   }
 
   // Query-equivalence against a batch rebuild on the updated graph.
@@ -187,9 +184,7 @@ class MonotonicityTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MonotonicityTest, LoweringThetaNeverLosesMatches) {
   uint64_t seed = GetParam();
   RandomWorld w = MakeWorld(seed);
-  IndexOptions idx;
-  idx.seed = seed;
-  OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
+  OntologyIndex index = OntologyIndex::Build(w.g, w.o, IndexOptions{});
   for (const Graph& q : MakeQueries(w, seed + 31, 4, 3)) {
     std::set<std::pair<std::vector<NodeId>, int64_t>> prev;
     for (double theta : {1.0, 0.9, 0.81, 0.729}) {
@@ -219,12 +214,9 @@ TEST_P(ModelCrossCheckTest, AllModelsAgreeAcrossAlgorithms) {
   int model = GetParam();
   RandomWorld w = MakeWorld(500 + model);
   IndexOptions idx;
-  idx.num_concept_graphs = 2;
   idx.similarity_model = static_cast<SimilarityModel>(model);
   idx.similarity_cutoff = 3;
-  idx.beta = 0.5;  // meaningful radius under all three models
   OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
-  ASSERT_TRUE(index.Validate());
   SimilarityFunction sim = MakeSimilarity(idx);
 
   for (const Graph& q : MakeQueries(w, 600 + model, 4, 3)) {

@@ -67,9 +67,7 @@ TEST(QueryEngineTest, RejectsDisconnectedQuery) {
 
 TEST(QueryEngineTest, BuildStatsPopulated) {
   test::TravelFixture f = test::MakeTravelFixture();
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  QueryEngine engine = MakeTravelEngine(&f, options);
+  QueryEngine engine = MakeTravelEngine(&f, IndexOptions{});
   // The engine's index builds no concept graph (OntologyIndex::Build).
   EXPECT_TRUE(engine.build_stats().per_graph.empty());
   EXPECT_EQ(engine.build_stats().total_blocks, 0u);
@@ -114,9 +112,7 @@ TEST(QueryEngineTest, MoveAssignedEngineQueriesAndUpdates) {
 
   // The target starts as a different engine whose graphs die on assign.
   test::ColorFixture f2 = test::MakeColorFixture();
-  IndexOptions color_options;
-  color_options.num_concept_graphs = 1;
-  QueryEngine target(std::move(f2.g), std::move(f2.o), color_options);
+  QueryEngine target(std::move(f2.g), std::move(f2.o), IndexOptions{});
 
   target = std::move(source);
   EXPECT_EQ(&target.index().data_graph(), &target.graph());
@@ -135,7 +131,7 @@ TEST(QueryEngineTest, MoveAssignedEngineQueriesAndUpdates) {
   ASSERT_TRUE(target.ApplyUpdate(GraphUpdate::Insert(ct, hp, fav)));
   ASSERT_TRUE(target.ApplyUpdate(GraphUpdate::Insert(hp, rg, near)));
   EXPECT_EQ(target.Query(query, options).matches.size(), 2u);
-  EXPECT_TRUE(target.index().Validate());
+  EXPECT_TRUE(test::IndexMatchesRebuild(target));
   EXPECT_EQ(target.version(), 2u);
 }
 
@@ -188,12 +184,12 @@ TEST(QueryEngineTest, DynamicUpdateChangesResults) {
   ASSERT_TRUE(engine.ApplyUpdate(GraphUpdate::Insert(hp, rg, near)));
   QueryResult r = engine.Query(query, options);
   ASSERT_EQ(r.matches.size(), 2u);
-  EXPECT_TRUE(engine.index().Validate());
+  EXPECT_TRUE(test::IndexMatchesRebuild(engine));
 
   // Retract one edge: back to a single match.
   ASSERT_TRUE(engine.ApplyUpdate(GraphUpdate::Delete(hp, rg, near)));
   EXPECT_EQ(engine.Query(query, options).matches.size(), 1u);
-  EXPECT_TRUE(engine.index().Validate());
+  EXPECT_TRUE(test::IndexMatchesRebuild(engine));
 }
 
 TEST(QueryEngineTest, AddNodeThenConnect) {
@@ -216,7 +212,7 @@ TEST(QueryEngineTest, AddNodeThenConnect) {
   ASSERT_TRUE(engine.ApplyUpdate(GraphUpdate::Insert(v, rg, near)));
   QueryResult r = engine.Query(query, options);
   EXPECT_EQ(r.matches.size(), 2u);
-  EXPECT_TRUE(engine.index().Validate());
+  EXPECT_TRUE(test::IndexMatchesRebuild(engine));
 }
 
 TEST(QueryEngineTest, ThetaSweepMonotoneMatchCounts) {

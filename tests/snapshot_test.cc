@@ -20,14 +20,10 @@ std::string TempPath(const std::string& name) {
   return testing::TempDir() + "/" + name;
 }
 
-// Builds the travel engine and its dictionary (copies of the fixture's
-// graphs so the fixture stays usable for queries).  Its index is the
-// paper's, with two concept graphs, so that the snapshot carries
-// concept-graph state.
-QueryEngine MakeTravelEngine(test::TravelFixture* f) {
-  IndexOptions options;
-  options.num_concept_graphs = 2;
-  return test::EngineWithConceptGraphs(f->g, f->o, options);
+// Builds the travel engine over copies of the fixture's graphs, so the
+// fixture stays usable for queries.
+QueryEngine MakeTravelEngine(const test::TravelFixture& f) {
+  return QueryEngine(f.g, f.o, IndexOptions{});
 }
 
 // Two graphs describe the same data graph: same nodes, labels, and exact
@@ -48,29 +44,10 @@ void ExpectSameGraph(const Graph& a, const Graph& b) {
   }
 }
 
-// The loaded index must be *verbatim* the saved one — not merely the same
-// partition up to block renaming, but identical block ids, labels, and
-// candidate signatures (the snapshot adopts state, it does not rebuild).
-void ExpectSameIndex(const OntologyIndex& a, const OntologyIndex& b,
-                     const Graph& g) {
-  ASSERT_EQ(a.num_concept_graphs(), b.num_concept_graphs());
-  EXPECT_EQ(a.TotalSize(), b.TotalSize());
-  for (size_t i = 0; i < a.num_concept_graphs(); ++i) {
-    const ConceptGraph& ca = a.concept_graph(i);
-    const ConceptGraph& cb = b.concept_graph(i);
-    EXPECT_EQ(ca.concept_labels(), cb.concept_labels());
-    ASSERT_EQ(ca.block_capacity(), cb.block_capacity());
-    EXPECT_EQ(ca.num_blocks(), cb.num_blocks());
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      EXPECT_EQ(ca.BlockOf(v), cb.BlockOf(v));
-    }
-    for (BlockId blk = 0; blk < ca.block_capacity(); ++blk) {
-      ASSERT_EQ(ca.IsAlive(blk), cb.IsAlive(blk));
-      if (!ca.IsAlive(blk)) continue;
-      EXPECT_EQ(ca.BlockLabel(blk), cb.BlockLabel(blk));
-      EXPECT_EQ(ca.Members(blk), cb.Members(blk));
-    }
-  }
+// The loaded index must be *verbatim* the saved one: identical candidate
+// signatures and label lists (the snapshot adopts state, it does not
+// rebuild).
+void ExpectSameIndex(const OntologyIndex& a, const OntologyIndex& b) {
   EXPECT_TRUE(a.candidate_index() == b.candidate_index());
 }
 
@@ -97,19 +74,13 @@ void ExpectRoundTrip(const QueryEngine& engine, const LabelDictionary& dict,
   ExpectSameGraph(engine.graph(), loaded->graph());
   EXPECT_TRUE(loaded->graph().is_snapshot_backed());
   EXPECT_TRUE(loaded->graph().CheckConsistency());
-  ASSERT_TRUE(loaded->index().Validate());
-  ExpectSameIndex(engine.index(), loaded->index(), engine.graph());
+  ExpectSameIndex(engine.index(), loaded->index());
 
   const IndexOptions& want = engine.index().options();
   const IndexOptions& got = loaded->index().options();
   EXPECT_EQ(got.similarity_model, want.similarity_model);
   EXPECT_EQ(got.similarity_base, want.similarity_base);
   EXPECT_EQ(got.similarity_cutoff, want.similarity_cutoff);
-  EXPECT_EQ(got.beta, want.beta);
-  EXPECT_EQ(got.num_concept_graphs, want.num_concept_graphs);
-  EXPECT_EQ(got.num_clusters, want.num_clusters);
-  EXPECT_EQ(got.seed, want.seed);
-  EXPECT_EQ(got.edge_label_aware, want.edge_label_aware);
   EXPECT_EQ(loaded->index().sim().model(), engine.index().sim().model());
   EXPECT_EQ(loaded->index().sim().cutoff(), engine.index().sim().cutoff());
 }
@@ -118,8 +89,7 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
   {
     SCOPED_TRACE("travel fixture, default options");
     test::TravelFixture f = test::MakeTravelFixture();
-    QueryEngine engine = MakeTravelEngine(&f);
-    ASSERT_EQ(engine.index().num_concept_graphs(), 2u);
+    QueryEngine engine = MakeTravelEngine(f);
     ExpectRoundTrip(engine, f.dict, TempPath("osq_snapshot_roundtrip.snp"));
   }
   {
@@ -129,13 +99,7 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
     options.similarity_model = SimilarityModel::kLinear;
     options.similarity_base = 0.8;
     options.similarity_cutoff = 3;
-    options.beta = 0.6;
-    options.num_concept_graphs = 3;
-    options.num_clusters = 4;
-    options.seed = 7;
-    options.edge_label_aware = true;
-    QueryEngine engine = test::EngineWithConceptGraphs(f.g, f.o, options);
-    ASSERT_EQ(engine.index().num_concept_graphs(), 3u);
+    QueryEngine engine(f.g, f.o, options);
     ExpectRoundTrip(engine, f.dict, TempPath("osq_snapshot_options.snp"));
   }
   {
@@ -152,16 +116,14 @@ TEST(SnapshotTest, RoundTripPreservesEverything) {
     OntologyGraph o;
     o.AddRelation(royal, tours);
     o.AddRelation(tours, pct);
-    IndexOptions options;
-    options.num_concept_graphs = 2;
-    QueryEngine engine(std::move(g), std::move(o), options);
+    QueryEngine engine(std::move(g), std::move(o), IndexOptions{});
     ExpectRoundTrip(engine, dict, TempPath("osq_snapshot_labels.snp"));
   }
 }
 
 TEST(SnapshotTest, LoadedEngineAnswersQueriesIdentically) {
   test::TravelFixture f = test::MakeTravelFixture();
-  QueryEngine engine = MakeTravelEngine(&f);
+  QueryEngine engine = MakeTravelEngine(f);
   const std::string path = TempPath("osq_snapshot_queries.snp");
   ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
 
@@ -181,12 +143,11 @@ TEST(SnapshotTest, LoadedEngineAnswersQueriesIdentically) {
 }
 
 TEST(SnapshotTest, MaintenanceAfterLoadMatchesNeverSaved) {
-  // The differential that justifies storing ConceptGraph state verbatim:
-  // the same update stream applied to a reloaded engine and to one that
-  // was never saved must produce identical indexes and identical answers.
+  // The differential that justifies storing the signatures verbatim: the
+  // same update stream applied to a reloaded engine and to one that was
+  // never saved must produce identical indexes and identical answers.
   test::TravelFixture f = test::MakeTravelFixture();
-  QueryEngine engine = MakeTravelEngine(&f);
-  ASSERT_EQ(engine.index().num_concept_graphs(), 2u);
+  QueryEngine engine = MakeTravelEngine(f);
   const std::string path = TempPath("osq_snapshot_maintenance.snp");
   ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
 
@@ -205,9 +166,8 @@ TEST(SnapshotTest, MaintenanceAfterLoadMatchesNeverSaved) {
   EXPECT_EQ(sa.applied, sb.applied);
   EXPECT_EQ(sa.skipped, sb.skipped);
 
-  ASSERT_TRUE(loaded->index().Validate());
   ExpectSameGraph(engine.graph(), loaded->graph());
-  ExpectSameIndex(engine.index(), loaded->index(), engine.graph());
+  ExpectSameIndex(engine.index(), loaded->index());
 
   QueryOptions qopts;
   qopts.theta = 0.81;
@@ -217,53 +177,38 @@ TEST(SnapshotTest, MaintenanceAfterLoadMatchesNeverSaved) {
   EXPECT_EQ(ra.matches, rb.matches);
 }
 
-// Generated data with edge-label-aware, linear-similarity options, saved
-// twice: the serving engine (no concept graph, the empty concept-graph
-// section) and an engine over the paper's index (two graphs of hundreds of
-// blocks each).
+// Generated data with linear-similarity options.
 TEST(SnapshotTest, RoundTripOnGeneratedDataset) {
   gen::ScenarioParams p;
   p.scale = 400;
   gen::Dataset ds = gen::MakeCrossDomainLike(p);
   IndexOptions options;
-  options.num_concept_graphs = 2;
-  options.edge_label_aware = true;
   options.similarity_model = SimilarityModel::kLinear;
   options.similarity_cutoff = 3;
-  for (bool with_graphs : {false, true}) {
-    SCOPED_TRACE(with_graphs ? "paper's index" : "serving index");
-    QueryEngine engine =
-        with_graphs
-            ? test::EngineWithConceptGraphs(ds.graph, ds.ontology, options)
-            : QueryEngine(ds.graph, ds.ontology, options);
-    ASSERT_EQ(engine.index().num_concept_graphs(), with_graphs ? 2u : 0u);
+  QueryEngine engine(ds.graph, ds.ontology, options);
+  const std::string path = TempPath("osq_snapshot_generated.snp");
+  ASSERT_TRUE(SaveEngineSnapshot(engine, ds.dict, path).ok());
 
-    const std::string path = TempPath("osq_snapshot_generated.snp");
-    ASSERT_TRUE(SaveEngineSnapshot(engine, ds.dict, path).ok());
+  LabelDictionary dict;
+  std::unique_ptr<QueryEngine> loaded;
+  SnapshotLoadStats stats;
+  ASSERT_TRUE(LoadEngineSnapshot(path, &dict, &loaded, &stats).ok());
+  EXPECT_EQ(loaded->index().options().similarity_model,
+            SimilarityModel::kLinear);
+  ExpectSameGraph(engine.graph(), loaded->graph());
+  ExpectSameIndex(engine.index(), loaded->index());
 
-    LabelDictionary dict;
-    std::unique_ptr<QueryEngine> loaded;
-    SnapshotLoadStats stats;
-    ASSERT_TRUE(LoadEngineSnapshot(path, &dict, &loaded, &stats).ok());
-    ASSERT_TRUE(loaded->index().Validate());
-    EXPECT_TRUE(loaded->index().options().edge_label_aware);
-    EXPECT_EQ(loaded->index().options().similarity_model,
-              SimilarityModel::kLinear);
-    ExpectSameGraph(engine.graph(), loaded->graph());
-    ExpectSameIndex(engine.index(), loaded->index(), engine.graph());
-
-    gen::QueryGenParams qp;
-    Rng rng(7);
-    QueryOptions qopts;
-    qopts.theta = 0.8;
-    for (int i = 0; i < 4; ++i) {
-      Graph q = gen::ExtractQuery(ds.graph, ds.ontology, qp, &rng);
-      if (q.num_nodes() == 0) continue;
-      QueryResult ra = engine.Query(q, qopts);
-      QueryResult rb = loaded->Query(q, qopts);
-      EXPECT_EQ(ra.status.ok(), rb.status.ok());
-      EXPECT_EQ(ra.matches, rb.matches);
-    }
+  gen::QueryGenParams qp;
+  Rng rng(7);
+  QueryOptions qopts;
+  qopts.theta = 0.8;
+  for (int i = 0; i < 4; ++i) {
+    Graph q = gen::ExtractQuery(ds.graph, ds.ontology, qp, &rng);
+    if (q.num_nodes() == 0) continue;
+    QueryResult ra = engine.Query(q, qopts);
+    QueryResult rb = loaded->Query(q, qopts);
+    EXPECT_EQ(ra.status.ok(), rb.status.ok());
+    EXPECT_EQ(ra.matches, rb.matches);
   }
 }
 
@@ -272,7 +217,7 @@ TEST(SnapshotTest, EngineMoveAfterLoadKeepsAnswering) {
   // the anchor along and rebind the index (regression guard for the
   // zero-copy pointer fixup).
   test::TravelFixture f = test::MakeTravelFixture();
-  QueryEngine engine = MakeTravelEngine(&f);
+  QueryEngine engine = MakeTravelEngine(f);
   const std::string path = TempPath("osq_snapshot_move.snp");
   ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
 
@@ -291,7 +236,7 @@ TEST(SnapshotTest, EngineMoveAfterLoadKeepsAnswering) {
 
 TEST(SnapshotTest, PrePopulatedDictionaryMustAgree) {
   test::TravelFixture f = test::MakeTravelFixture();
-  QueryEngine engine = MakeTravelEngine(&f);
+  QueryEngine engine = MakeTravelEngine(f);
   const std::string path = TempPath("osq_snapshot_dict.snp");
   ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
 

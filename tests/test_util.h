@@ -18,7 +18,6 @@
 #define OSQ_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -167,16 +166,12 @@ inline std::set<std::pair<std::vector<NodeId>, int64_t>> Canon(
   return out;
 }
 
-// A QueryEngine over the paper's index (OntologyIndex::
-// BuildWithConceptGraphs), for tests of concept-graph structure and repair
-// through the engine; the engine's own constructor builds none.
-inline QueryEngine EngineWithConceptGraphs(Graph g, OntologyGraph o,
-                                           const IndexOptions& options) {
-  g.Freeze();
-  auto index = std::make_unique<OntologyIndex>(
-      OntologyIndex::BuildWithConceptGraphs(g, o, options));
-  return QueryEngine::FromPrebuilt(std::move(g), std::move(o),
-                                   std::move(index));
+// True when the engine's incrementally maintained candidate index equals
+// one rebuilt from its current graph — the serving index's invariant under
+// maintenance.
+inline bool IndexMatchesRebuild(const QueryEngine& engine) {
+  return engine.index().candidate_index() ==
+         CandidateIndex::Build(engine.graph(), /*num_threads=*/1);
 }
 
 }  // namespace test

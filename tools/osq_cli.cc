@@ -3,22 +3,24 @@
 //   osq_cli generate --type crossdomain --scale 5000 --seed 7
 //           --graph g.txt --ontology o.txt
 //   osq_cli snapshot --graph g.txt --ontology o.txt --out engine.snp
-//           [--threads N]
-//           (build the engine, save it as a binary v2 snapshot)
+//           [--base 0.9] [--threads N]
+//           (build the engine, save it as a binary snapshot)
 //   osq_cli query    --graph g.txt --ontology o.txt
 //           --pattern '(t:tourists)-[guide]->(m:museum)'
 //           [--theta 0.9] [--k 10] [--explain]
-//           [--semantics induced|homomorphic] [--threads N]
+//           [--semantics induced|homomorphic] [--base 0.9] [--threads N]
 //           [--deadline-ms 0]
 //   osq_cli query    --snapshot engine.snp --pattern ...
 //           (cold start from the binary snapshot; no text parsing,
 //            no index build)
 //   osq_cli bench    --graph g.txt --ontology o.txt --queries q.txt
-//           [--theta 0.9] [--k 10] [--reps 3] [--threads N]
+//           [--theta 0.9] [--k 10] [--reps 3] [--base 0.9] [--threads N]
 //   osq_cli stats    --graph g.txt --ontology o.txt
 //           [--beta 0.81] [--n 2] [--seed 42] [--edge-label-aware 1]
+//           [--base 0.9] [--threads N]
 //           (graph and ontology sizes, and the paper's index of --n
-//            concept graphs; the engine itself builds no concept graph)
+//            concept graphs, a ConceptIndex; the engine builds none, so
+//            only stats reads --beta, --n, --seed and --edge-label-aware)
 //
 // `query` and `bench` evaluate every pattern through QueryEngine::Query,
 // so a pattern the engine rejects (e.g. one that is not weakly
@@ -31,6 +33,7 @@
 // Concurrent serving, caching and live ingest are measured by servebench
 // (`python3 servebench/run.py`), not by this tool.
 //
+// --base is the exponential similarity's base, sim = base^distance.
 // Count flags take whole decimal numbers, --n and --reps at least 1.
 // Real-valued flags take finite decimal numbers: --theta and --beta in
 // (0, 1], --base in (0, 1), --deadline-ms >= 0.
@@ -50,6 +53,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "concept/concept_index.h"
 #include "core/explain.h"
 #include "core/query_engine.h"
 #include "core/snapshot.h"
@@ -226,15 +230,21 @@ int LoadDataset(const FlagMap& flags, gen::Dataset* ds) {
 
 IndexOptions IndexOptionsFromFlags(const FlagMap& flags) {
   IndexOptions idx;
-  idx.beta = GetDouble(flags, "beta", idx.beta, kUnitOpenClosed);
-  idx.num_concept_graphs =
-      GetSize(flags, "n", idx.num_concept_graphs, /*min=*/1);
-  idx.seed = GetSize(flags, "seed", idx.seed);
   idx.similarity_base =
       GetDouble(flags, "base", idx.similarity_base, kUnitOpen);
-  idx.edge_label_aware = GetFlag(flags, "edge-label-aware", "0") == "1";
   idx.num_threads = GetSize(flags, "threads", idx.num_threads);
   return idx;
+}
+
+// The paper's index options; only `stats` builds that index.
+ConceptIndexOptions ConceptIndexOptionsFromFlags(const FlagMap& flags) {
+  ConceptIndexOptions cidx;
+  cidx.beta = GetDouble(flags, "beta", cidx.beta, kUnitOpenClosed);
+  cidx.num_concept_graphs =
+      GetSize(flags, "n", cidx.num_concept_graphs, /*min=*/1);
+  cidx.seed = GetSize(flags, "seed", cidx.seed);
+  cidx.edge_label_aware = GetFlag(flags, "edge-label-aware", "0") == "1";
+  return cidx;
 }
 
 int CmdSnapshot(const FlagMap& flags) {
@@ -251,10 +261,8 @@ int CmdSnapshot(const FlagMap& flags) {
   double build_ms = timer.ElapsedMillis();
   Status s = SaveEngineSnapshot(engine, ds.dict, out_path);
   if (!s.ok()) return Fail(s);
-  std::printf("built engine in %.1f ms (%zu concept graphs, |I|=%zu); "
-              "wrote %s\n",
-              build_ms, engine.index().num_concept_graphs(),
-              engine.index().TotalSize(), out_path.c_str());
+  std::printf("built engine in %.1f ms; wrote %s\n", build_ms,
+              out_path.c_str());
   return 0;
 }
 
@@ -407,11 +415,11 @@ int CmdStats(const FlagMap& flags) {
   std::printf("ontology: %zu concepts, %zu relations\n",
               ds.ontology.num_labels(), ds.ontology.num_relations());
   std::printf("labels:   %zu distinct strings interned\n", ds.dict.size());
-  IndexOptions idx = IndexOptionsFromFlags(flags);
   WallTimer timer;
   IndexBuildStats stats;
-  OntologyIndex index = OntologyIndex::BuildWithConceptGraphs(
-      ds.graph, ds.ontology, idx, &stats);
+  ConceptIndex index =
+      ConceptIndex::Build(ds.graph, ds.ontology, IndexOptionsFromFlags(flags),
+                          ConceptIndexOptionsFromFlags(flags), &stats);
   std::printf("index:    %zu concept graphs, %zu blocks, |I|=%zu "
               "(built in %.1f ms)\n",
               index.num_concept_graphs(), stats.total_blocks,

@@ -66,8 +66,13 @@
 //                          (tier 0) <- serve <- shard; ingest may depend on
 //                          the serving tiers only through the update_sink
 //                          bridge (update_sink.{h,cc}), and nothing outside
-//                          src/ingest may include ingest headers.  Fails on
-//                          back-edges so the PR 9 decoupling cannot erode.
+//                          src/ingest may include ingest headers.  concept
+//                          (the paper's concept graphs and ConceptIndex)
+//                          may include tier 0 but is in no tier itself, so
+//                          no other src/ module may include it: only the
+//                          paper harnesses, osq_cli and tests, outside
+//                          src/, build it.  Fails on back-edges so the
+//                          module decoupling cannot erode.
 //
 // Suppression: a finding on a line is suppressed by a comment on the same
 // line `NOLINT(osq-<rule>): <justification>` or the previous line

@@ -861,7 +861,7 @@ void LintLayering(const std::string& path, const std::string& content,
   static const std::set<std::string> kTier0 = {
       "baseline", "common", "core", "gen", "graph", "ontology", "query"};
   static const std::set<std::string> kAll = {
-      "baseline", "common", "core",  "gen",   "graph",
+      "baseline", "common", "concept", "core",  "gen",   "graph",
       "ingest",   "ontology", "query", "serve", "shard"};
   std::string stem = path;
   size_t slash = stem.find_last_of('/');
@@ -905,7 +905,8 @@ void LintLayering(const std::string& path, const std::string& content,
                   "module '" + cls.module + "' must not include '" + inc +
                       "' (tier order: common/graph/ontology/core/query <- "
                       "serve <- shard; ingest bridges to the serving tiers "
-                      "only via update_sink.{h,cc})");
+                      "only via update_sink.{h,cc}; concept sits beside the "
+                      "serving tiers and nothing in src/ includes it)");
             }
           }
         }

@@ -571,9 +571,10 @@ class Linter {
 
 // The src/ modules osq-layering knows about; anything else (system headers,
 // gtest, tools/) is outside the layering DAG.
-const char* const kModules[] = {"baseline", "common",   "core",  "gen",
-                                "graph",    "ingest",   "ontology",
-                                "query",    "serve",    "shard"};
+const char* const kModules[] = {"baseline", "common",   "concept", "core",
+                                "gen",      "graph",    "ingest",
+                                "ontology", "query",    "serve",
+                                "shard"};
 
 std::string ModuleOf(const std::string& path, const std::string& stem) {
   for (const char* mod : kModules) {

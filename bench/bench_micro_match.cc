@@ -7,7 +7,6 @@
 // --threads sets QueryOptions::num_threads for the filter/verify kernels;
 // --json writes {name, ms_per_query, threads} rows (e.g. BENCH_match.json).
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +31,7 @@ size_t g_threads = 1;  // set from --threads in main
 
 struct World {
   gen::Dataset ds;
-  std::unique_ptr<OntologyIndex> index;
+  OntologyIndex index;
   std::vector<Graph> queries;
 };
 
@@ -72,14 +71,18 @@ std::vector<Graph> MakeStarQueries(const Graph& g, size_t want) {
   return out;
 }
 
+// A dataset and the serving index over its own copy of the graph.
+World* NewWorld(gen::Dataset ds) {
+  OntologyIndex index =
+      OntologyIndex::Build(ds.graph, ds.ontology, IndexOptions{});
+  return new World{std::move(ds), std::move(index), {}};
+}
+
 World* MakeWorld() {
-  auto* w = new World();
   gen::ScenarioParams p;
   p.scale = 8000;
   p.seed = 13;
-  w->ds = gen::MakeCrossDomainLike(p);
-  w->index = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(w->ds.graph, w->ds.ontology, IndexOptions{}));
+  World* w = NewWorld(gen::MakeCrossDomainLike(p));
   Rng rng(17);
   gen::QueryGenParams qp;
   qp.num_nodes = 4;
@@ -100,13 +103,10 @@ World& TheWorld() {
 // refinement blocks coarse, so star queries pass block aggregates and the
 // pruning falls to the node-level signature check.
 World* MakeStarWorld() {
-  auto* w = new World();
   gen::ScenarioParams p;
   p.scale = 8000;
   p.seed = 13;
-  w->ds = gen::MakeCatalogLike(p);
-  w->index = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(w->ds.graph, w->ds.ontology, IndexOptions{}));
+  World* w = NewWorld(gen::MakeCatalogLike(p));
   w->queries = MakeStarQueries(w->ds.graph, 8);
   return w;
 }
@@ -125,7 +125,7 @@ std::vector<std::pair<std::string, double>> FilterStatExtras(const World& w) {
   options.num_threads = g_threads;
   FilterStats sum;
   for (const Graph& q : w.queries) {
-    FilterResult r = GviewFilter(*w.index, q, options);
+    FilterResult r = GviewFilter(w.index, q, options);
     sum.pruned_nodes += r.stats.pruned_nodes;
     sum.sig_node_rejections += r.stats.sig_node_rejections;
     sum.seed_visits += r.stats.seed_visits;
@@ -148,7 +148,7 @@ void BM_GviewFilter(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        GviewFilter(*w.index, w.queries[i % w.queries.size()], options));
+        GviewFilter(w.index, w.queries[i % w.queries.size()], options));
     ++i;
   }
 }
@@ -168,7 +168,7 @@ void BM_GviewFilterHighDegree(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        GviewFilter(*w.index, w.queries[i % w.queries.size()], options));
+        GviewFilter(w.index, w.queries[i % w.queries.size()], options));
     ++i;
   }
 }
@@ -184,7 +184,7 @@ std::vector<std::pair<std::string, double>> VerifyStatExtras(const World& w) {
   KMatchStats sum;
   for (const Graph& q : w.queries) {
     KMatchStats stats;
-    FilterResult filter = GviewFilter(*w.index, q, options);
+    FilterResult filter = GviewFilter(w.index, q, options);
     benchmark::DoNotOptimize(KMatch(q, filter, options, &stats));
     sum.search_steps += stats.search_steps;
     sum.candidate_checks += stats.candidate_checks;
@@ -201,7 +201,7 @@ void BM_KMatchVerify(benchmark::State& state) {
   options.num_threads = g_threads;
   std::vector<FilterResult> filters;
   for (const Graph& q : w.queries) {
-    filters.push_back(GviewFilter(*w.index, q, options));
+    filters.push_back(GviewFilter(w.index, q, options));
   }
   size_t i = 0;
   for (auto _ : state) {
@@ -223,7 +223,7 @@ void BM_FilterVerifyEndToEnd(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     size_t j = i % w.queries.size();
-    FilterResult filter = GviewFilter(*w.index, w.queries[j], options);
+    FilterResult filter = GviewFilter(w.index, w.queries[j], options);
     benchmark::DoNotOptimize(KMatch(w.queries[j], filter, options));
     ++i;
   }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build → fast tests → slow tests → TSan → UBSan
-# → ASan+LSan → lint.
+# Tier-1 verification gate: build → fast tests → slow tests → servebench
+# smoke → TSan → UBSan → ASan+LSan → lint.
 #
 # - The primary build runs with OSQ_WERROR=ON: the warning floor in
 #   CMakeLists.txt (-Wall -Wextra -Wshadow -Wextra-semi -Wnon-virtual-dtor
@@ -11,6 +11,9 @@
 #   the option after it, so `-j -LE slow` would silently run everything.
 #   Every `cmake --build -j` takes "$(nproc)" too: with the Makefile
 #   generator a bare -j starts an unlimited number of compile jobs.
+# - The servebench smoke stage builds the serving benchmark
+#   (servebench/run.py, into build-servebench/) and runs each of its three
+#   workloads for 1 s; it fails unless every answer matched the oracle.
 # - TSan (OSQ_SANITIZE=thread) re-runs the concurrency tests so data races
 #   in the parallel pipelines and serving layer fail the gate.
 # - UBSan (OSQ_SANITIZE=undefined) runs the whole suite, slow tests
@@ -43,6 +46,15 @@ ctest --test-dir build --output-on-failure -j "$(nproc)" -LE slow
 
 echo "== tier-1: ctest (slow suite: differential + stress) =="
 ctest --test-dir build --output-on-failure -j "$(nproc)" -L slow
+
+echo "== tier-1: servebench smoke (build + 1 s per workload, oracle-checked) =="
+# servebench compiles against the library's public API; a 1 s run per
+# workload exits non-zero on a failed build, a failed request or any
+# answer that differs from the single-engine oracle.
+for workload in cd_filter community_churn community_shard; do
+  CARGO_TARGET_DIR=build-servebench python3 servebench/run.py \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
 
 echo "== tier-1: concurrency tests under ThreadSanitizer =="
 cmake -B build-tsan -S . -DOSQ_SANITIZE=thread -DOSQ_WERROR=ON \

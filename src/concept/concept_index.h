@@ -19,9 +19,12 @@
 // back.  The cost is measured in AFF — the number of blocks touched —
 // matching the paper's O(|AFF|^2 + |I|) bound rather than the size of G.
 // The hooks take the update after the data graph already reflects it, so
-// one update stream can drive this index and the serving index:
+// one update stream can drive this index and the serving index, which
+// owns the graph:
 //
-//   if (ApplyUpdate(&g, &serving, u, &stats)) {
+//   ConceptIndex concepts = ConceptIndex::Build(
+//       serving.data_graph(), serving.ontology(), index_options, options);
+//   if (ApplyUpdate(&serving, u, &stats)) {
 //     concepts.RepairAfterUpdate(u, &stats);
 //   }
 

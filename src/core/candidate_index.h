@@ -140,7 +140,7 @@ class CandidateIndex {
     return SignaturePasses(node_sigs_[v], req);
   }
 
-  // --- Incremental maintenance (driven by OntologyIndex) -----------------
+  // --- Incremental maintenance (core/index_maintenance.h) ----------------
   // Recomputes both endpoint signatures after an edge insertion/deletion;
   // the data graph must already reflect the change.
   void OnEdgeChanged(const Graph& g, NodeId from, NodeId to);

@@ -7,7 +7,7 @@
 #include "common/timer.h"
 #include "core/filtering.h"
 #include "core/kmatch.h"
-#include "graph/query_graph.h"
+#include "core/query_engine.h"
 
 namespace osq {
 
@@ -28,13 +28,18 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
   out << "data:  " << g.num_nodes() << " nodes, " << g.num_edges()
       << " edges\n";
 
-  // GviewFilter requires a valid query graph: report a rejected query the
-  // way QueryEngine::Query does, without running the pipeline.
-  Status valid = ValidateQuery(query);
+  // The request contract of QueryEngine::Query: a request it rejects is
+  // reported with its status, without running the pipeline.
+  Status valid = ValidateQueryRequest(query, options);
   if (!valid.ok()) {
     out << "rejected: " << valid.ToString() << "\n";
     return out.str();
   }
+  // One control block for the whole run, as in QueryEngine::Query: the
+  // filter and the verification share the deadline and the cancel token.
+  ExecControl exec;
+  exec.deadline = Deadline::AfterMillis(options.deadline_ms);
+  exec.cancel = options.cancel;
   out << "\n";
 
   // Candidate labels per query node.
@@ -62,18 +67,30 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
         << " occur in the data graph\n";
   }
 
+  // A stop that is already due buys no work, as in QueryEngine::Query.
+  if (StopReason due = exec.Check(); due != StopReason::kNone) {
+    out << "\nstopped before filtering: " << StopReasonName(due) << "\n";
+    return out.str();
+  }
+
   // Filtering.
   WallTimer timer;
-  FilterResult filter = GviewFilter(index, query, options);
+  FilterResult filter = GviewFilter(index, query, options, &exec);
   double filter_ms = timer.ElapsedMillis();
-  out << "\nfiltering (Gview): " << filter_ms << " ms\n";
+  out << "\nfiltering (Gview): " << filter_ms << " ms";
+  if (filter.stats.stopped != StopReason::kNone) {
+    out << " [" << StopReasonName(filter.stats.stopped) << "]";
+  }
+  out << "\n";
   out << "  signature pruning: node rejections="
       << filter.stats.sig_node_rejections
       << "; refinement pruned nodes=" << filter.stats.pruned_nodes << "\n";
   out << "  work: seed visits=" << filter.stats.seed_visits
       << ", fixpoint checks=" << filter.stats.fixpoint_checks << "\n";
   if (filter.no_match) {
-    out << "  => no match possible: Q(G) is empty (Prop. 4.2)\n";
+    out << (filter.stats.stopped == StopReason::kNone
+                ? "  => no match possible: Q(G) is empty (Prop. 4.2)\n"
+                : "  => stopped early: a partial answer, not a proof\n");
     return out.str();
   }
   out << "  G_v: " << filter.stats.gv_nodes << " nodes, "
@@ -102,12 +119,15 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
   // Verification.
   timer.Restart();
   KMatchStats stats;
-  std::vector<Match> matches = KMatch(query, filter, options, &stats);
+  std::vector<Match> matches =
+      KMatch(query, filter, options, &stats, &exec);
   double verify_ms = timer.ElapsedMillis();
   out << "\nverification (KMatch): " << verify_ms << " ms; "
       << stats.search_steps << " search steps, " << stats.candidate_checks
       << " candidate checks, " << stats.matches_found
-      << " matches found" << (stats.truncated ? " (truncated)" : "") << "\n";
+      << " matches found" << (stats.truncated ? " (truncated)" : "") << "; "
+      << StopReasonName(MergeStopReason(filter.stats.stopped, stats.stopped))
+      << "\n";
   size_t listed = std::min(matches.size(), eopts.max_listed);
   for (size_t i = 0; i < listed; ++i) {
     out << "  #" << (i + 1) << " score=" << matches[i].score << " ";

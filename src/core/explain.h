@@ -22,8 +22,11 @@ struct ExplainOptions {
 };
 
 // Runs the full filter + verify pipeline for `query` and renders a report;
-// a query that ValidateQuery rejects is reported with its status instead.
-// Does not mutate anything; safe on any valid engine state.
+// a request that ValidateQueryRequest rejects is reported with its status
+// instead.  The run honours options.deadline_ms and options.cancel as
+// QueryEngine::Query does, and the verification line names the stop
+// reason ("complete" when the answer is exact).  Does not mutate
+// anything; safe on any valid engine state.
 std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
                          const QueryOptions& options,
                          const LabelDictionary& dict,

@@ -84,6 +84,23 @@ struct FilterStats {
   // no sound candidate sets, so the result is no_match — a partial answer
   // flagged by this field, never a proof that Q(G) is empty.
   StopReason stopped = StopReason::kNone;
+
+  // Sums the counters and merges the stop reasons (the sharded tier's
+  // merge, shard/sharded_query_service.cc).
+  FilterStats& operator+=(const FilterStats& other) {
+    initial_blocks += other.initial_blocks;
+    pruned_blocks += other.pruned_blocks;
+    sig_block_rejections += other.sig_block_rejections;
+    pruned_nodes += other.pruned_nodes;
+    sig_node_rejections += other.sig_node_rejections;
+    seed_visits += other.seed_visits;
+    fixpoint_checks += other.fixpoint_checks;
+    pivot_restricted_nodes += other.pivot_restricted_nodes;
+    gv_nodes += other.gv_nodes;
+    gv_edges += other.gv_edges;
+    stopped = MergeStopReason(stopped, other.stopped);
+    return *this;
+  }
 };
 
 // One data-node candidate for a query node, with its exact similarity.

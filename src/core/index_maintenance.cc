@@ -12,33 +12,32 @@ bool ApplyToGraph(Graph* g, const GraphUpdate& update) {
   return g->RemoveEdge(e.from, e.to, e.label);
 }
 
-bool ApplyUpdate(Graph* g, OntologyIndex* index, const GraphUpdate& update,
+bool ApplyUpdate(OntologyIndex* index, const GraphUpdate& update,
                  MaintenanceStats* stats) {
-  OSQ_CHECK(g != nullptr && index != nullptr);
-  OSQ_CHECK(g == &index->data_graph());
-  if (!ApplyToGraph(g, update)) {
+  OSQ_CHECK(index != nullptr);
+  if (!ApplyToGraph(&index->g_, update)) {
     if (stats != nullptr) ++stats->skipped;
     return false;
   }
-  index->RepairCandidateIndexAfterEdge(update.edge.from, update.edge.to);
+  index->candidate_index_.OnEdgeChanged(index->g_, update.edge.from,
+                                        update.edge.to);
   if (stats != nullptr) ++stats->applied;
   return true;
 }
 
-MaintenanceStats ApplyUpdates(Graph* g, OntologyIndex* index,
+MaintenanceStats ApplyUpdates(OntologyIndex* index,
                               const std::vector<GraphUpdate>& updates) {
   MaintenanceStats stats;
   for (const GraphUpdate& u : updates) {
-    ApplyUpdate(g, index, u, &stats);
+    ApplyUpdate(index, u, &stats);
   }
   return stats;
 }
 
-NodeId AddNodeWithIndex(Graph* g, OntologyIndex* index, LabelId label) {
-  OSQ_CHECK(g != nullptr && index != nullptr);
-  OSQ_CHECK(g == &index->data_graph());
-  NodeId v = g->AddNode(label);
-  index->RegisterNodeInCandidateIndex(v);
+NodeId AddNodeWithIndex(OntologyIndex* index, LabelId label) {
+  OSQ_CHECK(index != nullptr);
+  NodeId v = index->g_.AddNode(label);
+  index->candidate_index_.OnNodeAdded(index->g_, v);
   return v;
 }
 

@@ -6,8 +6,9 @@
 // (§VI) is ConceptIndex::RepairAfterUpdate (concept/concept_index.h); it
 // takes the same GraphUpdate once the graph reflects it.
 //
-// Protocol: these functions mutate BOTH the data graph and the index; the
-// graph passed must be the exact graph instance the index was built over.
+// The index owns its data graph (core/ontology_index.h), so these functions
+// take the index alone and change the graph and the candidate index
+// together; nothing else mutates an index's graph.
 
 #ifndef OSQ_CORE_INDEX_MAINTENANCE_H_
 #define OSQ_CORE_INDEX_MAINTENANCE_H_
@@ -62,17 +63,19 @@ struct MaintenanceStats {
 // no-op (duplicate insertion / missing deletion).
 bool ApplyToGraph(Graph* g, const GraphUpdate& update);
 
-// Applies one update; returns false (and leaves everything unchanged) when
-// the update is a no-op (duplicate insertion / missing deletion).
-bool ApplyUpdate(Graph* g, OntologyIndex* index, const GraphUpdate& update,
+// Applies one update to the index's data graph and repairs the candidate
+// index; returns false (and leaves everything unchanged) when the update
+// is a no-op (duplicate insertion / missing deletion).
+bool ApplyUpdate(OntologyIndex* index, const GraphUpdate& update,
                  MaintenanceStats* stats = nullptr);
 
 // Applies a batch of updates in order.
-MaintenanceStats ApplyUpdates(Graph* g, OntologyIndex* index,
+MaintenanceStats ApplyUpdates(OntologyIndex* index,
                               const std::vector<GraphUpdate>& updates);
 
-// Adds a node to the graph and registers it with the candidate index.
-NodeId AddNodeWithIndex(Graph* g, OntologyIndex* index, LabelId label);
+// Adds a node to the index's data graph and registers it with the
+// candidate index.
+NodeId AddNodeWithIndex(OntologyIndex* index, LabelId label);
 
 }  // namespace osq
 

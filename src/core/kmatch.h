@@ -83,6 +83,19 @@ struct KMatchStats {
   // could never affect the output; see kmatch.cc), so search_steps /
   // matches_found may vary run to run even though results do not.
   size_t partitions_skipped = 0;
+
+  // Sums the counters and merges the stop flags (the sharded tier's
+  // merge, shard/sharded_query_service.cc).
+  KMatchStats& operator+=(const KMatchStats& other) {
+    search_steps += other.search_steps;
+    matches_found += other.matches_found;
+    candidate_checks += other.candidate_checks;
+    truncated = truncated || other.truncated;
+    stopped = MergeStopReason(stopped, other.stopped);
+    root_partitions += other.root_partitions;
+    partitions_skipped += other.partitions_skipped;
+    return *this;
+  }
 };
 
 // Enumerates the top-K matches of `query` inside the filter result

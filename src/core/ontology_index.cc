@@ -16,40 +16,30 @@ SimilarityFunction MakeSimilarity(const IndexOptions& options) {
   return SimilarityFunction::Exponential(options.similarity_base);
 }
 
-OntologyIndex OntologyIndex::Build(const Graph& g, const OntologyGraph& o,
+OntologyIndex::OntologyIndex(Graph g, OntologyGraph o,
+                             const IndexOptions& options,
+                             CandidateIndex candidate_index)
+    : g_(std::move(g)),
+      o_(std::move(o)),
+      sim_(MakeSimilarity(options)),
+      options_(options),
+      candidate_index_(std::move(candidate_index)) {}
+
+OntologyIndex OntologyIndex::Build(Graph g, OntologyGraph o,
                                    const IndexOptions& options,
                                    IndexBuildStats* stats) {
   if (stats != nullptr) {
     *stats = IndexBuildStats();
   }
-  return FromLoadedParts(g, o, options,
-                         CandidateIndex::Build(g, options.num_threads));
+  CandidateIndex candidates = CandidateIndex::Build(g, options.num_threads);
+  return FromParts(std::move(g), std::move(o), options, std::move(candidates));
 }
 
-OntologyIndex OntologyIndex::FromLoadedParts(const Graph& g,
-                                             const OntologyGraph& o,
-                                             const IndexOptions& options,
-                                             CandidateIndex candidate_index) {
-  OntologyIndex index;
-  index.g_ = &g;
-  index.o_ = &o;
-  index.sim_ = MakeSimilarity(options);
-  index.options_ = options;
-  index.candidate_index_ = std::move(candidate_index);
-  return index;
-}
-
-void OntologyIndex::RepairCandidateIndexAfterEdge(NodeId from, NodeId to) {
-  candidate_index_.OnEdgeChanged(*g_, from, to);
-}
-
-void OntologyIndex::RegisterNodeInCandidateIndex(NodeId v) {
-  candidate_index_.OnNodeAdded(*g_, v);
-}
-
-void OntologyIndex::Rebind(const Graph* g, const OntologyGraph* o) {
-  g_ = g;
-  o_ = o;
+OntologyIndex OntologyIndex::FromParts(Graph g, OntologyGraph o,
+                                       const IndexOptions& options,
+                                       CandidateIndex candidate_index) {
+  return OntologyIndex(std::move(g), std::move(o), options,
+                       std::move(candidate_index));
 }
 
 }  // namespace osq

@@ -1,9 +1,14 @@
-// The serving index: the borrowed data graph and ontology, the similarity
-// function, and the candidate-pruning index Gview seeds and prunes through
-// (candidate_index.h).  The paper's ontology index I = {G_o1, ..., G_oN}
-// (§IV-A, OntoIdx) is a separate structure, concept/concept_index.h: Gview's
-// answer does not depend on the concept graphs, and measured they only
-// slowed it (DESIGN.md §3), so nothing on the serving path builds them.
+// The serving index, sole owner of the serving state: the data graph and
+// ontology it indexes, the similarity function, and the candidate-pruning
+// index Gview seeds and prunes through (candidate_index.h), all by value.
+// A copy is an independent index over its own graph.  The graph changes
+// only through the maintenance API (core/index_maintenance.h), which
+// repairs the candidate index in step.
+//
+// The paper's ontology index I = {G_o1, ..., G_oN} (§IV-A, OntoIdx) is a
+// separate structure, concept/concept_index.h: Gview's answer does not
+// depend on the concept graphs, and measured they only slowed it
+// (DESIGN.md §3), so nothing on the serving path builds them.
 
 #ifndef OSQ_CORE_ONTOLOGY_INDEX_H_
 #define OSQ_CORE_ONTOLOGY_INDEX_H_
@@ -18,6 +23,9 @@
 #include "ontology/similarity.h"
 
 namespace osq {
+
+struct GraphUpdate;
+struct MaintenanceStats;
 
 // Construction / maintenance statistics of one concept graph, filled by
 // the paper's index (concept/concept_index.h).
@@ -42,32 +50,26 @@ SimilarityFunction MakeSimilarity(const IndexOptions& options);
 
 class OntologyIndex {
  public:
-  // Builds the serving index.  `g` and `o` are borrowed and must outlive
-  // the index; `g` may later be mutated only through the maintenance API.
+  // Builds the serving index over `g` and `o`, which it takes over.
   // options.num_threads > 1 computes the node signatures in parallel; the
   // resulting index is identical for every thread count.  `stats` is
   // zeroed: the serving index builds no concept graph.
-  static OntologyIndex Build(const Graph& g, const OntologyGraph& o,
+  static OntologyIndex Build(Graph g, OntologyGraph o,
                              const IndexOptions& options,
                              IndexBuildStats* stats = nullptr);
 
-  // Reassembles an index from an already-restored candidate index — the
-  // binary snapshot path (core/snapshot.h), where skipping the signature
-  // rebuild is most of the cold-start win.  `candidate_index` must have
-  // been exported from an index over the same `g`.
-  static OntologyIndex FromLoadedParts(const Graph& g, const OntologyGraph& o,
-                                       const IndexOptions& options,
-                                       CandidateIndex candidate_index);
-
-  OntologyIndex(OntologyIndex&&) = default;
-  OntologyIndex& operator=(OntologyIndex&&) = default;
-  OntologyIndex(const OntologyIndex&) = default;
-  OntologyIndex& operator=(const OntologyIndex&) = default;
+  // Assembles an index from its parts without recomputing the candidate
+  // index — the binary snapshot path (core/snapshot.h), where skipping the
+  // signature rebuild is most of the cold-start win.  `candidate_index`
+  // must describe exactly `g`.
+  static OntologyIndex FromParts(Graph g, OntologyGraph o,
+                                 const IndexOptions& options,
+                                 CandidateIndex candidate_index);
 
   const IndexOptions& options() const { return options_; }
   const SimilarityFunction& sim() const { return sim_; }
-  const Graph& data_graph() const { return *g_; }
-  const OntologyGraph& ontology() const { return *o_; }
+  const Graph& data_graph() const { return g_; }
+  const OntologyGraph& ontology() const { return o_; }
 
   // Always 0: the serving index has no concept graph.  servebench's
   // index.blocks_per_node reads it.
@@ -83,25 +85,18 @@ class OntologyIndex {
     return !candidate_index_.NodesWithLabel(label).empty();
   }
 
-  // Maintenance hooks for the candidate index, called by ApplyUpdate /
-  // AddNodeWithIndex AFTER the data graph reflects the change: recompute
-  // the endpoint node signatures (resp. append the new node's signature
-  // and label-list entry).
-  void RepairCandidateIndexAfterEdge(NodeId from, NodeId to);
-  void RegisterNodeInCandidateIndex(NodeId v);
-
-  // Re-points the borrowed data-graph / ontology pointers at relocated
-  // instances.  `g` and `o` must be the same logical graphs the index was
-  // built over — only their addresses may differ.  Called by QueryEngine's
-  // move operations after the by-value graphs relocate.
-  void Rebind(const Graph* g, const OntologyGraph* o);
-
  private:
-  OntologyIndex() = default;
+  OntologyIndex(Graph g, OntologyGraph o, const IndexOptions& options,
+                CandidateIndex candidate_index);
 
-  const Graph* g_ = nullptr;          // not owned
-  const OntologyGraph* o_ = nullptr;  // not owned
-  SimilarityFunction sim_{0.9};
+  // The maintenance API (core/index_maintenance.h).
+  friend bool ApplyUpdate(OntologyIndex* index, const GraphUpdate& update,
+                          MaintenanceStats* stats);
+  friend NodeId AddNodeWithIndex(OntologyIndex* index, LabelId label);
+
+  Graph g_;
+  OntologyGraph o_;
+  SimilarityFunction sim_;
   IndexOptions options_;
   CandidateIndex candidate_index_;
 };

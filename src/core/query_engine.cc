@@ -15,49 +15,28 @@ Status ValidateQueryRequest(const Graph& query, const QueryOptions& options) {
   return ValidateQuery(query);
 }
 
+namespace {
+
+// Compacts the data graph, so that queries read flat CSR arrays, and
+// indexes it; *ms receives the wall time of both.
+OntologyIndex FreezeAndBuild(Graph g, OntologyGraph o,
+                             const IndexOptions& options, double* ms) {
+  WallTimer timer;
+  g.Freeze();
+  OntologyIndex index =
+      OntologyIndex::Build(std::move(g), std::move(o), options);
+  *ms = timer.ElapsedMillis();
+  return index;
+}
+
+}  // namespace
+
 QueryEngine::QueryEngine(Graph g, OntologyGraph o,
                          const IndexOptions& options)
-    : graph_(std::move(g)), ontology_(std::move(o)) {
-  WallTimer timer;
-  // Compact the data graph before indexing: every query after this point
-  // reads flat CSR arrays.
-  graph_.Freeze();
-  index_ = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(graph_, ontology_, options, &build_stats_));
-  index_build_ms_ = timer.ElapsedMillis();
-}
+    : index_(FreezeAndBuild(std::move(g), std::move(o), options,
+                            &index_build_ms_)) {}
 
-QueryEngine QueryEngine::FromPrebuilt(Graph g, OntologyGraph o,
-                                      std::unique_ptr<OntologyIndex> index) {
-  QueryEngine engine;
-  engine.graph_ = std::move(g);
-  engine.ontology_ = std::move(o);
-  engine.index_ = std::move(index);
-  engine.index_->Rebind(&engine.graph_, &engine.ontology_);
-  return engine;
-}
-
-QueryEngine::QueryEngine(QueryEngine&& other) noexcept
-    : graph_(std::move(other.graph_)),
-      ontology_(std::move(other.ontology_)),
-      index_(std::move(other.index_)),
-      build_stats_(std::move(other.build_stats_)),
-      index_build_ms_(other.index_build_ms_),
-      version_(other.version_) {
-  if (index_ != nullptr) index_->Rebind(&graph_, &ontology_);
-}
-
-QueryEngine& QueryEngine::operator=(QueryEngine&& other) noexcept {
-  if (this == &other) return *this;
-  graph_ = std::move(other.graph_);
-  ontology_ = std::move(other.ontology_);
-  index_ = std::move(other.index_);
-  build_stats_ = std::move(other.build_stats_);
-  index_build_ms_ = other.index_build_ms_;
-  version_ = other.version_;
-  if (index_ != nullptr) index_->Rebind(&graph_, &ontology_);
-  return *this;
-}
+QueryEngine::QueryEngine(OntologyIndex index) : index_(std::move(index)) {}
 
 QueryResult QueryEngine::Query(const Graph& query,
                                const QueryOptions& options,
@@ -81,7 +60,7 @@ QueryResult QueryEngine::Query(const Graph& query,
   result.completeness = exec.Check();
   if (!result.complete()) return result;
   WallTimer timer;
-  FilterResult filter = GviewFilter(*index_, query, options, &exec,
+  FilterResult filter = GviewFilter(index_, query, options, &exec,
                                     inputs.restriction, inputs.sims);
   result.filter_ms = timer.ElapsedMillis();
   result.filter_stats = filter.stats;
@@ -109,21 +88,21 @@ QueryResult QueryEngine::QueryPattern(std::string_view pattern,
 
 bool QueryEngine::ApplyUpdate(const GraphUpdate& update,
                               MaintenanceStats* stats) {
-  bool applied = osq::ApplyUpdate(&graph_, index_.get(), update, stats);
+  bool applied = osq::ApplyUpdate(&index_, update, stats);
   if (applied) ++version_;
   return applied;
 }
 
 MaintenanceStats QueryEngine::ApplyUpdates(
     const std::vector<GraphUpdate>& updates) {
-  MaintenanceStats stats = osq::ApplyUpdates(&graph_, index_.get(), updates);
+  MaintenanceStats stats = osq::ApplyUpdates(&index_, updates);
   if (stats.applied > 0) ++version_;
   return stats;
 }
 
 NodeId QueryEngine::AddNode(LabelId label) {
   ++version_;
-  return AddNodeWithIndex(&graph_, index_.get(), label);
+  return AddNodeWithIndex(&index_, label);
 }
 
 }  // namespace osq

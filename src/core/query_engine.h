@@ -1,10 +1,13 @@
 // QueryEngine — the library's main entry point.
 //
-// Owns a data graph and its ontology graph, builds the ontology index once
-// (paper Fig. 4, "index construction"), and evaluates ontology-based
-// subgraph queries with the filtering-and-verification pipeline
-// (Gview + KMatch).  Supports dynamic data graphs through the incremental
-// maintenance API (paper §VI).
+// Holds the serving index by value — the index owns the data graph and
+// its ontology graph (core/ontology_index.h) — builds it once (paper
+// Fig. 4, "index construction"), and evaluates ontology-based subgraph
+// queries with the filtering-and-verification pipeline (Gview + KMatch).
+// Supports dynamic data graphs through the incremental maintenance API
+// (paper §VI).  Copies and moves are the compiler's: a move carries the
+// index and its graphs along, and a copy is an independent engine over its
+// own copy of the graphs.
 //
 // Typical use:
 //   LabelDictionary dict;
@@ -17,7 +20,6 @@
 #define OSQ_CORE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -84,24 +86,14 @@ class QueryEngine {
   // Takes ownership of the graphs; the index is built immediately.
   QueryEngine(Graph g, OntologyGraph o, const IndexOptions& options);
 
-  // Assembles an engine around an already-built index (the snapshot load
-  // path, core/snapshot.h).  `index` must have been built — or restored —
-  // over exactly these graphs; it is rebound to their new addresses here.
-  static QueryEngine FromPrebuilt(Graph g, OntologyGraph o,
-                                  std::unique_ptr<OntologyIndex> index);
+  // Serves an already-built index (the snapshot load path,
+  // core/snapshot.h).
+  explicit QueryEngine(OntologyIndex index);
 
-  QueryEngine(const QueryEngine&) = delete;
-  QueryEngine& operator=(const QueryEngine&) = delete;
-  // Moves rebind the index: the graphs live by value inside the engine,
-  // so moving relocates them, and the index's borrowed Graph* /
-  // OntologyGraph* are re-pointed at the new owner's members
-  // (OntologyIndex::Rebind).  A moved-from engine must not be queried.
-  QueryEngine(QueryEngine&& other) noexcept;
-  QueryEngine& operator=(QueryEngine&& other) noexcept;
-
-  const Graph& graph() const { return graph_; }
-  const OntologyGraph& ontology() const { return ontology_; }
-  const OntologyIndex& index() const { return *index_; }
+  // The graphs live inside the index; the engine forwards to it.
+  const Graph& graph() const { return index_.data_graph(); }
+  const OntologyGraph& ontology() const { return index_.ontology(); }
+  const OntologyIndex& index() const { return index_; }
   // All zero: the serving index builds no concept graph.  servebench's
   // index.blocks_per_node reads total_blocks.
   const IndexBuildStats& build_stats() const { return build_stats_; }
@@ -139,18 +131,10 @@ class QueryEngine {
   uint64_t version() const { return version_; }
 
  private:
-  QueryEngine() = default;  // FromPrebuilt fills the members directly
-
-  // The graphs live by value; the index (heap-allocated so its own
-  // address is move-stable) borrows raw pointers into them and is rebound
-  // by the move operations above.  Historically the graphs sat behind
-  // unique_ptrs purely so moves kept the index's aliases alive by
-  // accident; the explicit rebind repairs that dependency.
-  Graph graph_;
-  OntologyGraph ontology_;
-  std::unique_ptr<OntologyIndex> index_;
-  IndexBuildStats build_stats_;
+  // Declared before index_: the constructor's index build writes it.
   double index_build_ms_ = 0.0;
+  OntologyIndex index_;
+  IndexBuildStats build_stats_;
   uint64_t version_ = 0;
 };
 

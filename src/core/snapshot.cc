@@ -654,10 +654,8 @@ Status LoadEngineSnapshot(const std::string& path, LabelDictionary* dict,
     stats->candidate_index_ms = stage_timer.ElapsedMillis();
   }
 
-  auto index = std::make_unique<OntologyIndex>(OntologyIndex::FromLoadedParts(
-      graph, ontology, options, std::move(candidates)));
-  *out = std::make_unique<QueryEngine>(QueryEngine::FromPrebuilt(
-      std::move(graph), std::move(ontology), std::move(index)));
+  *out = std::make_unique<QueryEngine>(OntologyIndex::FromParts(
+      std::move(graph), std::move(ontology), options, std::move(candidates)));
   return Status::Ok();
 }
 

@@ -39,17 +39,13 @@ bool IngestPipeline::Submit(const GraphUpdate& update) {
       return false;
     }
     TripleKey key{update.edge.from, update.edge.to, update.edge.label};
-    if (options_.coalesce_duplicates) {
-      auto it = triple_states_.find(key);
-      if (it != triple_states_.end() && it->second.pending > 0 &&
-          it->second.last_kind == update.kind) {
-        // The last pending update on this triple already puts the edge in
-        // the state this one asks for — applying it would be a no-op.
-        ++stats_.coalesced;
-        return true;
-      }
-    }
     TripleState& state = triple_states_[key];
+    if (state.pending > 0 && state.last_kind == update.kind) {
+      // The last pending update on this triple already puts the edge in
+      // the state this one asks for — applying it would be a no-op.
+      ++stats_.coalesced;
+      return true;
+    }
     state.last_kind = update.kind;
     ++state.pending;
     pending_.push_back(Pending{update, Clock::now()});

@@ -17,8 +17,8 @@
 // rather than queueing unboundedly — callers see overload explicitly,
 // mirroring the read path's admission shed.
 //
-// Coalescing: with coalesce_duplicates on, a submitted update is dropped
-// when the LAST pending update on the same edge triple has the same kind.
+// Coalescing (always on): a submitted update is dropped when the LAST
+// pending update on the same edge triple has the same kind.
 // This is exactly the set of safe drops: graph mutations are idempotent
 // (AddEdge/RemoveEdge skip duplicates/missing edges), so back-to-back
 // same-kind updates on a triple leave the second a guaranteed no-op.  An
@@ -60,9 +60,6 @@ struct IngestOptions {
   double max_linger_ms = 2.0;
   // Backpressure bound on accepted-but-unapplied updates; 0 = unbounded.
   size_t max_pending = 8192;
-  // Drop updates that are guaranteed no-ops given the pending queue (see
-  // file comment for the exact rule and its safety argument).
-  bool coalesce_duplicates = true;
 };
 
 // Point-in-time pipeline counters (monotonic unless noted).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_set>
 
 #include "graph/graph_algorithms.h"
 
@@ -184,21 +185,23 @@ void UpdateRouter::GrowMembership(size_t shard, NodeId from, NodeId to,
   // shard graph stays exactly induced(reference, members).  Membership is
   // already final in depth[], so edges between two new members are
   // emitted once: when the *second* endpoint (in node_adds order) is
-  // processed, guarded by the emitted set below.
-  std::vector<char> added(reference_.num_nodes(), 0);
+  // processed, guarded by the emitted set below (sized by the delta, not
+  // by |V|; only probed, never iterated).
+  std::unordered_set<NodeId> added;
+  added.reserve(delta->node_adds.size());
   for (const ShardDelta::NodeAdd& add : delta->node_adds) {
     NodeId n = add.global;
     for (const AdjEntry& e : reference_.OutEdges(n)) {
       if (depth[e.node] == kUnreachable) continue;
-      if (added[e.node] != 0) continue;  // counterpart already emitted it
+      if (added.count(e.node) != 0) continue;  // counterpart emitted it
       delta->updates.push_back(GraphUpdate::Insert(n, e.node, e.label));
     }
     for (const AdjEntry& e : reference_.InEdges(n)) {
       if (depth[e.node] == kUnreachable) continue;
-      if (added[e.node] != 0) continue;
+      if (added.count(e.node) != 0) continue;
       delta->updates.push_back(GraphUpdate::Insert(e.node, n, e.label));
     }
-    added[n] = 1;
+    added.insert(n);
   }
 }
 

@@ -1,14 +1,16 @@
 #include "shard/shard_engine.h"
 
+#include <utility>
+
 #include "core/filtering.h"
 
 namespace osq {
 
-ShardEngine::ShardEngine(const ShardSpec& spec, const OntologyGraph& ontology,
+ShardEngine::ShardEngine(ShardSpec spec, const OntologyGraph& ontology,
                          const IndexOptions& index_options)
-    : engine_(spec.sub.graph, ontology, index_options),
-      to_global_(spec.members),
-      owned_(spec.owned.begin(), spec.owned.end()) {
+    : engine_(std::move(spec.sub.graph), ontology, index_options),
+      to_global_(std::move(spec.members)),
+      owned_(std::move(spec.owned)) {
   for (char o : owned_) num_owned_ += o != 0 ? 1 : 0;
   // Dense global -> local map, built once (members are ascending);
   // AddNodeGlobal extends it.

@@ -36,8 +36,10 @@ namespace osq {
 class ShardEngine {
  public:
   // Builds the shard's QueryEngine over spec.sub with the shared ontology
-  // (copied — engines own their graphs) and index options.
-  ShardEngine(const ShardSpec& spec, const OntologyGraph& ontology,
+  // and index options.  The shard graph, members and ownership flags move
+  // out of `spec` into place; the ontology is copied (every engine's index
+  // owns its graphs).
+  ShardEngine(ShardSpec spec, const OntologyGraph& ontology,
               const IndexOptions& index_options);
 
   ShardEngine(const ShardEngine&) = delete;

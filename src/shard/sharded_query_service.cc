@@ -16,23 +16,8 @@ namespace osq {
 namespace {
 
 void MergeShardStats(const QueryResult& from, QueryResult* into) {
-  into->filter_stats.pruned_nodes += from.filter_stats.pruned_nodes;
-  into->filter_stats.sig_node_rejections +=
-      from.filter_stats.sig_node_rejections;
-  into->filter_stats.gv_nodes += from.filter_stats.gv_nodes;
-  into->filter_stats.gv_edges += from.filter_stats.gv_edges;
-  into->filter_stats.stopped =
-      MergeStopReason(into->filter_stats.stopped, from.filter_stats.stopped);
-  into->verify_stats.search_steps += from.verify_stats.search_steps;
-  into->verify_stats.candidate_checks += from.verify_stats.candidate_checks;
-  into->verify_stats.matches_found += from.verify_stats.matches_found;
-  into->verify_stats.truncated =
-      into->verify_stats.truncated || from.verify_stats.truncated;
-  into->verify_stats.stopped =
-      MergeStopReason(into->verify_stats.stopped, from.verify_stats.stopped);
-  into->verify_stats.root_partitions += from.verify_stats.root_partitions;
-  into->verify_stats.partitions_skipped +=
-      from.verify_stats.partitions_skipped;
+  into->filter_stats += from.filter_stats;
+  into->verify_stats += from.verify_stats;
   into->filter_ms += from.filter_ms;
   into->verify_ms += from.verify_ms;
 }
@@ -46,11 +31,12 @@ ShardSet::ShardSet(const Graph& g, const OntologyGraph& ontology,
                GraphPartitioner(g, shard_options).Partition()) {}
 
 ShardSet::ShardSet(const Graph& g, const OntologyGraph& ontology,
-                   const IndexOptions& index_options, const ShardPlan& plan)
+                   const IndexOptions& index_options, ShardPlan plan)
     : shard_options_(plan.options), router_(g, plan) {
+  // router_ is built (in the initializer list) before the specs move out.
   shards_.reserve(plan.shards.size());
-  for (const ShardSpec& spec : plan.shards) {
-    shards_.emplace_back(spec, ontology, index_options);
+  for (ShardSpec& spec : plan.shards) {
+    shards_.emplace_back(std::move(spec), ontology, index_options);
   }
 }
 

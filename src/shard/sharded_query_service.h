@@ -97,10 +97,11 @@ class ShardSet {
   void set_fault_hook(ShardFaultHook hook) { fault_hook_ = std::move(hook); }
 
  private:
-  // Delegation target: the public constructor computes the plan once and
-  // hands it to both the shard engines and the router.
+  // Delegation target: the public constructor computes the plan once; the
+  // router copies what it needs from it, then the shard engines consume
+  // its specs.
   ShardSet(const Graph& g, const OntologyGraph& ontology,
-           const IndexOptions& index_options, const ShardPlan& plan);
+           const IndexOptions& index_options, ShardPlan plan);
 
   void ApplyDeltas(const std::vector<ShardDelta>& deltas);
 

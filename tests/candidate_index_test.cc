@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -92,30 +91,30 @@ TEST(CandidateIndexTest, RequirementAcceptsMatchesRejectsImpossible) {
   }
 }
 
-// Heap-allocated so the index's borrowed graph/ontology pointers stay
-// valid (moving the Dataset would relocate the graphs under the index).
+// A generated dataset, the serving index over its own copy of the graph,
+// and a few queries extracted from the dataset.
 struct SmallWorld {
   gen::Dataset ds;
-  std::unique_ptr<OntologyIndex> index;
+  OntologyIndex index;
   std::vector<Graph> queries;
 };
 
-std::unique_ptr<SmallWorld> MakeSmallWorld(uint64_t seed) {
-  auto w = std::make_unique<SmallWorld>();
+SmallWorld MakeSmallWorld(uint64_t seed) {
   gen::ScenarioParams p;
   p.scale = 500;
   p.seed = seed;
-  w->ds = gen::MakeCrossDomainLike(p);
-  w->index = std::make_unique<OntologyIndex>(
-      OntologyIndex::Build(w->ds.graph, w->ds.ontology, IndexOptions{}));
+  gen::Dataset ds = gen::MakeCrossDomainLike(p);
+  OntologyIndex index =
+      OntologyIndex::Build(ds.graph, ds.ontology, IndexOptions{});
+  SmallWorld w{std::move(ds), std::move(index), {}};
   Rng rng(seed + 7);
   gen::QueryGenParams qp;
   qp.num_nodes = 4;
   qp.generalize_prob = 0.5;
   size_t attempts = 0;
-  while (w->queries.size() < 6 && ++attempts < 200) {
-    Graph q = gen::ExtractQuery(w->ds.graph, w->ds.ontology, qp, &rng);
-    if (!q.empty()) w->queries.push_back(std::move(q));
+  while (w.queries.size() < 6 && ++attempts < 200) {
+    Graph q = gen::ExtractQuery(w.ds.graph, w.ds.ontology, qp, &rng);
+    if (!q.empty()) w.queries.push_back(std::move(q));
   }
   return w;
 }
@@ -132,22 +131,22 @@ std::set<NodeId> CandidateOriginals(const FilterResult& r, NodeId q) {
 // answer equals both brute-force baselines, and every node of every
 // baseline match survives into its query node's candidate list (Prop. 4.2).
 TEST(CandidateIndexTest, FilterWithIndexIsLossless) {
-  std::unique_ptr<SmallWorld> w = MakeSmallWorld(19);
-  ASSERT_FALSE(w->queries.empty());
-  const SimilarityFunction& sim = w->index->sim();
-  for (const Graph& q : w->queries) {
+  SmallWorld w = MakeSmallWorld(19);
+  ASSERT_FALSE(w.queries.empty());
+  const SimilarityFunction& sim = w.index.sim();
+  for (const Graph& q : w.queries) {
     QueryOptions options;
     options.theta = 0.85;
     options.k = 0;  // all matches — strongest equality check
 
-    FilterResult r = GviewFilter(*w->index, q, options);
+    FilterResult r = GviewFilter(w.index, q, options);
     std::vector<Match> engine =
         r.no_match ? std::vector<Match>{} : KMatch(q, r, options);
     std::vector<Match> rewrite =
-        SubIsoRewrite(q, w->ds.graph, w->ds.ontology, sim, options);
+        SubIsoRewrite(q, w.ds.graph, w.ds.ontology, sim, options);
     SimMatrix m =
-        BuildSimMatrix(q, w->ds.graph, w->ds.ontology, sim, options.theta);
-    std::vector<Match> vf2 = SimMatrixMatch(q, w->ds.graph, m, options);
+        BuildSimMatrix(q, w.ds.graph, w.ds.ontology, sim, options.theta);
+    std::vector<Match> vf2 = SimMatrixMatch(q, w.ds.graph, m, options);
     EXPECT_EQ(test::Canon(engine), test::Canon(rewrite));
     EXPECT_EQ(test::Canon(engine), test::Canon(vf2));
 
@@ -224,8 +223,8 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
 }
 
 TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
-  std::unique_ptr<SmallWorld> w = MakeSmallWorld(29);
-  Graph& g = w->ds.graph;
+  SmallWorld w = MakeSmallWorld(29);
+  const Graph& g = w.index.data_graph();
   Rng rng(31);
   std::set<LabelId> edge_labels;
   for (const EdgeTriple& e : g.EdgeList()) edge_labels.insert(e.label);
@@ -237,7 +236,7 @@ TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
     if (step % 11 == 10) {
       LabelId label =
           g.NodeLabel(static_cast<NodeId>(rng.Index(g.num_nodes())));
-      AddNodeWithIndex(&g, w->index.get(), label);
+      AddNodeWithIndex(&w.index, label);
       ++applied;
       continue;
     }
@@ -252,7 +251,7 @@ TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
       if (u == v) continue;
       update = GraphUpdate::Insert(u, v, labels[rng.Index(labels.size())]);
     }
-    if (ApplyUpdate(&g, w->index.get(), update)) ++applied;
+    if (ApplyUpdate(&w.index, update)) ++applied;
   }
   ASSERT_GT(applied, 5u);
 
@@ -261,7 +260,7 @@ TEST(CandidateIndexTest, MaintainedIndexEqualsRebuild) {
   // every vector is canonically sorted, so equality is exact, not modulo
   // ordering.
   CandidateIndex fresh = CandidateIndex::Build(g, /*num_threads=*/1);
-  EXPECT_TRUE(w->index->candidate_index() == fresh);
+  EXPECT_TRUE(w.index.candidate_index() == fresh);
 }
 
 }  // namespace

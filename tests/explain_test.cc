@@ -94,6 +94,45 @@ TEST(ExplainTest, RejectsDisconnectedQueryWithoutFiltering) {
   EXPECT_EQ(report.find("verification (KMatch)"), std::string::npos);
 }
 
+// EXPLAIN follows QueryEngine::Query's request contract: theta outside
+// (0, 1] is rejected before any filtering.
+TEST(ExplainTest, RejectsThetaOutsideUnitInterval) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
+  for (double theta : {0.0, 1.5}) {
+    QueryOptions qopts;
+    qopts.theta = theta;
+    std::string report = ExplainQuery(index, f.query, qopts, f.dict);
+    EXPECT_NE(report.find("rejected: "), std::string::npos) << theta;
+    EXPECT_NE(report.find("theta must be in (0, 1]"), std::string::npos)
+        << report;
+    EXPECT_EQ(report.find("filtering (Gview)"), std::string::npos) << theta;
+  }
+}
+
+// The run honours the request's deadline: one that has already passed
+// stops it before any filtering, and the report names the reason.
+TEST(ExplainTest, ExpiredDeadlineReportsDeadlineExceeded) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
+  QueryOptions qopts;
+  qopts.deadline_ms = 1e-6;
+  std::string report = ExplainQuery(index, f.query, qopts, f.dict);
+  EXPECT_NE(report.find("deadline_exceeded"), std::string::npos) << report;
+  EXPECT_EQ(report.find("verification (KMatch)"), std::string::npos);
+}
+
+// A run that completes says so on the verification line.
+TEST(ExplainTest, VerificationLineNamesStopReason) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});
+  QueryOptions qopts;
+  qopts.deadline_ms = 60'000.0;
+  std::string report = ExplainQuery(index, f.query, qopts, f.dict);
+  EXPECT_NE(report.find("matches found; complete"), std::string::npos)
+      << report;
+}
+
 TEST(ExplainTest, MentionsSemantics) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = OntologyIndex::Build(f.g, f.o, IndexOptions{});

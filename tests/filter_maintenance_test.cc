@@ -80,6 +80,8 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   IndexOptions idx;
   idx.num_threads = 2;  // exercise the parallel build under TSan
   OntologyIndex inc = OntologyIndex::Build(ds.graph, ds.ontology, idx);
+  // The index owns the graph the stream mutates.
+  const Graph& g = inc.data_graph();
 
   std::vector<Graph> queries = MakeWorkload(ds, 4, stream_seed + 1);
   ASSERT_FALSE(queries.empty());
@@ -92,31 +94,31 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   constexpr size_t kSteps = 60;
   constexpr size_t kCheckEvery = 20;
   Rng rng(stream_seed);
-  std::vector<LabelId> labels = EdgeLabelUniverse(ds.graph);
+  std::vector<LabelId> labels = EdgeLabelUniverse(g);
   ASSERT_FALSE(labels.empty());
 
   size_t applied = 0;
   for (size_t step = 1; step <= kSteps; ++step) {
     if (step % 17 == 0) {
-      LabelId label = ds.graph.NodeLabel(
-          static_cast<NodeId>(rng.Index(ds.graph.num_nodes())));
-      NodeId inc_id = AddNodeWithIndex(&ds.graph, &inc, label);
+      LabelId label = g.NodeLabel(
+          static_cast<NodeId>(rng.Index(g.num_nodes())));
+      NodeId inc_id = AddNodeWithIndex(&inc, label);
       NodeId twin_id = twin.AddNode(label);
       ASSERT_EQ(inc_id, twin_id);
       continue;
     }
     GraphUpdate update;
-    if (rng.Bernoulli(0.5) && ds.graph.num_edges() > 0) {
-      std::vector<EdgeTriple> edges = ds.graph.EdgeList();
+    if (rng.Bernoulli(0.5) && g.num_edges() > 0) {
+      std::vector<EdgeTriple> edges = g.EdgeList();
       EdgeTriple e = edges[rng.Index(edges.size())];
       update = GraphUpdate::Delete(e.from, e.to, e.label);
     } else {
-      NodeId u = static_cast<NodeId>(rng.Index(ds.graph.num_nodes()));
-      NodeId v = static_cast<NodeId>(rng.Index(ds.graph.num_nodes()));
+      NodeId u = static_cast<NodeId>(rng.Index(g.num_nodes()));
+      NodeId v = static_cast<NodeId>(rng.Index(g.num_nodes()));
       if (u == v) continue;
       update = GraphUpdate::Insert(u, v, labels[rng.Index(labels.size())]);
     }
-    bool inc_applied = ApplyUpdate(&ds.graph, &inc, update);
+    bool inc_applied = ApplyUpdate(&inc, update);
     bool twin_applied =
         update.kind == GraphUpdate::Kind::kInsertEdge
             ? twin.AddEdge(update.edge.from, update.edge.to,
@@ -129,7 +131,7 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
     if (step % kCheckEvery != 0 && step != kSteps) continue;
 
     // (a) Repaired signatures == fresh build over the same graph.
-    CandidateIndex fresh = CandidateIndex::Build(ds.graph, /*num_threads=*/2);
+    CandidateIndex fresh = CandidateIndex::Build(g, /*num_threads=*/2);
     ASSERT_TRUE(inc.candidate_index() == fresh)
         << "seed " << scenario_seed << "/" << stream_seed << " step "
         << step;

@@ -66,7 +66,9 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
 
   IndexOptions idx;
   OntologyIndex inc = OntologyIndex::Build(ds.graph, ds.ontology, idx);
-  ConceptIndex concepts = ConceptIndex::Build(ds.graph, ds.ontology, idx, {});
+  // The index owns the graph the stream mutates.
+  const Graph& g = inc.data_graph();
+  ConceptIndex concepts = ConceptIndex::Build(g, ds.ontology, idx, {});
   ASSERT_EQ(concepts.num_concept_graphs(), 2u);
   ASSERT_TRUE(concepts.Validate());
 
@@ -80,34 +82,34 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
   constexpr size_t kSteps = 60;
   constexpr size_t kCheckEvery = 20;
   Rng rng(stream_seed);
-  std::vector<LabelId> labels = EdgeLabelUniverse(ds.graph);
+  std::vector<LabelId> labels = EdgeLabelUniverse(g);
   ASSERT_FALSE(labels.empty());
 
   size_t applied = 0;
   for (size_t step = 1; step <= kSteps; ++step) {
     if (step % 17 == 0) {
       // Occasionally grow the node set; new nodes join later edge updates.
-      LabelId label = ds.graph.NodeLabel(
-          static_cast<NodeId>(rng.Index(ds.graph.num_nodes())));
-      NodeId inc_id = AddNodeWithIndex(&ds.graph, &inc, label);
+      LabelId label = g.NodeLabel(
+          static_cast<NodeId>(rng.Index(g.num_nodes())));
+      NodeId inc_id = AddNodeWithIndex(&inc, label);
       concepts.RegisterNewNode(inc_id);
       NodeId twin_id = twin.AddNode(label);
       ASSERT_EQ(inc_id, twin_id);
       continue;
     }
     GraphUpdate update;
-    if (rng.Bernoulli(0.5) && ds.graph.num_edges() > 0) {
+    if (rng.Bernoulli(0.5) && g.num_edges() > 0) {
       // Delete an existing edge (uniform over the current edge list).
-      std::vector<EdgeTriple> edges = ds.graph.EdgeList();
+      std::vector<EdgeTriple> edges = g.EdgeList();
       EdgeTriple e = edges[rng.Index(edges.size())];
       update = GraphUpdate::Delete(e.from, e.to, e.label);
     } else {
-      NodeId u = static_cast<NodeId>(rng.Index(ds.graph.num_nodes()));
-      NodeId v = static_cast<NodeId>(rng.Index(ds.graph.num_nodes()));
+      NodeId u = static_cast<NodeId>(rng.Index(g.num_nodes()));
+      NodeId v = static_cast<NodeId>(rng.Index(g.num_nodes()));
       if (u == v) continue;
       update = GraphUpdate::Insert(u, v, labels[rng.Index(labels.size())]);
     }
-    bool inc_applied = ApplyUpdate(&ds.graph, &inc, update);
+    bool inc_applied = ApplyUpdate(&inc, update);
     if (inc_applied) concepts.RepairAfterUpdate(update);
     bool twin_applied =
         update.kind == GraphUpdate::Kind::kInsertEdge
@@ -120,7 +122,7 @@ void RunStream(uint64_t scenario_seed, uint64_t stream_seed) {
 
     if (step % kCheckEvery != 0 && step != kSteps) continue;
     ASSERT_TRUE(concepts.Validate()) << "step " << step;
-    ASSERT_TRUE(ds.graph.CheckConsistency()) << "step " << step;
+    ASSERT_TRUE(g.CheckConsistency()) << "step " << step;
     OntologyIndex batch = OntologyIndex::Build(twin, ds.ontology, idx);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       FilterResult inc_filter = GviewFilter(inc, queries[qi], options);

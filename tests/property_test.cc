@@ -147,7 +147,8 @@ TEST_P(MaintenanceEquivalenceTest, IncrementalEqualsBatch) {
   OntologyIndex index = OntologyIndex::Build(w.g, w.o, idx);
   ConceptIndexOptions cidx;
   cidx.seed = seed;
-  ConceptIndex concepts = ConceptIndex::Build(w.g, w.o, idx, cidx);
+  ConceptIndex concepts =
+      ConceptIndex::Build(index.data_graph(), w.o, idx, cidx);
   std::vector<Graph> queries = MakeQueries(w, seed + 50, 3, 3);
 
   Rng rng(seed + 9);
@@ -158,12 +159,12 @@ TEST_P(MaintenanceEquivalenceTest, IncrementalEqualsBatch) {
     LabelId el = static_cast<LabelId>(rng.Index(2));
     GraphUpdate upd = rng.Bernoulli(0.6) ? GraphUpdate::Insert(u, v, el)
                                          : GraphUpdate::Delete(u, v, el);
-    if (ApplyUpdate(&w.g, &index, upd)) concepts.RepairAfterUpdate(upd);
+    if (ApplyUpdate(&index, upd)) concepts.RepairAfterUpdate(upd);
     ASSERT_TRUE(concepts.Validate()) << "step " << step;
   }
 
   // Query-equivalence against a batch rebuild on the updated graph.
-  OntologyIndex batch = OntologyIndex::Build(w.g, w.o, idx);
+  OntologyIndex batch = OntologyIndex::Build(index.data_graph(), w.o, idx);
   for (const Graph& q : queries) {
     QueryOptions options;
     options.theta = 0.81;

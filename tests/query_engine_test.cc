@@ -80,15 +80,14 @@ TEST(QueryEngineTest, BuildStatsPopulated) {
 TEST(QueryEngineTest, EngineIsMovable) {
   test::TravelFixture f = test::MakeTravelFixture();
   // Heap-allocate the source and destroy it *before* the moved-to engine is
-  // used: if move construction failed to rebind the index's raw
-  // Graph*/OntologyGraph* borrows, they would dangle into freed memory here
-  // rather than merely pointing at a still-alive moved-from shell.
+  // used: any state left behind in the source would dangle into freed
+  // memory here rather than merely point at a still-alive moved-from
+  // shell.
   auto engine = std::make_unique<QueryEngine>(MakeTravelEngine(&f));
   QueryEngine moved = std::move(*engine);
   engine.reset();
 
-  // The index borrows raw Graph*/OntologyGraph*; after the move they must
-  // point at the graphs the moved-to engine now owns.
+  // The engine's graphs are the ones its index owns.
   EXPECT_EQ(&moved.index().data_graph(), &moved.graph());
   EXPECT_EQ(&moved.index().ontology(), &moved.ontology());
 
@@ -100,9 +99,9 @@ TEST(QueryEngineTest, EngineIsMovable) {
 }
 
 // Regression: move-*assignment* destroys the target's old graphs and
-// adopts the source's.  The index's raw pointers must stay glued to the
-// graphs that moved in — and the maintenance path (which mutates graph
-// and index together) must keep working afterwards.
+// adopts the source's.  The engine must serve the graphs that moved in —
+// and the maintenance path (which mutates graph and index together) must
+// keep working afterwards.
 TEST(QueryEngineTest, MoveAssignedEngineQueriesAndUpdates) {
   test::TravelFixture f1 = test::MakeTravelFixture();
   Graph query = f1.query;

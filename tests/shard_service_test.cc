@@ -7,11 +7,15 @@
 #include <chrono>
 #include <cmath>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/deadline.h"
 #include "core/query_engine.h"
+#include "shard/partitioner.h"
+#include "shard/shard_engine.h"
 #include "shard/sharded_query_service.h"
 #include "test_util.h"
 
@@ -240,6 +244,62 @@ TEST(ShardedQueryServiceTest, RejectsThetaOutsideUnitInterval) {
   QueryOptions exact;
   exact.theta = 1.0;
   EXPECT_TRUE(service.Query(f.query, exact).result.status.ok());
+}
+
+// The merged QueryResult carries the sum of the shards' filter and verify
+// work counters — including pivot_restricted_nodes, which only the sharded
+// tier makes non-zero.
+TEST(ShardedQueryServiceTest, MergedStatsSumTheShards) {
+  TravelFixture f = MakeTravelFixture();
+  QueryOptions qo;
+  qo.theta = 0.81;
+  qo.k = 0;
+  ShardedQueryService service(f.g, f.o, IndexOptions{}, Shards(2));
+  ShardedServedResult served = service.Query(f.query, qo);
+  ASSERT_TRUE(served.result.status.ok());
+  ASSERT_TRUE(served.result.complete());
+
+  // The same evaluation through the shard engines directly.
+  ShardPlan plan = GraphPartitioner(f.g, Shards(2)).Partition();
+  std::vector<ShardEngine> shards;
+  for (ShardSpec& spec : plan.shards) {
+    shards.emplace_back(std::move(spec), f.o, IndexOptions{});
+  }
+  const NodeId pivot = ChoosePivot(f.query).pivot;
+  const QuerySimTables sims = shards.front().PrepareQuery(f.query, qo);
+  FilterStats filter;
+  KMatchStats verify;
+  for (const ShardEngine& shard : shards) {
+    QueryResult r = shard.Query(f.query, pivot, qo, Deadline(), &sims);
+    ASSERT_TRUE(r.status.ok());
+    filter.seed_visits += r.filter_stats.seed_visits;
+    filter.fixpoint_checks += r.filter_stats.fixpoint_checks;
+    filter.pivot_restricted_nodes += r.filter_stats.pivot_restricted_nodes;
+    filter.pruned_nodes += r.filter_stats.pruned_nodes;
+    filter.sig_node_rejections += r.filter_stats.sig_node_rejections;
+    filter.gv_nodes += r.filter_stats.gv_nodes;
+    filter.gv_edges += r.filter_stats.gv_edges;
+    verify.search_steps += r.verify_stats.search_steps;
+    verify.candidate_checks += r.verify_stats.candidate_checks;
+    verify.matches_found += r.verify_stats.matches_found;
+    verify.root_partitions += r.verify_stats.root_partitions;
+  }
+  const FilterStats& mf = served.result.filter_stats;
+  const KMatchStats& mk = served.result.verify_stats;
+  EXPECT_GT(mf.pivot_restricted_nodes, 0u);
+  EXPECT_GT(mf.seed_visits, 0u);
+  EXPECT_GT(mf.fixpoint_checks, 0u);
+  EXPECT_EQ(mf.seed_visits, filter.seed_visits);
+  EXPECT_EQ(mf.fixpoint_checks, filter.fixpoint_checks);
+  EXPECT_EQ(mf.pivot_restricted_nodes, filter.pivot_restricted_nodes);
+  EXPECT_EQ(mf.pruned_nodes, filter.pruned_nodes);
+  EXPECT_EQ(mf.sig_node_rejections, filter.sig_node_rejections);
+  EXPECT_EQ(mf.gv_nodes, filter.gv_nodes);
+  EXPECT_EQ(mf.gv_edges, filter.gv_edges);
+  EXPECT_EQ(mk.search_steps, verify.search_steps);
+  EXPECT_EQ(mk.candidate_checks, verify.candidate_checks);
+  EXPECT_EQ(mk.matches_found, verify.matches_found);
+  EXPECT_EQ(mk.root_partitions, verify.root_partitions);
 }
 
 TEST(ShardedQueryServiceTest, AdmissionControlShedsAtCapacity) {

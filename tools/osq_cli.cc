@@ -27,9 +27,9 @@
 // connected) is reported as an error here too.
 // --threads N parallelizes index build and query evaluation over N threads
 // (0 = all hardware threads); results are identical for every N.
-// --deadline-ms > 0 bounds the query's evaluation time; an interrupted
-// query returns the (valid) matches found so far, flagged as
-// deadline_exceeded.
+// --deadline-ms > 0 bounds the query's evaluation time, with or without
+// --explain; an interrupted query returns the (valid) matches found so
+// far, flagged as deadline_exceeded.
 // Concurrent serving, caching and live ingest are measured by servebench
 // (`python3 servebench/run.py`), not by this tool.
 //

@@ -13,7 +13,10 @@
 #   generator a bare -j starts an unlimited number of compile jobs.
 # - The servebench smoke stage builds the serving benchmark
 #   (servebench/run.py, into build-servebench/) and runs each of its three
-#   workloads for 1 s; it fails unless every answer matched the oracle.
+#   workloads, plus the unlisted community_churn_sharded (churn on the
+#   sharded tier: the router mutates its copy of the shared graph while the
+#   shards mutate their induced slices), for 1 s; it fails unless every
+#   answer matched the oracle.
 # - TSan (OSQ_SANITIZE=thread) re-runs the concurrency tests so data races
 #   in the parallel pipelines and serving layer fail the gate.
 # - UBSan (OSQ_SANITIZE=undefined) runs the whole suite, slow tests
@@ -51,7 +54,8 @@ echo "== tier-1: servebench smoke (build + 1 s per workload, oracle-checked) =="
 # servebench compiles against the library's public API; a 1 s run per
 # workload exits non-zero on a failed build, a failed request or any
 # answer that differs from the single-engine oracle.
-for workload in cd_filter community_churn community_shard; do
+for workload in cd_filter community_churn community_shard \
+    community_churn_sharded; do
   CARGO_TARGET_DIR=build-servebench python3 servebench/run.py \
     --workload "$workload" --seed 1 --seconds 1 --trace 0
 done

@@ -1,12 +1,11 @@
 #include "core/explain.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
 
-#include "common/timer.h"
 #include "core/filtering.h"
-#include "core/kmatch.h"
 #include "core/query_engine.h"
 
 namespace osq {
@@ -28,18 +27,14 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
   out << "data:  " << g.num_nodes() << " nodes, " << g.num_edges()
       << " edges\n";
 
-  // The request contract of QueryEngine::Query: a request it rejects is
-  // reported with its status, without running the pipeline.
-  Status valid = ValidateQueryRequest(query, options);
-  if (!valid.ok()) {
-    out << "rejected: " << valid.ToString() << "\n";
+  // The evaluation is QueryEngine::Query's own; this function only
+  // formats it.  A rejected request is reported with its status.
+  std::optional<FilterResult> filter;
+  QueryResult result = EvaluateQuery(index, query, options, {}, &filter);
+  if (!result.status.ok()) {
+    out << "rejected: " << result.status.ToString() << "\n";
     return out.str();
   }
-  // One control block for the whole run, as in QueryEngine::Query: the
-  // filter and the verification share the deadline and the cancel token.
-  ExecControl exec;
-  exec.deadline = Deadline::AfterMillis(options.deadline_ms);
-  exec.cancel = options.cancel;
   out << "\n";
 
   // Candidate labels per query node.
@@ -67,49 +62,46 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
         << " occur in the data graph\n";
   }
 
-  // A stop that is already due buys no work, as in QueryEngine::Query.
-  if (StopReason due = exec.Check(); due != StopReason::kNone) {
-    out << "\nstopped before filtering: " << StopReasonName(due) << "\n";
+  if (!filter.has_value()) {
+    out << "\nstopped before filtering: "
+        << StopReasonName(result.completeness) << "\n";
     return out.str();
   }
 
   // Filtering.
-  WallTimer timer;
-  FilterResult filter = GviewFilter(index, query, options, &exec);
-  double filter_ms = timer.ElapsedMillis();
-  out << "\nfiltering (Gview): " << filter_ms << " ms";
-  if (filter.stats.stopped != StopReason::kNone) {
-    out << " [" << StopReasonName(filter.stats.stopped) << "]";
+  const FilterStats& fstats = filter->stats;
+  out << "\nfiltering (Gview): " << result.filter_ms << " ms";
+  if (fstats.stopped != StopReason::kNone) {
+    out << " [" << StopReasonName(fstats.stopped) << "]";
   }
   out << "\n";
-  out << "  signature pruning: node rejections="
-      << filter.stats.sig_node_rejections
-      << "; refinement pruned nodes=" << filter.stats.pruned_nodes << "\n";
-  out << "  work: seed visits=" << filter.stats.seed_visits
-      << ", fixpoint checks=" << filter.stats.fixpoint_checks << "\n";
-  if (filter.no_match) {
-    out << (filter.stats.stopped == StopReason::kNone
+  out << "  signature pruning: node rejections=" << fstats.sig_node_rejections
+      << "; refinement pruned nodes=" << fstats.pruned_nodes << "\n";
+  out << "  work: seed visits=" << fstats.seed_visits
+      << ", fixpoint checks=" << fstats.fixpoint_checks << "\n";
+  if (filter->no_match) {
+    out << (fstats.stopped == StopReason::kNone
                 ? "  => no match possible: Q(G) is empty (Prop. 4.2)\n"
                 : "  => stopped early: a partial answer, not a proof\n");
     return out.str();
   }
-  out << "  G_v: " << filter.stats.gv_nodes << " nodes, "
-      << filter.stats.gv_edges << " edges ("
+  out << "  G_v: " << fstats.gv_nodes << " nodes, " << fstats.gv_edges
+      << " edges ("
       << (g.num_nodes() > 0
-              ? 100.0 * static_cast<double>(filter.stats.gv_nodes) /
+              ? 100.0 * static_cast<double>(fstats.gv_nodes) /
                     static_cast<double>(g.num_nodes())
               : 0.0)
       << "% of |V|)\n";
   for (NodeId u = 0; u < query.num_nodes(); ++u) {
-    out << "  cand(q" << u << "): " << filter.candidates[u].size()
+    out << "  cand(q" << u << "): " << filter->candidates[u].size()
         << " node(s)";
     size_t listed = 0;
-    for (const Candidate& c : filter.candidates[u]) {
+    for (const Candidate& c : filter->candidates[u]) {
       if (listed++ >= eopts.max_listed) {
         out << " ...";
         break;
       }
-      NodeId orig = filter.gv.to_original[c.node];
+      NodeId orig = filter->gv.to_original[c.node];
       out << (listed == 1 ? ":  " : ", ") << "v" << orig << ":"
           << dict.Name(g.NodeLabel(orig)) << "(" << c.sim << ")";
     }
@@ -117,17 +109,13 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
   }
 
   // Verification.
-  timer.Restart();
-  KMatchStats stats;
-  std::vector<Match> matches =
-      KMatch(query, filter, options, &stats, &exec);
-  double verify_ms = timer.ElapsedMillis();
-  out << "\nverification (KMatch): " << verify_ms << " ms; "
+  const KMatchStats& stats = result.verify_stats;
+  const std::vector<Match>& matches = result.matches;
+  out << "\nverification (KMatch): " << result.verify_ms << " ms; "
       << stats.search_steps << " search steps, " << stats.candidate_checks
       << " candidate checks, " << stats.matches_found
       << " matches found" << (stats.truncated ? " (truncated)" : "") << "; "
-      << StopReasonName(MergeStopReason(filter.stats.stopped, stats.stopped))
-      << "\n";
+      << StopReasonName(result.completeness) << "\n";
   size_t listed = std::min(matches.size(), eopts.max_listed);
   for (size_t i = 0; i < listed; ++i) {
     out << "  #" << (i + 1) << " score=" << matches[i].score << " ";

@@ -21,11 +21,11 @@ struct ExplainOptions {
   size_t max_listed = 5;
 };
 
-// Runs the full filter + verify pipeline for `query` and renders a report;
-// a request that ValidateQueryRequest rejects is reported with its status
-// instead.  The run honours options.deadline_ms and options.cancel as
-// QueryEngine::Query does, and the verification line names the stop
-// reason ("complete" when the answer is exact).  Does not mutate
+// Runs QueryEngine::Query's own evaluation (EvaluateQuery) for `query` and
+// renders a report; a request that ValidateQueryRequest rejects is
+// reported with its status instead.  The run honours options.deadline_ms
+// and options.cancel, and the verification line names the stop reason
+// ("complete" when the answer is exact).  Does not mutate
 // anything; safe on any valid engine state.
 std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
                          const QueryOptions& options,

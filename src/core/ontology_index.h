@@ -1,7 +1,10 @@
 // The serving index, sole owner of the serving state: the data graph and
 // ontology it indexes, the similarity function, and the candidate-pruning
 // index Gview seeds and prunes through (candidate_index.h), all by value.
-// A copy is an independent index over its own graph.  The graph changes
+// A copy is an independent index over its own graph: the copied graph
+// shares the original's frozen CSR arrays, which nothing writes, and
+// keeps its own labels and thaw overlay (graph/graph.h), so maintaining
+// either index leaves the other unchanged.  The graph changes
 // only through the maintenance API (core/index_maintenance.h), which
 // repairs the candidate index in step.
 //

@@ -38,9 +38,10 @@ QueryEngine::QueryEngine(Graph g, OntologyGraph o,
 
 QueryEngine::QueryEngine(OntologyIndex index) : index_(std::move(index)) {}
 
-QueryResult QueryEngine::Query(const Graph& query,
-                               const QueryOptions& options,
-                               const EvalInputs& inputs) const {
+QueryResult EvaluateQuery(const OntologyIndex& index, const Graph& query,
+                          const QueryOptions& options,
+                          const EvalInputs& inputs,
+                          std::optional<FilterResult>* filter_out) {
   QueryResult result;
   result.status = ValidateQueryRequest(query, options);
   if (!result.status.ok()) {
@@ -60,7 +61,7 @@ QueryResult QueryEngine::Query(const Graph& query,
   result.completeness = exec.Check();
   if (!result.complete()) return result;
   WallTimer timer;
-  FilterResult filter = GviewFilter(index_, query, options, &exec,
+  FilterResult filter = GviewFilter(index, query, options, &exec,
                                     inputs.restriction, inputs.sims);
   result.filter_ms = timer.ElapsedMillis();
   result.filter_stats = filter.stats;
@@ -70,7 +71,14 @@ QueryResult QueryEngine::Query(const Graph& query,
   result.verify_ms = timer.ElapsedMillis();
   result.completeness =
       MergeStopReason(filter.stats.stopped, result.verify_stats.stopped);
+  if (filter_out != nullptr) *filter_out = std::move(filter);
   return result;
+}
+
+QueryResult QueryEngine::Query(const Graph& query,
+                               const QueryOptions& options,
+                               const EvalInputs& inputs) const {
+  return EvaluateQuery(index_, query, options, inputs);
 }
 
 QueryResult QueryEngine::QueryPattern(std::string_view pattern,

@@ -6,8 +6,10 @@
 // queries with the filtering-and-verification pipeline (Gview + KMatch).
 // Supports dynamic data graphs through the incremental maintenance API
 // (paper §VI).  Copies and moves are the compiler's: a move carries the
-// index and its graphs along, and a copy is an independent engine over its
-// own copy of the graphs.
+// index and its graphs along, and a copy is an independent engine whose
+// data graph shares the original's frozen CSR arrays (never written) and
+// keeps its own labels and thaw overlay (graph/graph.h), so updating
+// either engine leaves the other unchanged.
 //
 // Typical use:
 //   LabelDictionary dict;
@@ -20,6 +22,7 @@
 #define OSQ_CORE_QUERY_ENGINE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -81,6 +84,17 @@ struct EvalInputs {
 [[nodiscard]] Status ValidateQueryRequest(const Graph& query,
                                           const QueryOptions& options);
 
+// The evaluation QueryEngine::Query runs, over any serving index:
+// ValidateQueryRequest, one ExecControl for the whole run (a stop that is
+// already due returns at once with that completeness), GviewFilter, KMatch
+// and the merged completeness.  A non-null `filter_out` receives the
+// Gview output that KMatch verified (EXPLAIN lists its candidates); it
+// stays empty when the request is rejected or stopped before filtering.
+[[nodiscard]] QueryResult EvaluateQuery(
+    const OntologyIndex& index, const Graph& query,
+    const QueryOptions& options, const EvalInputs& inputs = {},
+    std::optional<FilterResult>* filter_out = nullptr);
+
 class QueryEngine {
  public:
   // Takes ownership of the graphs; the index is built immediately.
@@ -99,12 +113,12 @@ class QueryEngine {
   const IndexBuildStats& build_stats() const { return build_stats_; }
   double index_build_ms() const { return index_build_ms_; }
 
-  // Evaluates `query` (paper's KMatch over the Gview-extracted G_v).  A
-  // request ValidateQueryRequest rejects fails with its status.  An
-  // evaluation whose deadline has already passed, or whose token is
-  // already cancelled, returns at once with that completeness and no work
-  // done.  [[nodiscard]]: QueryResult carries the error status; dropping
-  // it would silently swallow failures.
+  // Evaluates `query` (paper's KMatch over the Gview-extracted G_v) with
+  // EvaluateQuery.  A request ValidateQueryRequest rejects fails with its
+  // status.  An evaluation whose deadline has already passed, or whose
+  // token is already cancelled, returns at once with that completeness and
+  // no work done.  [[nodiscard]]: QueryResult carries the error status;
+  // dropping it would silently swallow failures.
   [[nodiscard]] QueryResult Query(const Graph& query,
                                   const QueryOptions& options,
                                   const EvalInputs& inputs = {}) const;

@@ -153,7 +153,8 @@ class ByteReader {
 
 // Read-only view of a whole file: mmap when possible (the zero-copy load
 // path), with a plain read(2) fallback.  A shared_ptr to this object is
-// the Graph anchor that keeps the mapping alive.
+// the anchor that keeps the mapping alive for the loaded Graph and every
+// copy of it.
 class MappedBuffer {
  public:
   [[nodiscard]] static Status Open(const std::string& path,

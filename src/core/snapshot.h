@@ -5,7 +5,8 @@
 // queries: the label dictionary, the index options, the data graph's
 // frozen CSR arrays, the ontology, and the candidate-pruning index.
 // Loading maps the file and adopts the graph's CSR arrays *in place*
-// (zero-copy; the Graph keeps the mapping alive through its anchor),
+// (zero-copy; the Graph and every copy of it keep the mapping alive
+// through their shared anchor; node labels are copied, 4 B per node),
 // deserializes the node signatures, and skips every expensive build
 // stage: no text parsing, no candidate-signature recomputation.  The
 // paper's concept graphs (concept/concept_index.h) are not part of the

@@ -33,10 +33,18 @@ bool SpanContains(Graph::AdjSpan adj, AdjEntry entry) {
   return std::binary_search(adj.begin(), adj.end(), entry);
 }
 
+// The heap block behind the CSR pointers of a graph GraphBuilder::Build
+// assembled.
+struct CsrBlock {
+  std::vector<EdgeIndex> out_offsets;
+  std::vector<AdjEntry> out_entries;
+  std::vector<EdgeIndex> in_offsets;
+  std::vector<AdjEntry> in_entries;
+};
+
 }  // namespace
 
 NodeId Graph::AddNode(LabelId label) {
-  EnsureLabelsOwned();
   NodeId id = static_cast<NodeId>(num_nodes_);
   labels_.push_back(label);
   out_slot_.push_back(-1);
@@ -46,7 +54,6 @@ NodeId Graph::AddNode(LabelId label) {
 }
 
 NodeId Graph::AddNodes(size_t count, LabelId label) {
-  EnsureLabelsOwned();
   NodeId first = static_cast<NodeId>(num_nodes_);
   num_nodes_ += count;
   labels_.resize(num_nodes_, label);
@@ -57,25 +64,18 @@ NodeId Graph::AddNodes(size_t count, LabelId label) {
 
 LabelId Graph::NodeLabel(NodeId v) const {
   OSQ_DCHECK(IsValidNode(v));
-  return b_labels_ != nullptr ? b_labels_[v] : labels_[v];
+  return labels_[v];
 }
 
 void Graph::SetNodeLabel(NodeId v, LabelId label) {
   OSQ_DCHECK(IsValidNode(v));
-  EnsureLabelsOwned();
   labels_[v] = label;
-}
-
-void Graph::EnsureLabelsOwned() {
-  if (b_labels_ == nullptr) return;
-  labels_.assign(b_labels_, b_labels_ + num_nodes_);
-  b_labels_ = nullptr;
 }
 
 std::vector<AdjEntry>* Graph::ThawOut(NodeId v) {
   int32_t s = out_slot_[v];
   if (s >= 0) return &dyn_out_[static_cast<size_t>(s)];
-  AdjSpan frozen = CsrSpan(v, OutOffsets(), OutEntries());
+  AdjSpan frozen = CsrSpan(v, out_offsets_, out_entries_);
   out_slot_[v] = static_cast<int32_t>(dyn_out_.size());
   dyn_out_.emplace_back(frozen.begin(), frozen.end());
   ++num_thawed_;
@@ -85,7 +85,7 @@ std::vector<AdjEntry>* Graph::ThawOut(NodeId v) {
 std::vector<AdjEntry>* Graph::ThawIn(NodeId v) {
   int32_t s = in_slot_[v];
   if (s >= 0) return &dyn_in_[static_cast<size_t>(s)];
-  AdjSpan frozen = CsrSpan(v, InOffsets(), InEntries());
+  AdjSpan frozen = CsrSpan(v, in_offsets_, in_entries_);
   in_slot_[v] = static_cast<int32_t>(dyn_in_.size());
   dyn_in_.emplace_back(frozen.begin(), frozen.end());
   ++num_thawed_;
@@ -157,41 +157,14 @@ std::vector<LabelId> Graph::EdgeLabelsBetween(NodeId from, NodeId to) const {
 }
 
 void Graph::Freeze() {
-  if (fully_frozen() && b_out_entries_ == nullptr) return;
-
-  std::vector<EdgeIndex> out_offsets(num_nodes_ + 1, 0);
-  std::vector<EdgeIndex> in_offsets(num_nodes_ + 1, 0);
-  std::vector<AdjEntry> out_entries;
-  std::vector<AdjEntry> in_entries;
-  out_entries.reserve(num_edges_);
-  in_entries.reserve(num_edges_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    AdjSpan out = OutEdges(v);
-    out_entries.insert(out_entries.end(), out.begin(), out.end());
-    out_offsets[v + 1] = out_entries.size();
-    AdjSpan in = InEdges(v);
-    in_entries.insert(in_entries.end(), in.begin(), in.end());
-    in_offsets[v + 1] = in_entries.size();
+  if (fully_frozen()) return;
+  GraphBuilder builder;
+  builder.labels_ = std::move(labels_);
+  builder.ReserveEdges(num_edges_);
+  for (const EdgeTriple& e : Edges()) {
+    builder.AddEdge(e.from, e.to, e.label);
   }
-  OSQ_DCHECK(out_entries.size() == num_edges_);
-  OSQ_DCHECK(in_entries.size() == num_edges_);
-
-  EnsureLabelsOwned();
-  out_offsets_ = std::move(out_offsets);
-  in_offsets_ = std::move(in_offsets);
-  out_entries_ = std::move(out_entries);
-  in_entries_ = std::move(in_entries);
-  b_out_offsets_ = nullptr;
-  b_in_offsets_ = nullptr;
-  b_out_entries_ = nullptr;
-  b_in_entries_ = nullptr;
-  anchor_.reset();
-  csr_nodes_ = num_nodes_;
-  std::fill(out_slot_.begin(), out_slot_.end(), -1);
-  std::fill(in_slot_.begin(), in_slot_.end(), -1);
-  dyn_out_.clear();
-  dyn_in_.clear();
-  num_thawed_ = 0;
+  *this = std::move(builder).Build();
 }
 
 Graph Graph::FromFrozenCsr(size_t num_nodes, size_t num_edges,
@@ -204,15 +177,16 @@ Graph Graph::FromFrozenCsr(size_t num_nodes, size_t num_edges,
   Graph g;
   g.num_nodes_ = num_nodes;
   g.num_edges_ = num_edges;
-  g.csr_nodes_ = num_nodes;
-  g.b_labels_ = labels;
-  g.b_out_offsets_ = out_offsets;
-  g.b_out_entries_ = out_entries;
-  g.b_in_offsets_ = in_offsets;
-  g.b_in_entries_ = in_entries;
-  g.anchor_ = std::move(anchor);
+  g.labels_.assign(labels, labels + num_nodes);
   g.out_slot_.assign(num_nodes, -1);
   g.in_slot_.assign(num_nodes, -1);
+  g.csr_nodes_ = num_nodes;
+  g.out_offsets_ = out_offsets;
+  g.out_entries_ = out_entries;
+  g.in_offsets_ = in_offsets;
+  g.in_entries_ = in_entries;
+  g.csr_anchor_ = std::move(anchor);
+  g.snapshot_backed_ = true;
   return g;
 }
 
@@ -220,11 +194,14 @@ bool Graph::CheckConsistency() const {
   size_t out_count = 0;
   size_t in_count = 0;
   if (csr_nodes_ > num_nodes_) return false;
-  const EdgeIndex* oo = OutOffsets();
-  const EdgeIndex* io = InOffsets();
-  if (csr_nodes_ > 0 && (oo[0] != 0 || io[0] != 0)) return false;
+  if (csr_nodes_ > 0 && (out_offsets_[0] != 0 || in_offsets_[0] != 0)) {
+    return false;
+  }
   for (NodeId v = 0; v < csr_nodes_; ++v) {
-    if (oo[v] > oo[v + 1] || io[v] > io[v + 1]) return false;
+    if (out_offsets_[v] > out_offsets_[v + 1] ||
+        in_offsets_[v] > in_offsets_[v + 1]) {
+      return false;
+    }
   }
   for (NodeId v = 0; v < num_nodes_; ++v) {
     AdjSpan out = OutEdges(v);
@@ -248,48 +225,56 @@ bool Graph::CheckConsistency() const {
 }
 
 Graph GraphBuilder::Build() && {
-  Graph g;
-  g.num_nodes_ = labels_.size();
-  g.labels_ = std::move(labels_);
-  g.out_slot_.assign(g.num_nodes_, -1);
-  g.in_slot_.assign(g.num_nodes_, -1);
-
+  const size_t n = labels_.size();
   for (const EdgeTriple& e : edges_) {
-    OSQ_CHECK(e.from < g.num_nodes_ && e.to < g.num_nodes_);
+    OSQ_CHECK(e.from < n && e.to < n);
   }
 
-  // Out direction: sort by (from, to, label), dedupe, emit CSR.
-  std::sort(edges_.begin(), edges_.end());
+  // Out direction: sort by (from, to, label) unless the edges came in that
+  // order (Freeze, InducedSubgraph), dedupe, emit CSR.
+  if (!std::is_sorted(edges_.begin(), edges_.end())) {
+    std::sort(edges_.begin(), edges_.end());
+  }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  g.num_edges_ = edges_.size();
-
-  g.out_offsets_.assign(g.num_nodes_ + 1, 0);
-  g.out_entries_.reserve(edges_.size());
+  auto csr = std::make_shared<CsrBlock>();
+  csr->out_offsets.assign(n + 1, 0);
+  csr->out_entries.reserve(edges_.size());
   for (const EdgeTriple& e : edges_) {
-    ++g.out_offsets_[e.from + 1];
-    g.out_entries_.push_back({e.to, e.label});
+    ++csr->out_offsets[e.from + 1];
+    csr->out_entries.push_back({e.to, e.label});
   }
-  for (NodeId v = 0; v < g.num_nodes_; ++v) {
-    g.out_offsets_[v + 1] += g.out_offsets_[v];
+  for (NodeId v = 0; v < n; ++v) {
+    csr->out_offsets[v + 1] += csr->out_offsets[v];
   }
 
   // In direction: counting sort by target preserves the (from, label)
   // order within each target bucket because `edges_` is already sorted.
-  g.in_offsets_.assign(g.num_nodes_ + 1, 0);
+  csr->in_offsets.assign(n + 1, 0);
   for (const EdgeTriple& e : edges_) {
-    ++g.in_offsets_[e.to + 1];
+    ++csr->in_offsets[e.to + 1];
   }
-  for (NodeId v = 0; v < g.num_nodes_; ++v) {
-    g.in_offsets_[v + 1] += g.in_offsets_[v];
+  for (NodeId v = 0; v < n; ++v) {
+    csr->in_offsets[v + 1] += csr->in_offsets[v];
   }
-  g.in_entries_.resize(edges_.size());
-  std::vector<EdgeIndex> cursor(g.in_offsets_.begin(),
-                                g.in_offsets_.end() - 1);
+  csr->in_entries.resize(edges_.size());
+  std::vector<EdgeIndex> cursor(csr->in_offsets.begin(),
+                                csr->in_offsets.end() - 1);
   for (const EdgeTriple& e : edges_) {
-    g.in_entries_[cursor[e.to]++] = {e.from, e.label};
+    csr->in_entries[cursor[e.to]++] = {e.from, e.label};
   }
 
-  g.csr_nodes_ = g.num_nodes_;
+  Graph g;
+  g.num_nodes_ = n;
+  g.num_edges_ = edges_.size();
+  g.labels_ = std::move(labels_);
+  g.out_slot_.assign(n, -1);
+  g.in_slot_.assign(n, -1);
+  g.csr_nodes_ = n;
+  g.out_offsets_ = csr->out_offsets.data();
+  g.out_entries_ = csr->out_entries.data();
+  g.in_offsets_ = csr->in_offsets.data();
+  g.in_entries_ = csr->in_entries.data();
+  g.csr_anchor_ = std::move(csr);
   edges_.clear();
   return g;
 }

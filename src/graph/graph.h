@@ -9,26 +9,28 @@
 //
 // Storage model (frozen / thawed split):
 //   * The *frozen* representation is CSR: one flat, sorted AdjEntry array
-//     per direction plus a (num_nodes + 1)-sized offset array.  Query-time
-//     code only ever reads these immutable flat arrays (cache-dense, and
-//     zero-copy mappable from a binary snapshot — see core/snapshot.h).
+//     per direction plus a (num_nodes + 1)-sized offset array, always read
+//     through plain pointers.  One shared anchor keeps the arrays alive:
+//     the heap block GraphBuilder::Build assembled, or a mapped snapshot
+//     (core/snapshot.h).  Nothing writes the arrays once they exist, so
+//     copies of a graph share them.  GraphBuilder::Build is the one place
+//     CSR arrays are assembled; Freeze() and InducedSubgraph build through
+//     it.
 //   * Mutations (the incIdx± maintenance path, paper §VI) go through a
 //     per-node *thaw* overlay: the first edit of a node's adjacency copies
 //     its CSR range into a private sorted vector and all further reads and
 //     edits of that node use the overlay.  Untouched nodes keep reading the
 //     flat arrays.
-//   * Freeze() re-compacts the overlay into fresh CSR arrays; builders call
-//     it once after bulk construction (QueryEngine freezes the data graph
-//     before indexing it).
+//   * Freeze() rebuilds the CSR from the current adjacency (QueryEngine
+//     freezes the data graph before indexing it); a fully frozen graph is
+//     left as it is.
 // Both representations keep adjacency sorted by (node, label), so
 // membership tests stay logarithmic and EdgeLabelRange stays a contiguous
 // view in either mode.
 //
-// A Graph may borrow its frozen arrays from an external backing store (a
-// mapped snapshot); `anchor` keeps the backing alive and the first mutation
-// of borrowed state copies it into owned storage (labels) or the overlay
-// (adjacency).  Copying a Graph is always safe: owned arrays deep-copy,
-// borrowed arrays share the anchored backing.
+// Copying a Graph costs O(|V|) plus its overlay, not O(|E|): the copy
+// shares the frozen arrays and gets its own node labels and overlay, so a
+// mutation of either graph never shows in the other.
 
 #ifndef OSQ_GRAPH_GRAPH_H_
 #define OSQ_GRAPH_GRAPH_H_
@@ -137,7 +139,7 @@ class Graph {
       const std::vector<AdjEntry>& d = dyn_out_[static_cast<size_t>(s)];
       return {d.data(), d.data() + d.size()};
     }
-    return CsrSpan(v, OutOffsets(), OutEntries());
+    return CsrSpan(v, out_offsets_, out_entries_);
   }
   // In-neighbors of v: entry.node is the source of an edge into v.
   AdjSpan InEdges(NodeId v) const {
@@ -146,7 +148,7 @@ class Graph {
       const std::vector<AdjEntry>& d = dyn_in_[static_cast<size_t>(s)];
       return {d.data(), d.data() + d.size()};
     }
-    return CsrSpan(v, InOffsets(), InEntries());
+    return CsrSpan(v, in_offsets_, in_entries_);
   }
 
   size_t OutDegree(NodeId v) const { return OutEdges(v).size(); }
@@ -233,10 +235,10 @@ class Graph {
 
   // --- Freeze / thaw ------------------------------------------------------
 
-  // Compacts every thawed node back into fresh, owned CSR arrays.  After
-  // Freeze() all reads hit the flat arrays; the next mutation re-thaws the
-  // touched nodes.  O(|V| + |E|); no-op when nothing is thawed and the CSR
-  // already covers every node.
+  // Rebuilds the CSR arrays from the current adjacency (through
+  // GraphBuilder::Build).  After Freeze() all reads hit the flat arrays;
+  // the next mutation re-thaws the touched nodes.  O(|V| + |E|); no-op
+  // when nothing is thawed and the CSR already covers every node.
   void Freeze();
 
   // True when every node reads from the frozen CSR arrays (no overlay).
@@ -248,13 +250,13 @@ class Graph {
   size_t num_thawed() const { return num_thawed_; }
 
   // Adopts a frozen CSR image without copying the arrays (the zero-copy
-  // snapshot load path, core/snapshot.h).  The arrays must outlive every
-  // copy of the returned graph — `anchor` is held for exactly that — and
-  // must already satisfy the Graph invariants: offsets monotone with
-  // offsets[n] == num_edges, adjacency sorted by (node, label) with no
-  // exact duplicates, out/in mirrored.  The snapshot layer bounds-checks
-  // the structure before trusting it; semantic mirroring is covered by the
-  // snapshot's content hash.
+  // snapshot load path, core/snapshot.h); the node labels are copied.  The
+  // arrays must outlive every copy of the returned graph — `anchor` is
+  // held for exactly that — and must already satisfy the Graph
+  // invariants: offsets monotone with offsets[n] == num_edges, adjacency
+  // sorted by (node, label) with no exact duplicates, out/in mirrored.
+  // The snapshot layer bounds-checks the structure before trusting it;
+  // semantic mirroring is covered by the snapshot's content hash.
   static Graph FromFrozenCsr(size_t num_nodes, size_t num_edges,
                              const LabelId* labels,
                              const EdgeIndex* out_offsets,
@@ -263,9 +265,9 @@ class Graph {
                              const AdjEntry* in_entries,
                              std::shared_ptr<const void> anchor);
 
-  // True when the node-label array and CSR arrays are borrowed from an
-  // external anchor (snapshot-backed) rather than owned.
-  bool is_snapshot_backed() const { return b_out_entries_ != nullptr; }
+  // True when the CSR arrays live in a snapshot mapping (FromFrozenCsr)
+  // rather than in a block GraphBuilder::Build assembled.
+  bool is_snapshot_backed() const { return snapshot_backed_; }
 
   // Internal consistency check (out/in mirrors agree, sorted, counts
   // match).  Used by tests; O(|V| + |E| log |E|).
@@ -273,19 +275,6 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-
-  const EdgeIndex* OutOffsets() const {
-    return b_out_offsets_ != nullptr ? b_out_offsets_ : out_offsets_.data();
-  }
-  const EdgeIndex* InOffsets() const {
-    return b_in_offsets_ != nullptr ? b_in_offsets_ : in_offsets_.data();
-  }
-  const AdjEntry* OutEntries() const {
-    return b_out_entries_ != nullptr ? b_out_entries_ : out_entries_.data();
-  }
-  const AdjEntry* InEntries() const {
-    return b_in_entries_ != nullptr ? b_in_entries_ : in_entries_.data();
-  }
 
   AdjSpan CsrSpan(NodeId v, const EdgeIndex* offsets,
                   const AdjEntry* entries) const {
@@ -298,29 +287,20 @@ class Graph {
   std::vector<AdjEntry>* ThawOut(NodeId v);
   std::vector<AdjEntry>* ThawIn(NodeId v);
 
-  // Copies borrowed node labels into owned storage (first label mutation
-  // of a snapshot-backed graph).
-  void EnsureLabelsOwned();
-
   size_t num_nodes_ = 0;
   size_t num_edges_ = 0;
-
-  // Node labels: owned vector, or borrowed from the anchor.
   std::vector<LabelId> labels_;
-  const LabelId* b_labels_ = nullptr;
 
-  // Frozen CSR over nodes [0, csr_nodes_): owned vectors, or borrowed
-  // pointers into the anchored backing (never both per array).
+  // Frozen CSR over nodes [0, csr_nodes_), read-only.  csr_anchor_ keeps
+  // the arrays alive (GraphBuilder::Build's block or a snapshot mapping)
+  // and is shared by copies.
   size_t csr_nodes_ = 0;
-  std::vector<EdgeIndex> out_offsets_;
-  std::vector<EdgeIndex> in_offsets_;
-  std::vector<AdjEntry> out_entries_;
-  std::vector<AdjEntry> in_entries_;
-  const EdgeIndex* b_out_offsets_ = nullptr;
-  const EdgeIndex* b_in_offsets_ = nullptr;
-  const AdjEntry* b_out_entries_ = nullptr;
-  const AdjEntry* b_in_entries_ = nullptr;
-  std::shared_ptr<const void> anchor_;  // keeps borrowed arrays alive
+  const EdgeIndex* out_offsets_ = nullptr;
+  const AdjEntry* out_entries_ = nullptr;
+  const EdgeIndex* in_offsets_ = nullptr;
+  const AdjEntry* in_entries_ = nullptr;
+  std::shared_ptr<const void> csr_anchor_;
+  bool snapshot_backed_ = false;
 
   // Thaw overlay: slot >= 0 means the adjacency lives in dyn_*[slot].
   // Nodes >= csr_nodes_ with slot -1 have no edges in that direction yet.
@@ -333,8 +313,9 @@ class Graph {
 
 // Bulk constructor: collect nodes and edges in any order, then Build()
 // sorts once, drops exact duplicates and emits a fully frozen CSR graph.
-// O(V + E log E) total — the path loaders and the million-node scenario
-// generators use instead of per-edge sorted insertion.
+// O(V + E log E) total, O(V + E) when the edges arrive in (from, to,
+// label) order — the path loaders, generators, Freeze() and
+// InducedSubgraph use instead of per-edge sorted insertion.
 class GraphBuilder {
  public:
   NodeId AddNode(LabelId label) {
@@ -361,6 +342,8 @@ class GraphBuilder {
   Graph Build() &&;
 
  private:
+  friend class Graph;  // Freeze() hands its labels over without a copy
+
   std::vector<LabelId> labels_;
   std::vector<EdgeTriple> edges_;
 };

@@ -15,23 +15,24 @@ Subgraph InducedSubgraph(const Graph& g, const std::vector<NodeId>& nodes) {
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
 
   // Slots are handed out in insertion order, so an original node's slot
-  // is its subgraph id.
+  // is its subgraph id.  Ids follow ascending original ids, so the edges
+  // reach the builder already in (from, to, label) order.
+  GraphBuilder builder;
   ScratchSlots local(g.num_nodes());
   for (NodeId u : sorted) {
     OSQ_CHECK(g.IsValidNode(u));
-    sub.graph.AddNode(g.NodeLabel(u));
+    builder.AddNode(g.NodeLabel(u));
     local.Insert(u);
   }
   for (NodeId v = 0; v < sorted.size(); ++v) {
     for (const AdjEntry& e : g.OutEdges(sorted[v])) {
       uint32_t w = local.Find(e.node);
       if (w != ScratchSlots::kNone) {
-        sub.graph.AddEdge(v, w, e.label);
+        builder.AddEdge(v, w, e.label);
       }
     }
   }
-  // Verification scans the subgraph read-only; hand it back compacted.
-  sub.graph.Freeze();
+  sub.graph = std::move(builder).Build();
   return sub;
 }
 

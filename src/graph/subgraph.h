@@ -2,9 +2,12 @@
 //
 // The filtering phase (paper §IV-B) produces the compact subgraph G_v of
 // the data graph induced by the surviving candidate nodes; verification
-// then runs entirely on G_v.  InducedSubgraph materializes that subgraph
-// with a node-id remapping in both directions, at a cost proportional to
-// the subgraph (no array sized by the original graph).
+// then runs entirely on G_v, and each shard of the sharded tier serves
+// the subgraph induced by its members (shard/partitioner.h).
+// InducedSubgraph materializes such a subgraph with a node-id remapping in
+// both directions, at a cost proportional to the subgraph (no array sized
+// by the original graph): the kept edges go to a GraphBuilder in
+// (from, to, label) order, and Build() emits the frozen CSR in one pass.
 
 #ifndef OSQ_GRAPH_SUBGRAPH_H_
 #define OSQ_GRAPH_SUBGRAPH_H_

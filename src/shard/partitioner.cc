@@ -95,14 +95,15 @@ ShardPlan GraphPartitioner::Partition() const {
     }
     RelaxDepths(graph_, options_.halo_radius, &depth, std::move(frontier),
                 [](NodeId) {});
+    std::vector<NodeId> members;
     for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
       if (depth[v] == kUnreachable) continue;
-      spec.members.push_back(v);
+      members.push_back(v);
       spec.owned.push_back(depth[v] == 0 ? 1 : 0);
     }
     // members is ascending by construction, so the induced subgraph's
     // local ids preserve global order (N=1 degenerates to the identity).
-    spec.sub = InducedSubgraph(graph_, spec.members);
+    spec.sub = InducedSubgraph(graph_, members);
   }
   return plan;
 }
@@ -135,10 +136,11 @@ UpdateRouter::UpdateRouter(const Graph& g, const ShardPlan& plan)
     // Rebuild depths with one owned-set BFS per shard (the plan only
     // records membership, not distances).
     std::deque<NodeId> frontier;
-    for (size_t i = 0; i < spec.members.size(); ++i) {
+    const std::vector<NodeId>& members = spec.sub.to_original;
+    for (size_t i = 0; i < members.size(); ++i) {
       if (spec.owned[i] != 0) {
-        depth_[s][spec.members[i]] = 0;
-        frontier.push_back(spec.members[i]);
+        depth_[s][members[i]] = 0;
+        frontier.push_back(members[i]);
       }
     }
     RelaxDepths(reference_, options_.halo_radius, &depth_[s],

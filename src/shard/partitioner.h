@@ -59,15 +59,14 @@ struct ShardOptions {
 
 // One shard's slice of the global graph.
 struct ShardSpec {
-  // Global ids of the shard's nodes (owned ∪ halo), ascending.  The
-  // induced shard graph numbers its nodes by position in this list, so a
+  // The subgraph of the global graph induced by the shard's nodes
+  // (owned ∪ halo).  sub.to_original lists their global ids, ascending,
+  // and the shard graph numbers its nodes by position in that list, so a
   // single shard over the whole graph is the identity mapping.
-  std::vector<NodeId> members;
-  // owned[i] != 0 iff members[i] is owned by this shard (not halo).
-  std::vector<char> owned;
-  // The subgraph of the global graph induced by `members`
-  // (sub.to_original[local] == members[local]).
   Subgraph sub;
+  // owned[i] != 0 iff sub.to_original[i] is owned by this shard (not
+  // halo).
+  std::vector<char> owned;
 };
 
 struct ShardPlan {
@@ -129,7 +128,8 @@ struct ShardDelta {
 // coordinator calls it under its exclusive snapshot lock.
 class UpdateRouter {
  public:
-  // `g` is copied as the reference graph; `plan` must come from the same
+  // `g` is copied as the reference graph (the copy shares g's frozen
+  // arrays, so it costs O(|V|)); `plan` must come from the same
   // partitioner configuration the shards were built with.
   UpdateRouter(const Graph& g, const ShardPlan& plan);
 

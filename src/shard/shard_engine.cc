@@ -9,7 +9,7 @@ namespace osq {
 ShardEngine::ShardEngine(ShardSpec spec, const OntologyGraph& ontology,
                          const IndexOptions& index_options)
     : engine_(std::move(spec.sub.graph), ontology, index_options),
-      to_global_(std::move(spec.members)),
+      to_global_(std::move(spec.sub.to_original)),
       owned_(std::move(spec.owned)) {
   for (char o : owned_) num_owned_ += o != 0 ? 1 : 0;
   // Dense global -> local map, built once (members are ascending);

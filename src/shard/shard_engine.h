@@ -36,9 +36,9 @@ namespace osq {
 class ShardEngine {
  public:
   // Builds the shard's QueryEngine over spec.sub with the shared ontology
-  // and index options.  The shard graph, members and ownership flags move
-  // out of `spec` into place; the ontology is copied (every engine's index
-  // owns its graphs).
+  // and index options.  The shard graph, its global ids
+  // (sub.to_original) and ownership flags move out of `spec` into place;
+  // the ontology is copied (every engine's index owns its graphs).
   ShardEngine(ShardSpec spec, const OntologyGraph& ontology,
               const IndexOptions& index_options);
 

@@ -1,9 +1,43 @@
 #include "graph/graph.h"
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace osq {
 namespace {
+
+// A frozen 4-node graph: a labeled cycle plus a chord, so every node has
+// out- and in-edges.
+Graph MakeFrozen() {
+  GraphBuilder b;
+  b.AddNodes(4, 7);
+  b.AddEdge(0, 1, 1);
+  b.AddEdge(1, 2, 1);
+  b.AddEdge(2, 3, 2);
+  b.AddEdge(3, 0, 2);
+  b.AddEdge(0, 2, 3);
+  return std::move(b).Build();
+}
+
+// What a reader of a graph sees: its node labels and its edges.
+struct GraphImage {
+  std::vector<LabelId> labels;
+  std::vector<EdgeTriple> edges;
+
+  friend bool operator==(const GraphImage&, const GraphImage&) = default;
+};
+
+GraphImage ImageOf(const Graph& g) {
+  GraphImage image;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    image.labels.push_back(g.NodeLabel(v));
+  }
+  image.edges = g.EdgeList();
+  return image;
+}
 
 TEST(GraphTest, StartsEmpty) {
   Graph g;
@@ -150,6 +184,48 @@ TEST(GraphTest, CopyIsDeep) {
   copy.AddEdge(1, 0, 1);
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(copy.num_edges(), 2u);
+}
+
+TEST(GraphTest, CopyOfFrozenGraphSharesItsArrays) {
+  Graph a = MakeFrozen();
+  Graph b = a;
+  ASSERT_TRUE(b.fully_frozen());
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    EXPECT_EQ(a.OutEdges(v).data(), b.OutEdges(v).data()) << v;
+    EXPECT_EQ(a.InEdges(v).data(), b.InEdges(v).data()) << v;
+  }
+}
+
+// Copies share the frozen arrays but no mutation writes them: each edit,
+// on the copy or on the original, leaves the other graph as it was.
+TEST(GraphTest, MutatingEitherCopyLeavesTheOtherUnchanged) {
+  const std::vector<std::function<void(Graph*)>> mutations = {
+      [](Graph* g) { EXPECT_TRUE(g->AddEdge(1, 0, 5)); },
+      [](Graph* g) { EXPECT_TRUE(g->RemoveEdge(0, 1, 1)); },
+      [](Graph* g) { EXPECT_TRUE(g->AddEdge(g->AddNode(9), 0, 1)); },
+      [](Graph* g) { g->SetNodeLabel(2, 8); },
+  };
+  for (size_t i = 0; i < mutations.size(); ++i) {
+    for (bool mutate_copy : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "mutation " << i
+                                      << (mutate_copy ? " on the copy"
+                                                      : " on the original"));
+      Graph original = MakeFrozen();
+      Graph copy = original;
+      Graph& mutated = mutate_copy ? copy : original;
+      const Graph& other = mutate_copy ? original : copy;
+      const GraphImage before = ImageOf(other);
+      mutations[i](&mutated);
+      EXPECT_NE(ImageOf(mutated), before);
+      EXPECT_EQ(ImageOf(other), before);
+      EXPECT_TRUE(mutated.CheckConsistency());
+      EXPECT_TRUE(other.CheckConsistency());
+      // Re-freezing the mutated graph builds it a block of its own.
+      mutated.Freeze();
+      EXPECT_EQ(ImageOf(other), before);
+      EXPECT_TRUE(other.CheckConsistency());
+    }
+  }
 }
 
 TEST(GraphTest, ConsistencyAfterManyMutations) {

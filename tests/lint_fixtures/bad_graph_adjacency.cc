@@ -1,19 +1,22 @@
 // Lint fixture: direct adjacency-storage access outside the Graph
 // implementation.  Both the CSR member names and legacy out_[v]/in_[v]
-// subscripts must be flagged — 8 violations in total.
+// subscripts must be flagged — 9 violations in total.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace osq {
 namespace fixture {
 
-// A mirrored copy of the CSR arrays is as layout-coupled as a subscript:
-// both declarations are violations.
+// A mirrored copy of the CSR arrays, or of the anchor that keeps them
+// alive, is as layout-coupled as a subscript: all three declarations are
+// violations.
 struct ShadowCsr {
   std::vector<size_t> out_offsets_;
   std::vector<uint32_t> out_entries_;
+  std::shared_ptr<const void> csr_anchor_;
 };
 
 inline size_t Degree(const ShadowCsr& g, size_t v) {

@@ -83,10 +83,10 @@ TEST(OsqLintFixtureTest, CleanDeterminism) {
 
 TEST(OsqLintFixtureTest, BadGraphAdjacency) {
   std::vector<Violation> vs = LintFixture("bad_graph_adjacency.cc");
-  // 2 mirrored CSR declarations + 4 CSR subscript uses + 2 legacy out_[v]/
-  // in_[v] subscripts.
-  EXPECT_EQ(CountRule(vs, "osq-graph-adjacency"), 8u);
-  EXPECT_EQ(vs.size(), 8u);
+  // 3 mirrored CSR declarations (two arrays and the anchor) + 4 CSR
+  // subscript uses + 2 legacy out_[v]/in_[v] subscripts.
+  EXPECT_EQ(CountRule(vs, "osq-graph-adjacency"), 9u);
+  EXPECT_EQ(vs.size(), 9u);
 }
 
 TEST(OsqLintFixtureTest, CleanGraphAdjacency) {

@@ -38,11 +38,11 @@ TEST(GraphPartitionerTest, EveryNodeOwnedByExactlyOneShard) {
     std::vector<size_t> owners(g.num_nodes(), 0);
     for (size_t s = 0; s < plan.shards.size(); ++s) {
       const ShardSpec& spec = plan.shards[s];
-      ASSERT_EQ(spec.members.size(), spec.owned.size());
-      for (size_t i = 0; i < spec.members.size(); ++i) {
+      ASSERT_EQ(spec.sub.to_original.size(), spec.owned.size());
+      for (size_t i = 0; i < spec.sub.to_original.size(); ++i) {
         if (spec.owned[i] != 0) {
-          ++owners[spec.members[i]];
-          EXPECT_EQ(p.OwnerOf(spec.members[i]), s);
+          ++owners[spec.sub.to_original[i]];
+          EXPECT_EQ(p.OwnerOf(spec.sub.to_original[i]), s);
         }
       }
     }
@@ -74,9 +74,9 @@ TEST(GraphPartitionerTest, SingleShardIsIdentity) {
   ShardPlan plan = GraphPartitioner(g, so).Partition();
   ASSERT_EQ(plan.shards.size(), 1u);
   const ShardSpec& spec = plan.shards[0];
-  ASSERT_EQ(spec.members.size(), g.num_nodes());
+  ASSERT_EQ(spec.sub.to_original.size(), g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_EQ(spec.members[v], v);
+    EXPECT_EQ(spec.sub.graph.NodeLabel(v), g.NodeLabel(v));
     EXPECT_NE(spec.owned[v], 0);
     EXPECT_EQ(spec.sub.to_original[v], v);
     EXPECT_EQ(spec.sub.LocalId(v), v);
@@ -95,7 +95,8 @@ TEST(GraphPartitionerTest, HaloCoversRadiusBallAndSubgraphIsInduced) {
 
   for (size_t s = 0; s < plan.shards.size(); ++s) {
     const ShardSpec& spec = plan.shards[s];
-    std::set<NodeId> members(spec.members.begin(), spec.members.end());
+    std::set<NodeId> members(spec.sub.to_original.begin(),
+                             spec.sub.to_original.end());
     // Membership must cover every node within halo_radius undirected hops
     // of an owned node.
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -119,7 +120,7 @@ TEST(GraphPartitionerTest, HaloCoversRadiusBallAndSubgraphIsInduced) {
     }
   }
   // Shard 1 owns {2,3}; radius 2 on the path reaches 0..5.
-  EXPECT_EQ(plan.shards[1].members,
+  EXPECT_EQ(plan.shards[1].sub.to_original,
             (std::vector<NodeId>{0, 1, 2, 3, 4, 5}));
 }
 

@@ -234,6 +234,32 @@ TEST(SnapshotTest, EngineMoveAfterLoadKeepsAnswering) {
   EXPECT_EQ(ra.matches, rb.matches);
 }
 
+// A copy of a loaded graph shares the snapshot mapping, so it must keep
+// the mapping alive once the engine that loaded it is gone: it still reads
+// every edge and can still be mutated (the first edit thaws from the
+// mapped arrays).
+TEST(SnapshotTest, GraphCopyOutlivesTheLoadedEngine) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  QueryEngine engine = MakeTravelEngine(f);
+  const std::string path = TempPath("osq_snapshot_copy.snp");
+  ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
+
+  LabelDictionary dict;
+  std::unique_ptr<QueryEngine> loaded;
+  ASSERT_TRUE(LoadEngineSnapshot(path, &dict, &loaded).ok());
+  Graph copy = loaded->graph();
+  loaded.reset();
+
+  EXPECT_TRUE(copy.is_snapshot_backed());
+  ExpectSameGraph(engine.graph(), copy);
+  EXPECT_TRUE(copy.CheckConsistency());
+  ASSERT_GT(copy.num_edges(), 0u);
+  EdgeTriple first = *copy.Edges().begin();
+  EXPECT_TRUE(copy.RemoveEdge(first.from, first.to, first.label));
+  EXPECT_EQ(copy.num_edges(), engine.graph().num_edges() - 1);
+  EXPECT_TRUE(copy.CheckConsistency());
+}
+
 TEST(SnapshotTest, PrePopulatedDictionaryMustAgree) {
   test::TravelFixture f = test::MakeTravelFixture();
   QueryEngine engine = MakeTravelEngine(f);

@@ -33,7 +33,8 @@
 //                          ShardEngine adapter, so the coordinator stays
 //                          correct when the per-shard engine evolves.
 //   osq-graph-adjacency    The CSR adjacency arrays (out_offsets_,
-//                          out_entries_, in_offsets_, in_entries_, the slot
+//                          out_entries_, in_offsets_, in_entries_, the
+//                          csr_anchor_ that keeps them alive, the slot
 //                          maps and thaw overlays) are private to Graph, and
 //                          legacy `out_[v]` / `in_[v]` subscripts are gone;
 //                          everything outside graph/graph.{h,cc} must go

@@ -504,7 +504,7 @@ class Linter {
     // mirrored copy of the arrays is as layout-coupled as a subscript.
     static const std::regex kCsrMember(
         R"(\b(out_offsets_|in_offsets_|out_entries_|in_entries_|)"
-        R"(out_slot_|in_slot_|dyn_out_|dyn_in_)\b)");
+        R"(csr_anchor_|out_slot_|in_slot_|dyn_out_|dyn_in_)\b)");
     auto begin = std::sregex_iterator(code.begin(), code.end(), kCsrMember);
     for (auto it = begin; it != std::sregex_iterator(); ++it) {
       Report(idx, "osq-graph-adjacency",

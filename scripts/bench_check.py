@@ -11,8 +11,8 @@ Rows are keyed by (name, threads).  Two kinds of checks:
   2. Ratio floors: --min-ratio NUM,DEN,RATIO[,THREADS] (repeatable)
      requires  ms(NUM) / ms(DEN) >= RATIO  at the given thread count
      (default 1).  This is how a speedup claim stays machine-checked —
-     e.g. loading a v2 snapshot against rebuilding the index:
-         --min-ratio BM_BuildFromScratch,BM_LoadSnapshotV2Binary,11.2
+     e.g. loading a snapshot against rebuilding the index:
+         --min-ratio BM_BuildFromScratch,BM_LoadSnapshot,RATIO
   3. Extra floors: --min-extra NAME,KEY,FLOOR[,THREADS] (repeatable)
      requires the fresh row NAME to carry a numeric extra KEY >= FLOOR.
      This keeps effectiveness counters alive, not just timings — e.g. the

@@ -71,18 +71,14 @@ SignatureRequirement BuildSignatureRequirement(
 }
 
 NodeSignature CandidateIndex::ComputeNodeSignature(const Graph& g,
-                                                   NodeId v) const {
+                                                   NodeId v) {
   NodeSignature sig;
   for (const AdjEntry& e : g.OutEdges(v)) {
     sig.out_bits |= uint64_t{1} << PairBit(e.label, g.NodeLabel(e.node));
-    sig.out_counts.push_back({e.label, 1});
   }
   for (const AdjEntry& e : g.InEdges(v)) {
     sig.in_bits |= uint64_t{1} << PairBit(e.label, g.NodeLabel(e.node));
-    sig.in_counts.push_back({e.label, 1});
   }
-  SortAndCombine(&sig.out_counts);
-  SortAndCombine(&sig.in_counts);
   return sig;
 }
 
@@ -90,8 +86,7 @@ CandidateIndex CandidateIndex::Build(const Graph& g, size_t num_threads) {
   CandidateIndex index;
   index.node_sigs_.resize(g.num_nodes());
   ParallelFor(num_threads, g.num_nodes(), [&](size_t v) {
-    index.node_sigs_[v] =
-        index.ComputeNodeSignature(g, static_cast<NodeId>(v));
+    index.node_sigs_[v] = ComputeNodeSignature(g, static_cast<NodeId>(v));
   });
   for (NodeId v = 0; v < g.num_nodes(); ++v) index.AddToLabelList(g, v);
   return index;

@@ -1,10 +1,11 @@
 // Precomputed candidate-pruning index over the data graph (ROADMAP item 1).
 //
-// For every data node the index keeps a compact *neighborhood signature*:
-//   * a 64-bit bitset over hashed (edge label, neighbor node label) pairs,
-//     one for the out- and one for the in-neighborhood (the label-pair
-//     encoding of l2Match);
-//   * exact degree-per-edge-label counts, out and in (the CNI spirit).
+// For every data node the index keeps a two-word *neighborhood signature*:
+// a 64-bit bitset over hashed (edge label, neighbor node label) pairs, one
+// for the out- and one for the in-neighborhood (the label-pair encoding of
+// l2Match).  The exact per-edge-label degree test (the CNI spirit) needs no
+// stored counts: it is read from the node's own adjacency in the data
+// graph, and only for nodes whose masks already passed.
 // It inverts the node set by label (ascending node lists), so the Gview
 // filter (core/filtering.h) seeds with exactly the nodes carrying a
 // theta-passing label — found by list lookup instead of a scan — minus
@@ -31,8 +32,9 @@
 // are recomputed exactly for the two endpoints of every edge update.
 // OntologyIndex drives this from ApplyUpdate, keeping the index exact
 // under edge insertions and deletions (proven by
-// tests/filter_maintenance_test.cc).  Node label mutation outside the
-// maintenance API is unsupported.
+// tests/filter_maintenance_test.cc); the degree test reads the current
+// adjacency, thaw overlay included, so it needs no repair.  Node label
+// mutation outside the maintenance API is unsupported.
 
 #ifndef OSQ_CORE_CANDIDATE_INDEX_H_
 #define OSQ_CORE_CANDIDATE_INDEX_H_
@@ -48,19 +50,18 @@
 
 namespace osq {
 
-// Sorted-by-label (edge label, count) pairs; the shared shape of degree
-// vectors and degree requirements.
+// Sorted-by-label (edge label, count) pairs: a degree requirement.
 using LabelCounts = std::vector<std::pair<LabelId, uint32_t>>;
 
-// One data node's neighborhood signature.
+// One data node's neighborhood signature: two words, no heap.
 struct NodeSignature {
   uint64_t out_bits = 0;  // hashed (edge label, out-neighbor label) pairs
   uint64_t in_bits = 0;   // hashed (edge label, in-neighbor label) pairs
-  LabelCounts out_counts;  // out-degree per edge label
-  LabelCounts in_counts;   // in-degree per edge label
 
   friend bool operator==(const NodeSignature&, const NodeSignature&) = default;
 };
+static_assert(sizeof(NodeSignature) == 16,
+              "NodeSignature is two words: the snapshot stores it verbatim");
 
 // What one query node demands of any data node matching it, precomputed
 // once per (query, theta) from the exact candidate-label tables.
@@ -92,26 +93,18 @@ inline bool SignatureMasksPass(
   return true;
 }
 
-// True when `have` dominates `need` per label; both sorted by label.
-inline bool SignatureCountsDominate(const LabelCounts& have,
-                                    const LabelCounts& need) {
-  size_t i = 0;
+// True when `adj` holds at least the required number of edges of every
+// label in `need`.  Each count stops scanning once it is met.
+inline bool AdjacencyMeetsCounts(Graph::AdjSpan adj, const LabelCounts& need) {
   for (const auto& [label, required] : need) {
-    while (i < have.size() && have[i].first < label) ++i;
-    if (i == have.size() || have[i].first != label ||
-        have[i].second < required) {
-      return false;
+    uint32_t seen = 0;
+    for (const AdjEntry* a = adj.begin(); a != adj.end() && seen < required;
+         ++a) {
+      if (a->label == label) ++seen;
     }
+    if (seen < required) return false;
   }
   return true;
-}
-
-inline bool SignaturePasses(const NodeSignature& sig,
-                            const SignatureRequirement& req) {
-  return SignatureMasksPass(sig.out_bits, req.out_masks) &&
-         SignatureMasksPass(sig.in_bits, req.in_masks) &&
-         SignatureCountsDominate(sig.out_counts, req.out_counts) &&
-         SignatureCountsDominate(sig.in_counts, req.in_counts);
 }
 
 class CandidateIndex {
@@ -121,9 +114,8 @@ class CandidateIndex {
   // Bit position of the hashed (edge label, node label) pair.
   static uint32_t PairBit(LabelId edge_label, LabelId node_label);
 
-  // Builds the full index, node signatures in parallel over nodes.
-  // Identical result for every thread count (every output vector is
-  // canonically sorted).
+  // Builds the full index: one pass over the adjacency, node signatures in
+  // parallel over nodes.  Identical result for every thread count.
   static CandidateIndex Build(const Graph& g, size_t num_threads);
 
   size_t num_nodes() const { return node_sigs_.size(); }
@@ -134,10 +126,20 @@ class CandidateIndex {
   const NodeSignature& node_signature(NodeId v) const {
     return node_sigs_[v];
   }
-  // True when data node v could still match a query node with requirement
-  // `req` (necessary condition; never rejects a true match).
-  bool NodePasses(NodeId v, const SignatureRequirement& req) const {
-    return SignaturePasses(node_sigs_[v], req);
+  // True when data node v of `g` (the graph this index was built over and
+  // maintained with) could still match a query node with requirement `req`
+  // (necessary condition; never rejects a true match).  The masks are
+  // tested first; the degree requirement of a direction is then counted
+  // over v's adjacency in that direction, only when it is non-empty.
+  bool NodePasses(const Graph& g, NodeId v,
+                  const SignatureRequirement& req) const {
+    const NodeSignature& sig = node_sigs_[v];
+    return SignatureMasksPass(sig.out_bits, req.out_masks) &&
+           SignatureMasksPass(sig.in_bits, req.in_masks) &&
+           (req.out_counts.empty() ||
+            AdjacencyMeetsCounts(g.OutEdges(v), req.out_counts)) &&
+           (req.in_counts.empty() ||
+            AdjacencyMeetsCounts(g.InEdges(v), req.in_counts));
   }
 
   // --- Incremental maintenance (core/index_maintenance.h) ----------------
@@ -148,9 +150,10 @@ class CandidateIndex {
   // (must be the next id).
   void OnNodeAdded(const Graph& g, NodeId v);
 
-  // Exact structural equality — meaningful because every stored vector is
-  // canonically sorted, so "maintained incrementally" and "rebuilt from
-  // scratch over the same graph" must compare equal.
+  // Exact structural equality — meaningful because the signatures are a
+  // function of the adjacency and the label lists ascend, so "maintained
+  // incrementally" and "rebuilt from scratch over the same graph" must
+  // compare equal.
   friend bool operator==(const CandidateIndex&,
                          const CandidateIndex&) = default;
 
@@ -167,7 +170,7 @@ class CandidateIndex {
                                           SnapshotParts parts);
 
  private:
-  NodeSignature ComputeNodeSignature(const Graph& g, NodeId v) const;
+  static NodeSignature ComputeNodeSignature(const Graph& g, NodeId v);
   void AddToLabelList(const Graph& g, NodeId v);
 
   std::vector<NodeSignature> node_sigs_;

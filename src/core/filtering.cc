@@ -162,7 +162,7 @@ class NodeStage {
         nq_(in.query.num_nodes()),
         stats_(stats),
         // Sets [0, nq) are the candidates of each query node; sets
-        // [nq, 2 nq) the nodes already examined for it while seeding.
+        // [nq, 2 nq) the nodes already examined for it while expanding.
         sets_(g.num_nodes(), 2 * nq_),
         can_(nq_),
         check_(in.exec) {}
@@ -261,9 +261,9 @@ class NodeStage {
     return false;
   }
 
-  // One node reached by the seed stage: polls the deadline, then counts
-  // the node unless it was already examined for u.  Returns whether to
-  // examine it; false also once the query is stopped (check_ says so).
+  // One node reached by expansion: polls the deadline, then counts the
+  // node unless it was already examined for u.  Returns whether to examine
+  // it; false also once the query is stopped (check_ says so).
   bool Visit(NodeId u, NodeId v) {
     if (check_.Stop() || !sets_.Add(v, nq_ + u)) return false;
     ++stats_->seed_visits;
@@ -273,7 +273,7 @@ class NodeStage {
   // Signature-index admission of v for u; every caller has checked that v
   // holds a theta-passing label for u.
   void Admit(NodeId u, NodeId v) {
-    if (!cindex_.NodePasses(v, in_.reqs[u])) {
+    if (!cindex_.NodePasses(g_, v, in_.reqs[u])) {
       ++stats_->sig_node_rejections;
     } else if (sets_.Add(v, u)) {
       can_[u].push_back(v);
@@ -282,12 +282,14 @@ class NodeStage {
 
   // Seeds u's candidates from the label lists of its theta-passing labels;
   // the signature test rejects those that cannot satisfy u's incident
-  // query edges.
+  // query edges.  A node has one label, so the lists are disjoint and each
+  // entry is examined once without Visit's examined-set insert.
   void Seed(NodeId u) {
     for (LabelId l : in_.sim_labels[u]) {
       for (NodeId v : cindex_.NodesWithLabel(l)) {
-        if (Visit(u, v)) Admit(u, v);
-        if (Stopped()) return;
+        if (check_.Stop()) return;
+        ++stats_->seed_visits;
+        Admit(u, v);
       }
     }
   }

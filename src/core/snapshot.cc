@@ -27,9 +27,11 @@ static_assert(std::endian::native == std::endian::little,
               "snapshot format requires a little-endian host");
 
 constexpr char kMagic[8] = {'O', 'S', 'Q', 'S', 'N', 'P', '2', '\0'};
-// Version 3 dropped v2's concept-graph section and block aggregates; a
-// file in the v2 layout fails the version check.
-constexpr uint32_t kVersion = 3;
+// Version 3 dropped v2's concept-graph section and block aggregates;
+// version 4 stores each node signature as its two words, without v3's
+// per-node degree counts.  A file in an older layout fails the version
+// check.
+constexpr uint32_t kVersion = 4;
 constexpr uint32_t kMaxSections = 64;
 
 enum SectionType : uint32_t {
@@ -100,13 +102,6 @@ class ByteWriter {
   void Align8() {
     while (buf.size() % 8 != 0) buf.push_back('\0');
   }
-  void Counts(const LabelCounts& c) {
-    U32(static_cast<uint32_t>(c.size()));
-    for (const auto& [label, count] : c) {
-      U32(label);
-      U32(count);
-    }
-  }
 
   std::string buf;
 };
@@ -128,18 +123,6 @@ class ByteReader {
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
   bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool Counts(LabelCounts* c) {
-    // The wire layout (label u32, count u32 per entry) is exactly the
-    // in-memory pair layout, so the whole vector is one bounded memcpy —
-    // the candidate-index section holds two counts per node, making this
-    // the hottest reader on the cold-start path.
-    static_assert(sizeof(std::pair<LabelId, uint32_t>) == 8,
-                  "bulk read relies on the packed pair layout");
-    uint32_t n = 0;
-    if (!U32(&n) || n > remaining() / 8) return false;
-    c->resize(n);
-    return Raw(c->data(), c->size() * sizeof((*c)[0]));
-  }
   size_t remaining() const { return size_ - pos_; }
   bool Done() const { return pos_ == size_; }
 
@@ -296,13 +279,10 @@ std::string EncodeOntology(const OntologyGraph& o, size_t dict_size) {
 std::string EncodeCandidateIndex(const CandidateIndex& index) {
   CandidateIndex::SnapshotParts parts = index.ExportSnapshotParts();
   ByteWriter w;
+  // Node count, then (out_bits, in_bits) per node: the in-memory layout.
   w.U64(parts.node_sigs.size());
-  for (const NodeSignature& s : parts.node_sigs) {
-    w.U64(s.out_bits);
-    w.U64(s.in_bits);
-    w.Counts(s.out_counts);
-    w.Counts(s.in_counts);
-  }
+  w.Raw(parts.node_sigs.data(),
+        parts.node_sigs.size() * sizeof(NodeSignature));
   return std::move(w.buf);
 }
 
@@ -465,15 +445,12 @@ bool ValidCsr(size_t n, uint64_t m, const EdgeIndex* offsets,
     return Status::Corruption("candidate-index section: node count "
                               "disagrees with the graph");
   }
+  // n is bounded by the graph, so the byte count cannot overflow.
+  const size_t bytes = static_cast<size_t>(n) * sizeof(NodeSignature);
   parts.node_sigs.resize(static_cast<size_t>(n));
-  for (NodeSignature& s : parts.node_sigs) {
-    if (!r.U64(&s.out_bits) || !r.U64(&s.in_bits) || !r.Counts(&s.out_counts) ||
-        !r.Counts(&s.in_counts)) {
-      return Status::Corruption("candidate-index section truncated");
-    }
-  }
-  if (!r.Done()) {
-    return Status::Corruption("candidate-index section has trailing bytes");
+  if (r.remaining() != bytes || !r.Raw(parts.node_sigs.data(), bytes)) {
+    return Status::Corruption("candidate-index section: size does not "
+                              "match the node count");
   }
   *out = CandidateIndex::FromSnapshotParts(g, std::move(parts));
   return Status::Ok();

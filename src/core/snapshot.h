@@ -1,4 +1,4 @@
-// Binary engine snapshots (format version 3) — the one way an index is
+// Binary engine snapshots (format version 4) — the one way an index is
 // saved and loaded.
 //
 // One mmap-able file holds everything a serving process needs to answer
@@ -7,17 +7,18 @@
 // Loading maps the file and adopts the graph's CSR arrays *in place*
 // (zero-copy; the Graph and every copy of it keep the mapping alive
 // through their shared anchor; node labels are copied, 4 B per node),
-// deserializes the node signatures, and skips every expensive build
-// stage: no text parsing, no candidate-signature recomputation.  The
-// paper's concept graphs (concept/concept_index.h) are not part of the
-// serving engine and are never saved.
+// copies the node signatures (two words per node, one bounded copy), and
+// skips every expensive build stage: no text parsing, no
+// candidate-signature recomputation.  The paper's concept graphs
+// (concept/concept_index.h) are not part of the serving engine and are
+// never saved.
 // The index is "computed once for all" (paper §III): a deployment builds
 // it once, saves the engine, and cold-starts every later process from the
 // file in a fraction of the rebuild time (bench/bench_load.cc).
 //
 // File layout (all integers little-endian; every section offset 8-aligned):
 //
-//   SnapshotHeader   { magic "OSQSNP2\0", version 3, section_count,
+//   SnapshotHeader   { magic "OSQSNP2\0", version 4, section_count,
 //                      file_size, payload_hash }
 //   SectionEntry[n]  { type, offset, size }
 //   sections...      (see SectionType; each internally self-describing)
@@ -28,10 +29,12 @@
 // fraction of load time).  It is recomputed on load, so any bit flip in
 // the file fails closed.  Structural validation (bounds, alignment, overlap,
 // monotone CSR offsets, sorted adjacency) runs before any pointer into the
-// mapping is trusted.  Error taxonomy: a file that is not a version-3
-// snapshot at all (bad magic, or another version such as the retired v2
-// layout with its concept-graph section) is InvalidArgument; a version-3
-// file that is damaged or inconsistent is Corruption.
+// mapping is trusted.  The candidate-index section is the node count
+// followed by (out_bits u64, in_bits u64) per node.  Error taxonomy: a
+// file that is not a version-4 snapshot at all (bad magic, or another
+// version such as the retired v2 layout with its concept-graph section or
+// the v3 layout with per-node degree counts) is InvalidArgument; a
+// version-4 file that is damaged or inconsistent is Corruption.
 
 #ifndef OSQ_CORE_SNAPSHOT_H_
 #define OSQ_CORE_SNAPSHOT_H_

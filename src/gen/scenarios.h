@@ -50,8 +50,9 @@ Dataset MakeFlickrLike(const ScenarioParams& params);
 // scenarios above makes partition refinement collapse to singleton blocks;
 // the hub/spoke symmetry here keeps blocks coarse — many products share a
 // refinement signature while their per-edge-label degrees differ — which
-// is the regime where the candidate index's node-level signature check
-// (NodePasses) prunes beyond what block aggregates can.
+// is the regime where the degree test of the candidate index's node-level
+// check (NodePasses, counted over the node's adjacency) prunes what the
+// pair-bit masks cannot.
 Dataset MakeCatalogLike(const ScenarioParams& params);
 
 // Community-like: the CrossDomain label space arranged as a ring of

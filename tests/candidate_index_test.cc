@@ -29,36 +29,6 @@ OntologyIndex BuildTravelIndex(const test::TravelFixture& f) {
   return OntologyIndex::Build(f.g, f.o, IndexOptions{});
 }
 
-// Independent oracle for one node's signature, straight from the graph.
-NodeSignature OracleSignature(const Graph& g, NodeId v) {
-  NodeSignature sig;
-  std::map<LabelId, uint32_t> out_deg;
-  std::map<LabelId, uint32_t> in_deg;
-  for (const AdjEntry& e : g.OutEdges(v)) {
-    sig.out_bits |= uint64_t{1}
-                    << CandidateIndex::PairBit(e.label, g.NodeLabel(e.node));
-    ++out_deg[e.label];
-  }
-  for (const AdjEntry& e : g.InEdges(v)) {
-    sig.in_bits |= uint64_t{1}
-                   << CandidateIndex::PairBit(e.label, g.NodeLabel(e.node));
-    ++in_deg[e.label];
-  }
-  sig.out_counts.assign(out_deg.begin(), out_deg.end());
-  sig.in_counts.assign(in_deg.begin(), in_deg.end());
-  return sig;
-}
-
-TEST(CandidateIndexTest, NodeSignaturesMatchAdjacency) {
-  test::TravelFixture f = test::MakeTravelFixture();
-  OntologyIndex index = BuildTravelIndex(f);
-  const CandidateIndex& ci = index.candidate_index();
-  ASSERT_EQ(ci.num_nodes(), f.g.num_nodes());
-  for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
-    EXPECT_EQ(ci.node_signature(v), OracleSignature(f.g, v)) << "node " << v;
-  }
-}
-
 TEST(CandidateIndexTest, RequirementAcceptsMatchesRejectsImpossible) {
   test::TravelFixture f = test::MakeTravelFixture();
   OntologyIndex index = BuildTravelIndex(f);
@@ -77,17 +47,17 @@ TEST(CandidateIndexTest, RequirementAcceptsMatchesRejectsImpossible) {
   // The known match nodes (Example IV.3) must pass their query node's
   // requirement — signature tests are necessary conditions.
   EXPECT_TRUE(ci.NodePasses(
-      f.rg, BuildSignatureRequirement(f.query, f.q_museum, sims)));
+      index.data_graph(), f.rg, BuildSignatureRequirement(f.query, f.q_museum, sims)));
   EXPECT_TRUE(ci.NodePasses(
-      f.ct, BuildSignatureRequirement(f.query, f.q_tourists, sims)));
+      index.data_graph(), f.ct, BuildSignatureRequirement(f.query, f.q_tourists, sims)));
   EXPECT_TRUE(ci.NodePasses(
-      f.starlight, BuildSignatureRequirement(f.query, f.q_moonlight, sims)));
+      index.data_graph(), f.starlight, BuildSignatureRequirement(f.query, f.q_moonlight, sims)));
 
   // An impossible degree demand rejects everyone.
   SignatureRequirement impossible;
   impossible.out_counts.push_back({0, 1000});
   for (NodeId v = 0; v < f.g.num_nodes(); ++v) {
-    EXPECT_FALSE(ci.NodePasses(v, impossible));
+    EXPECT_FALSE(ci.NodePasses(index.data_graph(), v, impossible));
   }
 }
 
@@ -117,6 +87,138 @@ SmallWorld MakeSmallWorld(uint64_t seed) {
     if (!q.empty()) w.queries.push_back(std::move(q));
   }
   return w;
+}
+
+// The pair bits of one direction of a node's adjacency.
+uint64_t OracleBits(const Graph& g, Graph::AdjSpan adj) {
+  uint64_t bits = 0;
+  for (const AdjEntry& e : adj) {
+    bits |= uint64_t{1} << CandidateIndex::PairBit(e.label,
+                                                   g.NodeLabel(e.node));
+  }
+  return bits;
+}
+
+// Independent oracle for one direction of NodePasses, straight from the
+// adjacency: its pair bits must meet every mask, and its per-label degrees
+// must reach every count.
+bool OracleSidePasses(const Graph& g, Graph::AdjSpan adj,
+                      const std::vector<std::pair<LabelId, uint64_t>>& masks,
+                      const LabelCounts& counts) {
+  uint64_t bits = OracleBits(g, adj);
+  std::map<LabelId, uint32_t> degree;
+  for (const AdjEntry& e : adj) ++degree[e.label];
+  for (const auto& [unused_label, mask] : masks) {
+    if ((bits & mask) == 0) return false;
+  }
+  for (const auto& [label, need] : counts) {
+    if (degree[label] < need) return false;
+  }
+  return true;
+}
+
+// One direction of a random requirement for node v: up to three distinct
+// edge labels, mostly v's own so the degree demand sits near its real
+// degree, each with a count of 1-3 and a mask that either covers v's pair
+// bit for that label, is all ones, or is one random bit (which mostly
+// misses).
+void RandomSide(const Graph& g, Graph::AdjSpan adj,
+                const std::vector<LabelId>& edge_labels, Rng* rng,
+                std::vector<std::pair<LabelId, uint64_t>>* masks,
+                LabelCounts* counts) {
+  std::map<LabelId, uint32_t> picked;
+  size_t num = rng->Index(4);
+  for (size_t i = 0; i < num; ++i) {
+    LabelId label = edge_labels[rng->Index(edge_labels.size())];
+    uint64_t mask = uint64_t{1} << rng->Index(64);
+    if (!adj.empty() && rng->Bernoulli(0.7)) {
+      const AdjEntry& e = adj[rng->Index(adj.size())];
+      label = e.label;
+      if (rng->Bernoulli(0.5)) {
+        mask = uint64_t{1} << CandidateIndex::PairBit(e.label,
+                                                       g.NodeLabel(e.node));
+      }
+    } else if (rng->Bernoulli(0.3)) {
+      mask = ~uint64_t{0};
+    }
+    masks->push_back({label, mask});
+    picked[label] = static_cast<uint32_t>(1 + rng->Index(3));
+  }
+  counts->assign(picked.begin(), picked.end());
+}
+
+// NodePasses agrees with the adjacency oracle on every node for random
+// requirements, and the stored pair bits are exactly the adjacency's.
+// Returns how many (node, requirement) checks the degree demand alone
+// decided, so the caller can see the count path was exercised.
+size_t ExpectNodePassesMatchesAdjacency(const OntologyIndex& index,
+                                        const std::vector<LabelId>& labels,
+                                        Rng* rng) {
+  const Graph& g = index.data_graph();
+  const CandidateIndex& ci = index.candidate_index();
+  EXPECT_EQ(ci.num_nodes(), g.num_nodes());
+  size_t passed = 0;
+  size_t failed = 0;
+  size_t decided_by_degree = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    EXPECT_EQ(ci.node_signature(v),
+              (NodeSignature{OracleBits(g, g.OutEdges(v)),
+                             OracleBits(g, g.InEdges(v))}))
+        << "node " << v;
+    for (size_t trial = 0; trial < 4; ++trial) {
+      SignatureRequirement req;
+      RandomSide(g, g.OutEdges(v), labels, rng, &req.out_masks,
+                 &req.out_counts);
+      RandomSide(g, g.InEdges(v), labels, rng, &req.in_masks,
+                 &req.in_counts);
+      bool masks_pass =
+          OracleSidePasses(g, g.OutEdges(v), req.out_masks, {}) &&
+          OracleSidePasses(g, g.InEdges(v), req.in_masks, {});
+      bool expected =
+          OracleSidePasses(g, g.OutEdges(v), req.out_masks, req.out_counts) &&
+          OracleSidePasses(g, g.InEdges(v), req.in_masks, req.in_counts);
+      EXPECT_EQ(ci.NodePasses(g, v, req), expected)
+          << "node " << v << " trial " << trial;
+      ++(expected ? passed : failed);
+      if (masks_pass && !expected) ++decided_by_degree;
+    }
+  }
+  EXPECT_GT(passed, 0u);
+  EXPECT_GT(failed, 0u);
+  return decided_by_degree;
+}
+
+TEST(CandidateIndexTest, NodeSignaturesMatchAdjacency) {
+  SmallWorld w = MakeSmallWorld(23);
+  const Graph& g = w.index.data_graph();
+  std::set<LabelId> edge_labels;
+  for (const EdgeTriple& e : g.EdgeList()) edge_labels.insert(e.label);
+  std::vector<LabelId> labels(edge_labels.begin(), edge_labels.end());
+  ASSERT_FALSE(labels.empty());
+  Rng rng(41);
+
+  ASSERT_TRUE(g.fully_frozen());
+  EXPECT_GT(ExpectNodePassesMatchesAdjacency(w.index, labels, &rng), 0u);
+
+  // Thaw some nodes: their adjacency (and degree test) now reads the
+  // overlay.
+  size_t applied = 0;
+  for (size_t step = 0; step < 40; ++step) {
+    NodeId u = static_cast<NodeId>(rng.Index(g.num_nodes()));
+    NodeId v = static_cast<NodeId>(rng.Index(g.num_nodes()));
+    LabelId label = labels[rng.Index(labels.size())];
+    if (u != v && ApplyUpdate(&w.index, GraphUpdate::Insert(u, v, label))) {
+      ++applied;
+    }
+    std::vector<EdgeTriple> edges = g.EdgeList();
+    EdgeTriple e = edges[rng.Index(edges.size())];
+    if (ApplyUpdate(&w.index, GraphUpdate::Delete(e.from, e.to, e.label))) {
+      ++applied;
+    }
+  }
+  ASSERT_GT(applied, 40u);
+  ASSERT_FALSE(g.fully_frozen());
+  EXPECT_GT(ExpectNodePassesMatchesAdjacency(w.index, labels, &rng), 0u);
 }
 
 std::set<NodeId> CandidateOriginals(const FilterResult& r, NodeId q) {

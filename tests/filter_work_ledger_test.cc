@@ -37,6 +37,24 @@
 // fixpoint-check ceilings are the figures themselves: G_v is the greatest
 // node-level fixpoint, the same one the block stages led to.
 //
+// sig_node_rejections (nodes the signature test turned away) has a floor
+// instead: fewer rejections means weaker pruning.  The floors are the
+// counts of the signature that stored per-label degree vectors; reading
+// the degree test from the adjacency rejects exactly the same nodes.
+//
+//   scenario     |V|   sig node rejections
+//   CrossDomain   8k        7,203
+//   CrossDomain  32k       28,654
+//   CrossDomain 128k      129,533
+//   Community     8k        8,638
+//   Community    32k       37,118
+//   Community   128k      159,350
+//   Flickr        8k       38,466
+//   Flickr       32k      121,970
+//   Flickr      128k      610,582
+//   Catalog       8k       53,462
+//   Catalog      32k      335,018
+//
 // KMatchWorkLedgerTest runs KMatch (k = 10) over the same CrossDomain and
 // Community inputs and sums KMatchStats.  Figures when the ceilings were
 // set ("now"), against the KMatch that ran Consistent on every candidate
@@ -125,6 +143,7 @@ struct LedgerCase {
   size_t max_seed_visits = 0;
   size_t max_fixpoint_checks = 0;
   size_t max_gv_nodes = 0;
+  size_t min_sig_node_rejections = 0;
 };
 
 std::ostream& operator<<(std::ostream& os, const LedgerCase& c) {
@@ -147,14 +166,18 @@ TEST_P(FilterWorkLedgerTest, WorkStaysUnderCeilings) {
     sum.seed_visits += r.stats.seed_visits;
     sum.fixpoint_checks += r.stats.fixpoint_checks;
     sum.gv_nodes += r.stats.gv_nodes;
+    sum.sig_node_rejections += r.stats.sig_node_rejections;
   }
   RecordProperty("seed_visits", std::to_string(sum.seed_visits));
+  RecordProperty("sig_node_rejections",
+                 std::to_string(sum.sig_node_rejections));
   RecordProperty("fixpoint_checks", std::to_string(sum.fixpoint_checks));
   RecordProperty("gv_nodes", std::to_string(sum.gv_nodes));
   EXPECT_GT(in.queries.size(), 0u);
   EXPECT_LE(sum.seed_visits, c.max_seed_visits);
   EXPECT_LE(sum.fixpoint_checks, c.max_fixpoint_checks);
   EXPECT_LE(sum.gv_nodes, c.max_gv_nodes);
+  EXPECT_GE(sum.sig_node_rejections, c.min_sig_node_rejections);
 }
 
 std::string CaseName(const ::testing::TestParamInfo<LedgerCase>& info) {
@@ -169,28 +192,33 @@ constexpr MakeInput kCatalog = CatalogInput;
 INSTANTIATE_TEST_SUITE_P(
     Ledger, FilterWorkLedgerTest,
     ::testing::Values(
-        LedgerCase{"CrossDomain8k", kCrossDomain, 8000, 11550, 3565, 585},
+        LedgerCase{"CrossDomain8k", kCrossDomain, 8000, 11550, 3565, 585,
+                   7203},
         LedgerCase{"CrossDomain32k", kCrossDomain, 32000, 43400, 12756,
-                   2083},
-        LedgerCase{"Community8k", kCommunity, 8000, 34600, 31070, 5305},
+                   2083, 28654},
+        LedgerCase{"Community8k", kCommunity, 8000, 34600, 31070, 5305,
+                   8638},
         LedgerCase{"Community32k", kCommunity, 32000, 144200, 125980,
-                   22141},
-        LedgerCase{"Flickr8k", kFlickr, 8000, 359200, 370406, 166885},
-        LedgerCase{"Flickr32k", kFlickr, 32000, 1143600, 1045375, 541993},
-        LedgerCase{"Catalog8k", kCatalog, 8000, 467800, 164653, 178403},
+                   22141, 37118},
+        LedgerCase{"Flickr8k", kFlickr, 8000, 359200, 370406, 166885,
+                   38466},
+        LedgerCase{"Flickr32k", kFlickr, 32000, 1143600, 1045375, 541993,
+                   121970},
+        LedgerCase{"Catalog8k", kCatalog, 8000, 467800, 164653, 178403,
+                   53462},
         LedgerCase{"Catalog32k", kCatalog, 32000, 2061400, 737916,
-                   759327}),
+                   759327, 335018}),
     CaseName);
 
 // Discovered under the ctest label `slow` (tests/CMakeLists.txt).
 INSTANTIATE_TEST_SUITE_P(
     Slow, FilterWorkLedgerTest,
     ::testing::Values(LedgerCase{"CrossDomain128k", kCrossDomain, 128000,
-                                 196200, 52286, 6126},
+                                 196200, 52286, 6126, 129533},
                       LedgerCase{"Community128k", kCommunity, 128000, 606900,
-                                 718969, 83404},
+                                 718969, 83404, 159350},
                       LedgerCase{"Flickr128k", kFlickr, 128000, 5180500,
-                                 4632381, 2389641}),
+                                 4632381, 2389641, 610582}),
     CaseName);
 
 struct KMatchLedgerCase {

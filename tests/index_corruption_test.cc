@@ -121,9 +121,10 @@ TEST(SnapshotCorruptionTest, BadMagicIsInvalidArgument) {
 }
 
 TEST(SnapshotCorruptionTest, UnsupportedVersionIsInvalidArgument) {
-  // 2 is the retired layout with a concept-graph section: such a file fails
-  // closed at the version check, before any section is read.
-  for (uint32_t version : {2u, 9u}) {
+  // 2 is the retired layout with a concept-graph section and 3 the one
+  // with per-node degree counts: such a file fails closed at the version
+  // check, before any section is read.
+  for (uint32_t version : {2u, 3u, 9u}) {
     std::string bytes = BuildValidSnapshotBytes();
     std::memcpy(bytes.data() + 8, &version, sizeof(version));
     Status s = LoadSnapshotBytes(bytes);

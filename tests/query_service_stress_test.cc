@@ -30,6 +30,9 @@ namespace {
 constexpr size_t kReaders = 4;
 constexpr size_t kToggles = 60;
 constexpr size_t kReaderIterations = 250;
+// Cap on the toggles of a writer that keeps going until a read has
+// overlapped a write (see ReadersSeePreOrPostSnapshotOnly).
+constexpr size_t kMaxToggles = 20000;
 
 TEST(QueryServiceStressTest, ReadersSeePreOrPostSnapshotOnly) {
   test::TravelFixture f = test::MakeTravelFixture();
@@ -69,14 +72,24 @@ TEST(QueryServiceStressTest, ReadersSeePreOrPostSnapshotOnly) {
       GraphUpdate::Delete(ct, hp, fav), GraphUpdate::Delete(hp, rg, near)};
 
   std::atomic<bool> writer_done{false};
+  size_t toggles = 0;  // written by the writer, read after the join
   // Thread 0 is the writer; threads 1..kReaders are closed-loop readers.
   RunConcurrently(kReaders + 1, [&](size_t tid) {
     if (tid == 0) {
-      for (size_t t = 0; t < kToggles; ++t) {
-        MaintenanceStats stats = service.ApplyUpdates(
-            t % 2 == 0 ? insert_batch : delete_batch);
-        ASSERT_EQ(stats.applied, 2u) << "toggle " << t;
-        std::this_thread::yield();
+      // Toggle in insert/delete pairs: kToggles, then on until some read
+      // has overlapped a pending or active writer (a write takes
+      // microseconds, so a fixed count sometimes saw no overlap), up to
+      // kMaxToggles.  Whole pairs leave the graph in the pre-update state.
+      while (toggles < kToggles ||
+             (toggles < kMaxToggles &&
+              service.Stats().burst_read_latency.count == 0)) {
+        for (const std::vector<GraphUpdate>* batch :
+             {&insert_batch, &delete_batch}) {
+          MaintenanceStats stats = service.ApplyUpdates(*batch);
+          ASSERT_EQ(stats.applied, 2u) << "toggle " << toggles;
+          ++toggles;
+          std::this_thread::yield();
+        }
       }
       writer_done.store(true, std::memory_order_release);
       return;
@@ -101,20 +114,20 @@ TEST(QueryServiceStressTest, ReadersSeePreOrPostSnapshotOnly) {
     }
   });
 
-  EXPECT_EQ(service.version(), kToggles);
+  EXPECT_EQ(service.version(), toggles);
   EXPECT_TRUE(test::IndexMatchesRebuild(service.engine_unsynchronized()));
 
   ServeStats stats = service.Stats();
   EXPECT_EQ(stats.queries, stats.cache_hits + stats.cache_misses);
   EXPECT_EQ(stats.queries, stats.total_requests());  // nothing shed here
-  EXPECT_EQ(stats.update_batches, kToggles);
-  EXPECT_EQ(stats.updates_applied, 2 * kToggles);
+  EXPECT_EQ(stats.update_batches, toggles);
+  EXPECT_EQ(stats.updates_applied, 2 * toggles);
   EXPECT_EQ(stats.nodes_added, 0u);
   EXPECT_GE(stats.queries, kReaders * kReaderIterations);
   // With only one signature in play, repeat reads at a stable version hit.
   EXPECT_GT(stats.cache_hits, 0u);
-  // 60 toggles against 4 unpaced readers: some reads must have overlapped
-  // a pending/active writer and landed in the burst latency split.
+  // The writer ran until some read overlapped a pending/active writer and
+  // landed in the burst latency split.
   EXPECT_GT(stats.burst_read_latency.count, 0u);
   EXPECT_LE(stats.burst_read_latency.count, stats.queries);
 }

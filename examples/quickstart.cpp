@@ -68,8 +68,7 @@ int main() {
                 names[m.mapping[query.NodeIdOf("who")]],
                 names[m.mapping[query.NodeIdOf("what")]]);
   }
-  std::printf("filter extracted G_v with %zu nodes / %zu edges (of %zu/%zu)\n",
-              result.filter_stats.gv_nodes, result.filter_stats.gv_edges,
-              engine.graph().num_nodes(), engine.graph().num_edges());
+  std::printf("filter extracted G_v with %zu nodes (of %zu)\n",
+              result.filter_stats.gv_nodes, engine.graph().num_nodes());
   return 0;
 }

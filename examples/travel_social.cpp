@@ -84,9 +84,8 @@ int main() {
                   describe(m.mapping[1]).c_str(),
                   describe(m.mapping[2]).c_str());
     }
-    std::printf("  G_v: %zu nodes / %zu edges; filter %.3f ms, verify %.3f ms\n",
-                r.filter_stats.gv_nodes, r.filter_stats.gv_edges, r.filter_ms,
-                r.verify_ms);
+    std::printf("  G_v: %zu nodes; filter %.3f ms, verify %.3f ms\n",
+                r.filter_stats.gv_nodes, r.filter_ms, r.verify_ms);
   }
   return 0;
 }

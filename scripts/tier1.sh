@@ -33,7 +33,7 @@
 #   bench_micro_match run checked against BENCH_match.json (including live
 #   signature rejections on both worlds),
 #   one bench_load run checked against BENCH_load.json (including the
-#   >=0.6x rebuild-vs-snapshot-load cold-start floor), and one bench_shard
+#   >=10x rebuild-vs-snapshot-load cold-start floor), and one bench_shard
 #   run checked against BENCH_shard.json (including the structural sharding
 #   floor: 4-shard scatter overhead <= 25% vs the 1-shard coordinator at
 #   threads=1), all via scripts/bench_check.py.
@@ -102,14 +102,14 @@ if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
 
   echo "== tier-1 (opt-in): cold-start check vs BENCH_load.json =="
   build/bench/bench_load --json build/bench_load_fresh.json
-  # rebuild/load >= 0.6: the index rebuild is one pass over the adjacency,
-  # so a load (hash + CSR validation + signature copy) costs about as much
-  # as a rebuild from an in-memory graph; 15 runs on a 4-core host read
-  # 0.82-1.29 (median 0.99).  The floor fails a load that grows past
-  # ~1.7x the rebuild.
+  # rebuild/load >= 10: the rebuild is a cold start without a snapshot
+  # (parse the graph and ontology text files, freeze, build the index),
+  # and a load skips the parsing and graph construction; 12 runs on a
+  # 4-core shared host read 32.8-43.0 (median 39.2).  The floor fails a
+  # load that grows past a tenth of the cold rebuild (~4x today's load).
   python3 scripts/bench_check.py build/bench_load_fresh.json \
     --baseline BENCH_load.json \
-    --min-ratio BM_BuildFromScratch,BM_LoadSnapshot,0.6
+    --min-ratio BM_BuildFromScratch,BM_LoadSnapshot,10
 
   echo "== tier-1 (opt-in): sharding-overhead check vs BENCH_shard.json =="
   cmake --build build -j "$(nproc)" --target bench_shard

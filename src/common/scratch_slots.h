@@ -1,7 +1,7 @@
 // Per-thread scratch for per-query working sets over a dense id space.
 //
-// The query path keeps small sets of data-node or block ids (the Gview
-// candidate sets, the G_v id remapping), but the ids range over the whole
+// The query path keeps small sets of data-node ids (the Gview candidate
+// sets, KMatch's candidate ranks), but the ids range over the whole
 // graph.  A dense array per query would cost O(|V|) to allocate and clear
 // even when the set holds a few dozen ids.  ScratchSlots instead leases one
 // reusable array per thread and maps each inserted id to a compact *slot*
@@ -45,6 +45,9 @@ class ScratchSlots {
     uint32_t slot = state_.stamp[id] - state_.base;
     return slot < state_.count ? slot : kNone;
   }
+
+  // Number of ids inserted under this lease.
+  uint32_t size() const { return state_.count; }
 
   // Slot of `id`, assigning the next free slot when it has none.
   uint32_t Insert(uint32_t id) {

@@ -85,8 +85,7 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
                 : "  => stopped early: a partial answer, not a proof\n");
     return out.str();
   }
-  out << "  G_v: " << fstats.gv_nodes << " nodes, " << fstats.gv_edges
-      << " edges ("
+  out << "  G_v: " << fstats.gv_nodes << " nodes ("
       << (g.num_nodes() > 0
               ? 100.0 * static_cast<double>(fstats.gv_nodes) /
                     static_cast<double>(g.num_nodes())
@@ -101,9 +100,8 @@ std::string ExplainQuery(const OntologyIndex& index, const Graph& query,
         out << " ...";
         break;
       }
-      NodeId orig = filter->gv.to_original[c.node];
-      out << (listed == 1 ? ":  " : ", ") << "v" << orig << ":"
-          << dict.Name(g.NodeLabel(orig)) << "(" << c.sim << ")";
+      out << (listed == 1 ? ":  " : ", ") << "v" << c.node << ":"
+          << dict.Name(g.NodeLabel(c.node)) << "(" << c.sim << ")";
     }
     out << "\n";
   }

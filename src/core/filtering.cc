@@ -451,25 +451,22 @@ FilterResult GviewFilter(const OntologyIndex& index, const Graph& query,
     return result;
   }
 
-  // Materialize G_v induced by the union of all candidates.
-  std::vector<NodeId> all_nodes;
-  for (NodeId u = 0; u < nq; ++u) {
-    std::sort(can[u].begin(), can[u].end());
-    all_nodes.insert(all_nodes.end(), can[u].begin(), can[u].end());
+  // G_v is the subgraph of the data graph induced by the candidates'
+  // union (Prop. 4.2); KMatch searches the data graph through the
+  // candidate lists, so only its size is recorded.
+  {
+    ScratchSlots gv(g.num_nodes());
+    for (const std::vector<NodeId>& list : can) {
+      for (NodeId v : list) gv.Insert(v);
+    }
+    result.stats.gv_nodes = gv.size();
   }
-  result.gv = InducedSubgraph(g, all_nodes);
-  result.stats.gv_nodes = result.gv.graph.num_nodes();
-  result.stats.gv_edges = result.gv.graph.num_edges();
-
+  result.graph = &g;
   result.candidates.resize(nq);
   ParallelFor(num_threads, nq, [&](size_t u) {
-    // can[u] and to_original both ascend: walk them together.
-    const std::vector<NodeId>& ids = result.gv.to_original;
     const auto& sims = exact_label_sims[u];
-    NodeId local = 0;
     for (NodeId v : can[u]) {
-      while (ids[local] < v) ++local;
-      result.candidates[u].push_back({local, sims.at(g.NodeLabel(v))});
+      result.candidates[u].push_back({v, sims.at(g.NodeLabel(v))});
     }
     std::sort(result.candidates[u].begin(), result.candidates[u].end(),
               [](const Candidate& a, const Candidate& b) {

@@ -26,9 +26,9 @@
 // The result is the greatest fixpoint among the nodes that clear theta and
 // their signature test.  The block stages only ever narrowed the set this
 // stage starts from, never its fixpoint, so G_v is the one the paper's
-// Gview extracts (DESIGN.md §3).  G_v is materialized as the induced
-// subgraph of the candidates' union, with per-query-node candidate lists
-// annotated with similarities (consumed by KMatch).
+// Gview extracts (DESIGN.md §3).  G_v is not copied: the result is its
+// per-query-node candidate lists in data-graph ids, annotated with
+// similarities, through which KMatch searches the data graph.
 //
 // No stage allocates or clears anything sized by |V| per query: candidate-set membership lives in per-thread, epoch-stamped
 // scratch (common/scratch_slots.h).
@@ -44,7 +44,6 @@
 #include "core/ontology_index.h"
 #include "core/options.h"
 #include "graph/graph.h"
-#include "graph/subgraph.h"
 #include "graph/types.h"
 #include "ontology/ontology_graph.h"
 #include "ontology/similarity.h"
@@ -73,9 +72,8 @@ struct FilterStats {
   // Pivot candidates dropped by a PivotRestriction (sharded serving); zero
   // for unrestricted runs.
   size_t pivot_restricted_nodes = 0;
-  // Size of the extracted G_v.
+  // Size of G_v: the distinct nodes over all candidate lists.
   size_t gv_nodes = 0;
-  size_t gv_edges = 0;
   // Non-kNone when a deadline or cancellation interrupted the filter.  An
   // interrupted refinement fixpoint leaves an over-approximation: G_v still
   // contains every true match (pruning is lossless at any prefix of the
@@ -97,7 +95,6 @@ struct FilterStats {
     fixpoint_checks += other.fixpoint_checks;
     pivot_restricted_nodes += other.pivot_restricted_nodes;
     gv_nodes += other.gv_nodes;
-    gv_edges += other.gv_edges;
     stopped = MergeStopReason(stopped, other.stopped);
     return *this;
   }
@@ -105,16 +102,17 @@ struct FilterStats {
 
 // One data-node candidate for a query node, with its exact similarity.
 struct Candidate {
-  NodeId node;  // id in G_v (see FilterResult::gv)
+  NodeId node;  // data-graph node id (see FilterResult::graph)
   double sim;   // sim(L_q(u), L(node)) >= theta
 };
 
 struct FilterResult {
   // True when the filter proved Q(G) empty; all other fields are empty.
   bool no_match = false;
-  // The extracted subgraph G_v, with mappings to original node ids.
-  Subgraph gv;
-  // candidates[u] lists the G_v nodes that may match query node u, sorted
+  // The filtered data graph (the index's), which KMatch searches; it must
+  // outlive the result and stay unmodified while KMatch reads it.
+  const Graph* graph = nullptr;
+  // candidates[u] lists the data nodes that may match query node u, sorted
   // by descending similarity (ties: ascending node id).
   std::vector<std::vector<Candidate>> candidates;
   FilterStats stats;
@@ -180,10 +178,10 @@ struct QuerySimTables {
 // partial, uncached answer).  The refinement fixpoint polls it the same
 // way but, when it fires, stops refining and keeps the current
 // (over-approximate but sound) candidate sets, with stats.stopped
-// recording why.  The remaining stages (similarity tables, G_v build) are
-// linear in the candidates and run to completion.  A stopped filter result
-// is timing-dependent; the thread-count determinism contract applies only
-// to runs that complete.
+// recording why.  The remaining stages (similarity tables, candidate
+// lists) are linear in the candidates and run to completion.  A stopped
+// filter result is timing-dependent; the thread-count determinism
+// contract applies only to runs that complete.
 //
 // `restriction` (optional) applies the pivot-seed restriction documented
 // on PivotRestriction above; restriction->query_node must be a node of

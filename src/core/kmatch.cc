@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "common/check.h"
+#include "common/scratch_slots.h"
 #include "common/thread_pool.h"
 
 namespace osq {
@@ -55,8 +56,8 @@ struct Anchor {
 };
 
 // Read-only state shared by every root-partition search of one query:
-// the matching order, its optimistic suffix bounds, the candidate rank
-// table and per-depth anchors, and the inputs.  `exec` (possibly null) is
+// the matching order, its optimistic suffix bounds, the per-depth anchors
+// and candidate space, and the inputs.  `exec` (possibly null) is
 // the query's shared deadline / cancellation block; each worker polls it
 // through its own CancelCheck.  `ids` (possibly null = identity) maps
 // target nodes to the ids matches report; the pool orders ties by those
@@ -71,15 +72,16 @@ struct SearchContext {
   const std::vector<NodeId>* ids;
   std::vector<NodeId> order;
   std::vector<double> suffix_best;
-  // rank[u * |target| + v] = position of v in candidates[u], -1 if v is
-  // not a candidate of u.
-  std::vector<int32_t> rank;
   std::vector<Anchor> anchors;  // indexed by depth
+  // The candidate space: at a depth d with an anchor p, row i lists the
+  // candidates of order[d] adjacent to candidates[p][i] along the anchor
+  // edge, as ascending ranks into candidates[order[d]]:
+  // ranks[offsets[row_base[d] + i] .. offsets[row_base[d] + i + 1]).
+  std::vector<size_t> row_base;  // indexed by depth
+  std::vector<size_t> offsets;
+  std::vector<uint32_t> ranks;
 
   NodeId Reported(NodeId v) const { return ids == nullptr ? v : (*ids)[v]; }
-  const int32_t* RankRow(NodeId u) const {
-    return rank.data() + static_cast<size_t>(u) * target.num_nodes();
-  }
 };
 
 // Query-node matching order: start at the node with the fewest candidates,
@@ -133,51 +135,73 @@ void BuildSuffixBounds(SearchContext* ctx) {
   }
 }
 
-// Candidate rank table and per-depth anchors.  Every order prefix is
+// Per-depth anchors and the candidate space.  Every order prefix is
 // connected (BuildOrder), so a weakly connected query has an anchor at
 // every depth > 0: the earliest-placed query neighbour of order[d].
 // Under both semantics a candidate that passes Consistent shares a data
-// edge with the anchor's image in the query edge's direction, so walking
-// that image's adjacency finds every successful extension.
-void BuildGenerators(SearchContext* ctx) {
+// edge with the anchor's image in the query edge's direction, so the row
+// of that image holds every successful extension, in candidate-list
+// (descending-sim) order.  Built once per query on the calling thread,
+// one ScratchSlots lease per depth: inserting the depth's candidate list
+// in order makes each slot its rank.
+void BuildCandidateSpace(SearchContext* ctx) {
   const Graph& query = ctx->query;
+  const Graph& target = ctx->target;
   size_t nq = query.num_nodes();
-  size_t nt = ctx->target.num_nodes();
-  ctx->rank.assign(nq * nt, -1);
-  for (NodeId u = 0; u < nq; ++u) {
-    int32_t* row = ctx->rank.data() + static_cast<size_t>(u) * nt;
-    const std::vector<Candidate>& list = ctx->candidates[u];
-    for (size_t i = 0; i < list.size(); ++i) {
-      row[list[i].node] = static_cast<int32_t>(i);
-    }
-  }
   ctx->anchors.assign(nq, Anchor{});
+  ctx->row_base.assign(nq, 0);
   for (size_t d = 1; d < nq; ++d) {
     NodeId q = ctx->order[d];
-    for (size_t i = 0; i < d && ctx->anchors[d].node == kInvalidNode; ++i) {
+    Anchor& anchor = ctx->anchors[d];
+    for (size_t i = 0; i < d && anchor.node == kInvalidNode; ++i) {
       NodeId p = ctx->order[i];
       if (!query.EdgeLabelRange(p, q).empty()) {
-        ctx->anchors[d] = Anchor{p, true};
+        anchor = Anchor{p, true};
       } else if (!query.EdgeLabelRange(q, p).empty()) {
-        ctx->anchors[d] = Anchor{p, false};
+        anchor = Anchor{p, false};
       }
+    }
+    if (anchor.node == kInvalidNode) continue;
+    ScratchSlots slots(target.num_nodes());
+    for (const Candidate& c : ctx->candidates[q]) slots.Insert(c.node);
+    ctx->row_base[d] = ctx->offsets.size();
+    ctx->offsets.push_back(ctx->ranks.size());
+    for (const Candidate& c : ctx->candidates[anchor.node]) {
+      size_t begin = ctx->ranks.size();
+      // Parallel labelled edges repeat a neighbour in the sorted
+      // adjacency; it is taken once.
+      NodeId prev = kInvalidNode;
+      for (const AdjEntry& e : anchor.out ? target.OutEdges(c.node)
+                                          : target.InEdges(c.node)) {
+        if (e.node == prev) continue;
+        prev = e.node;
+        uint32_t r = slots.Find(e.node);
+        if (r != ScratchSlots::kNone) ctx->ranks.push_back(r);
+      }
+      // Ranks follow the adjacency's id order, which is rank order unless
+      // the candidates' similarities differ.
+      auto row = ctx->ranks.begin() + static_cast<std::ptrdiff_t>(begin);
+      if (!std::is_sorted(row, ctx->ranks.end())) {
+        std::sort(row, ctx->ranks.end());
+      }
+      ctx->offsets.push_back(ctx->ranks.size());
     }
   }
 }
 
 // Backtracking searcher for the subtrees rooted at single candidates of
-// the first order node.  One instance per worker thread; the per-depth
-// buffers (assign_, used_, gen_, record_, pool_) are allocated once and
-// reused across every root the worker processes, so the hot path
-// allocates only for matches that enter the pool.
+// the first order node.  One instance per worker thread; its buffers
+// (assign_, assign_sim_, assign_rank_, record_, pool_) are sized by the
+// query, allocated once and reused across every root the worker
+// processes, so the hot path allocates only for matches that enter the
+// pool.
 class Searcher {
  public:
   explicit Searcher(const SearchContext& ctx)
       : ctx_(ctx), check_(ctx.exec) {
     assign_.assign(ctx_.query.num_nodes(), kInvalidNode);
     assign_sim_.assign(ctx_.query.num_nodes(), 0.0);
-    used_.assign(ctx_.target.num_nodes(), false);
-    gen_.resize(ctx_.query.num_nodes());
+    assign_rank_.assign(ctx_.query.num_nodes(), 0);
   }
 
   // Explores the subtree that maps order[0] to root candidate `root`.
@@ -201,10 +225,8 @@ class Searcher {
     if (!Consistent(q, c.node, 0)) return;
     assign_[q] = c.node;
     assign_sim_[q] = c.sim;
-    used_[c.node] = true;
+    assign_rank_[q] = static_cast<uint32_t>(root);
     Recurse(1, c.sim);
-    used_[c.node] = false;
-    assign_[q] = kInvalidNode;
   }
 
   // Immediate deadline/cancel poll, used between root partitions.  Once a
@@ -323,42 +345,39 @@ class Searcher {
       return;
     }
     NodeId q = ctx_.order[depth];
-    const std::vector<Candidate>& list = ctx_.candidates[q];
     const Anchor& anchor = ctx_.anchors[depth];
     if (anchor.node == kInvalidNode) {
-      for (const Candidate& c : list) {
-        if (!Extend(depth, score, q, c)) return;
+      size_t n = ctx_.candidates[q].size();
+      for (uint32_t r = 0; r < n; ++r) {
+        if (!Extend(depth, score, q, r)) return;
       }
       return;
     }
-    // Candidates adjacent to the anchor's image, as ascending ranks: the
-    // same candidates in the same (descending-sim) order as the full list,
-    // minus those Consistent would reject for lack of the anchor edge.
-    // Parallel labelled edges repeat a neighbour in the sorted adjacency;
-    // it is taken once.
-    NodeId image = assign_[anchor.node];
-    Graph::AdjSpan adj = anchor.out ? ctx_.target.OutEdges(image)
-                                    : ctx_.target.InEdges(image);
-    const int32_t* rank = ctx_.RankRow(q);
-    std::vector<int32_t>& ranks = gen_[depth];
-    ranks.clear();
-    NodeId prev = kInvalidNode;
-    for (const AdjEntry& e : adj) {
-      if (e.node == prev) continue;
-      prev = e.node;
-      if (rank[e.node] >= 0) ranks.push_back(rank[e.node]);
-    }
-    std::sort(ranks.begin(), ranks.end());
-    for (int32_t r : ranks) {
-      if (!Extend(depth, score, q, list[static_cast<size_t>(r)])) return;
+    // The anchor image's row of the candidate space: the same candidates
+    // in the same order as the full list, minus those Consistent would
+    // reject for lack of the anchor edge.
+    const size_t* row = ctx_.offsets.data() + ctx_.row_base[depth] +
+                        assign_rank_[anchor.node];
+    for (size_t i = row[0]; i < row[1]; ++i) {
+      if (!Extend(depth, score, q, ctx_.ranks[i])) return;
     }
   }
 
-  // Tries order[depth] = q -> c.node and searches below it.  Returns false
-  // when the caller's candidate loop must end: the bound check failed
-  // (candidates come in descending sim, so every later bound is worse),
-  // or the search was truncated or stopped.
-  bool Extend(size_t depth, double score, NodeId q, const Candidate& c) {
+  // True when v is already the image of an earlier order node (matches
+  // are injective under both semantics).
+  bool Assigned(NodeId v, size_t depth) const {
+    for (size_t i = 0; i < depth; ++i) {
+      if (assign_[ctx_.order[i]] == v) return true;
+    }
+    return false;
+  }
+
+  // Tries order[depth] = q -> candidates[q][rank] and searches below it.
+  // Returns false when the caller's candidate loop must end: the bound
+  // check failed (candidates come in descending sim, so every later bound
+  // is worse), or the search was truncated or stopped.
+  bool Extend(size_t depth, double score, NodeId q, uint32_t rank) {
+    const Candidate& c = ctx_.candidates[q][rank];
     double bound = score + c.sim + ctx_.suffix_best[depth + 1];
     // Once K matches are held, a branch is abandoned only when its
     // optimistic bound falls strictly below the current K-th score (minus
@@ -368,15 +387,13 @@ class Searcher {
     // order.  That exactness is what lets per-root results merge
     // associatively across thread and shard partitionings (DESIGN.md §13).
     if (HaveK() && bound < Threshold() - kScoreEps) return false;
-    if (used_[c.node]) return true;
+    if (Assigned(c.node, depth)) return true;
     ++checks_;
     if (!Consistent(q, c.node, depth)) return true;
     assign_[q] = c.node;
     assign_sim_[q] = c.sim;
-    used_[c.node] = true;
+    assign_rank_[q] = rank;
     Recurse(depth + 1, score + c.sim);
-    used_[c.node] = false;
-    assign_[q] = kInvalidNode;
     return !truncated_ && check_.reason() == StopReason::kNone;
   }
 
@@ -386,9 +403,9 @@ class Searcher {
   // Similarity of each query node's current assignment; read only at full
   // depth (Record), where every entry is live.
   std::vector<double> assign_sim_;
-  std::vector<bool> used_;
-  // gen_[d]: ranks of the anchor-generated candidates at depth d.
-  std::vector<std::vector<int32_t>> gen_;
+  // Rank of each query node's current assignment in its candidate list:
+  // the candidate-space row its image anchors.
+  std::vector<uint32_t> assign_rank_;
   Match record_;             // the complete match Record is judging
   std::vector<Match> pool_;  // kept sorted by MatchBetter when k > 0
   size_t steps_ = 0;
@@ -426,11 +443,11 @@ std::vector<Match> SearchTopK(
     if (candidates[u].empty()) return {};
   }
 
-  SearchContext ctx{query, target, candidates, options, exec, ids, {}, {}, {},
-                    {}};
+  SearchContext ctx{query, target, candidates, options, exec, ids,
+                    {}, {}, {}, {}, {}, {}};
   BuildOrder(&ctx);
   BuildSuffixBounds(&ctx);
-  BuildGenerators(&ctx);
+  BuildCandidateSpace(&ctx);
   const std::vector<Candidate>& roots = candidates[ctx.order[0]];
   size_t num_roots = roots.size();
 
@@ -560,15 +577,8 @@ std::vector<Match> KMatch(const Graph& query, const FilterResult& filter,
     *stats = KMatchStats();
   }
   if (filter.no_match) return {};
-  const std::vector<NodeId>* ids = &filter.gv.to_original;
-  std::vector<NodeId> mapped;
-  if (id_map != nullptr) {
-    mapped.reserve(ids->size());
-    for (NodeId v : *ids) mapped.push_back((*id_map)[v]);
-    ids = &mapped;
-  }
-  return SearchTopK(query, filter.gv.graph, filter.candidates, options,
-                    stats, exec, ids);
+  return SearchTopK(query, *filter.graph, filter.candidates, options, stats,
+                    exec, id_map);
 }
 
 }  // namespace osq

@@ -1,26 +1,29 @@
 // The verification phase — algorithm KMatch (paper §V).
 //
-// KMatch receives the compact subgraph G_v and the per-query-node candidate
-// lists produced by Gview (each sorted by descending similarity) and
-// enumerates ontology-based matches by backtracking, keeping the K best
-// matches found so far in a sorted pool.  Branches whose optimistic score
-// bound (current score + best possible remaining similarity) cannot beat
-// the current K-th best are pruned — together with the similarity-sorted
-// candidate lists this realizes the paper's "construct node lists with
-// maximum overall similarity first" strategy without materializing the
-// combination lattice.
+// KMatch receives the per-query-node candidate lists produced by Gview
+// (each sorted by descending similarity; their union induces G_v) and
+// enumerates ontology-based matches by backtracking in the data graph,
+// which has G_v's edges between any two candidates (Q(G) = Q(G_v),
+// Prop. 4.2), keeping the K best matches found so far in a sorted pool.
+// Branches whose optimistic score bound (current score + best possible
+// remaining similarity) cannot beat the current K-th best are pruned —
+// together with the similarity-sorted candidate lists this realizes the
+// paper's "construct node lists with maximum overall similarity first"
+// strategy without materializing the combination lattice.
 //
 // Candidates are generated from the neighbourhood of what is already
 // matched.  The matching order keeps every prefix connected, so each
 // query node after the first has an anchor: an earlier-placed query
 // neighbour.  Every consistent image of the node shares a data edge with
-// the anchor's image (under both semantics), so the search walks that
-// image's adjacency in G_v in the query edge's direction, keeps the nodes
-// that are candidates, and visits them in candidate-list order — the same
-// extensions, bound cuts and matches as scanning the whole list, without
-// testing the candidates that could not connect.  Only the first order
-// node (and a node with no placed neighbour, possible only for a
-// disconnected query given to KMatchOnGraph) scans its whole list.
+// the anchor's image (under both semantics).  A per-query candidate
+// space, built before the search, holds for each depth and each
+// candidate of its anchor the ranks of the adjacent candidates (in the
+// query edge's direction); the search visits the anchor image's row in
+// candidate-list order — the same extensions, bound cuts and matches as
+// scanning the whole list, without testing the candidates that could not
+// connect.  Only the first order node (and a node with no placed
+// neighbour, possible only for a disconnected query given to
+// KMatchOnGraph) scans its whole list.
 //
 // Matching semantics follow QueryOptions::semantics; the paper's
 // definition (induced / "iff") is the default.
@@ -98,15 +101,15 @@ struct KMatchStats {
   }
 };
 
-// Enumerates the top-K matches of `query` inside the filter result
-// (`filter.gv` + `filter.candidates`).  Returned matches use ORIGINAL data
-// graph node ids (translated via filter.gv.to_original) and are sorted by
-// MatchBetter.  With options.k == 0 all matches are returned.
+// Enumerates the top-K matches of `query` in the filter result's graph,
+// over its candidate lists (`filter.graph` + `filter.candidates`).
+// Returned matches use data-graph node ids and are sorted by MatchBetter.
+// With options.k == 0 all matches are returned.
 //
-// `id_map` (optional) maps original ids one step further, to the ids the
-// caller reports: a shard passes its shard-local -> global table.  The
-// top-K is exact under MatchBetter on the MAPPED ids, so matches tied at
-// the k-th score are kept by the caller's order, not the data graph's.
+// `id_map` (optional) maps data-graph ids to the ids the caller reports: a
+// shard passes its shard-local -> global table.  The top-K is exact under
+// MatchBetter on the MAPPED ids, so matches tied at the k-th score are
+// kept by the caller's order, not the data graph's.
 //
 // `exec` (optional) carries the query's deadline / cancellation state;
 // the search polls it cooperatively (amortized over ~256 steps, see

@@ -1,18 +1,18 @@
 // Induced-subgraph extraction.
 //
-// The filtering phase (paper §IV-B) produces the compact subgraph G_v of
-// the data graph induced by the surviving candidate nodes; verification
-// then runs entirely on G_v, and each shard of the sharded tier serves
-// the subgraph induced by its members (shard/partitioner.h).
-// InducedSubgraph materializes such a subgraph with a node-id remapping in
-// both directions, at a cost proportional to the subgraph (no array sized
-// by the original graph): the kept edges go to a GraphBuilder in
-// (from, to, label) order, and Build() emits the frozen CSR in one pass.
+// Each shard of the sharded tier serves the subgraph induced by its
+// members (shard/partitioner.h), and the query generator extracts its
+// queries as induced subgraphs (gen/query_gen.h).  The query path never
+// builds one: G_v, the subgraph induced by Gview's candidates, stays a
+// set of data-graph ids (core/filtering.h).  InducedSubgraph materializes
+// such a subgraph with its node-id mapping to the original graph, at a
+// cost proportional to the subgraph (no array sized by the original
+// graph): the kept edges go to a GraphBuilder in (from, to, label) order,
+// and Build() emits the frozen CSR in one pass.
 
 #ifndef OSQ_GRAPH_SUBGRAPH_H_
 #define OSQ_GRAPH_SUBGRAPH_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,16 +25,6 @@ struct Subgraph {
   Graph graph;
   // to_original[v] is the original id of subgraph node v; ascending.
   std::vector<NodeId> to_original;
-
-  // Subgraph id of original node u, or kInvalidNode if u is not in the
-  // subgraph (binary search over to_original).
-  NodeId LocalId(NodeId original) const {
-    auto it = std::lower_bound(to_original.begin(), to_original.end(),
-                               original);
-    return it != to_original.end() && *it == original
-               ? static_cast<NodeId>(it - to_original.begin())
-               : kInvalidNode;
-  }
 };
 
 // Extracts the subgraph of `g` induced by `nodes` (need not be sorted;

@@ -221,10 +221,10 @@ TEST(CandidateIndexTest, NodeSignaturesMatchAdjacency) {
   EXPECT_GT(ExpectNodePassesMatchesAdjacency(w.index, labels, &rng), 0u);
 }
 
-std::set<NodeId> CandidateOriginals(const FilterResult& r, NodeId q) {
+std::set<NodeId> CandidateNodes(const FilterResult& r, NodeId q) {
   std::set<NodeId> out;
   for (const Candidate& c : r.candidates[q]) {
-    out.insert(r.gv.to_original[c.node]);
+    out.insert(c.node);
   }
   return out;
 }
@@ -255,7 +255,7 @@ TEST(CandidateIndexTest, FilterWithIndexIsLossless) {
     ASSERT_TRUE(!r.no_match || vf2.empty());
     for (const Match& match : vf2) {
       for (NodeId u = 0; u < q.num_nodes(); ++u) {
-        EXPECT_EQ(CandidateOriginals(r, u).count(match.mapping[u]), 1u)
+        EXPECT_EQ(CandidateNodes(r, u).count(match.mapping[u]), 1u)
             << "query node " << u << " lost data node " << match.mapping[u];
       }
     }
@@ -316,9 +316,9 @@ TEST(CandidateIndexTest, NodeLevelRejectionFiresOnDegreeDemand) {
   EXPECT_GT(r.stats.sig_node_rejections, 0u);
 
   // Node 1 is rejected, node 0 kept; the museums are nodes 2 and 3.
-  EXPECT_EQ(CandidateOriginals(r, 0), (std::set<NodeId>{0}));
-  EXPECT_EQ(CandidateOriginals(r, 1), (std::set<NodeId>{2, 3}));
-  EXPECT_EQ(CandidateOriginals(r, 2), (std::set<NodeId>{2, 3}));
+  EXPECT_EQ(CandidateNodes(r, 0), (std::set<NodeId>{0}));
+  EXPECT_EQ(CandidateNodes(r, 1), (std::set<NodeId>{2, 3}));
+  EXPECT_EQ(CandidateNodes(r, 2), (std::set<NodeId>{2, 3}));
   std::set<std::vector<NodeId>> mappings;
   for (const Match& m : KMatch(q, r, options)) mappings.insert(m.mapping);
   EXPECT_EQ(mappings, (std::set<std::vector<NodeId>>{{0, 2, 3}, {0, 3, 2}}));

@@ -55,16 +55,15 @@ std::vector<LabelId> EdgeLabelUniverse(const Graph& g) {
   return {labels.begin(), labels.end()};
 }
 
-// Per-query-node candidate sets in ORIGINAL node ids — the output the
-// maintained and batch indexes must agree on, whatever their G_v node
-// numbering.
+// Per-query-node candidate sets (data-graph node ids) — the output the
+// maintained and batch indexes must agree on.
 std::vector<std::set<NodeId>> CandidateSets(const Graph& query,
                                             const FilterResult& r) {
   std::vector<std::set<NodeId>> sets(query.num_nodes());
   if (r.no_match) return sets;
   for (NodeId u = 0; u < query.num_nodes(); ++u) {
     for (const Candidate& c : r.candidates[u]) {
-      sets[u].insert(r.gv.to_original[c.node]);
+      sets[u].insert(c.node);
     }
   }
   return sets;

@@ -1,8 +1,9 @@
 // Direct property tests of Prop. 4.2 and the G_v contract on random
-// workloads: the extracted subgraph must contain every match that a
+// workloads: the candidate lists must contain every match that a
 // whole-graph ground-truth matcher finds, an empty filter result must
-// imply an empty ground truth, and G_v must be exactly the induced
-// subgraph over the surviving candidates.
+// imply an empty ground truth, and KMatch searching the data graph through
+// the candidate lists must find exactly the matches of the subgraph
+// induced by their union.
 
 #include <set>
 
@@ -10,10 +11,12 @@
 #include "baseline/simmatrix.h"
 #include "common/rng.h"
 #include "core/filtering.h"
+#include "core/kmatch.h"
 #include "core/ontology_index.h"
 #include "gen/query_gen.h"
 #include "gen/synthetic.h"
 #include "graph/query_graph.h"
+#include "test_util.h"
 
 namespace osq {
 namespace {
@@ -69,11 +72,11 @@ TEST_P(Prop42Test, GvContainsEveryGroundTruthMatch) {
       EXPECT_TRUE(truth.empty());
       continue;
     }
-    // Candidate membership per query node (in original ids).
+    // Candidate membership per query node.
     std::vector<std::set<NodeId>> cand(q.num_nodes());
     for (NodeId u = 0; u < q.num_nodes(); ++u) {
       for (const Candidate& c : filter.candidates[u]) {
-        cand[u].insert(filter.gv.to_original[c.node]);
+        cand[u].insert(c.node);
       }
     }
     for (const Match& match : truth) {
@@ -99,24 +102,20 @@ TEST_P(Prop42Test, GvIsInducedSubgraphOverCandidates) {
 
   QueryOptions options;
   options.theta = 0.81;
+  options.k = 0;
   FilterResult filter = GviewFilter(index, q, options);
   if (filter.no_match) return;
-  const Graph& gv = filter.gv.graph;
-  // Every G_v edge exists in G with identical endpoints/labels; and every
-  // G edge between G_v nodes exists in G_v (induced).
-  for (NodeId v = 0; v < gv.num_nodes(); ++v) {
-    NodeId orig = filter.gv.to_original[v];
-    for (const AdjEntry& e : gv.OutEdges(v)) {
-      EXPECT_TRUE(
-          w.g.HasEdge(orig, filter.gv.to_original[e.node], e.label));
-    }
-    for (const AdjEntry& e : w.g.OutEdges(orig)) {
-      NodeId local = filter.gv.LocalId(e.node);
-      if (local != kInvalidNode) {
-        EXPECT_TRUE(gv.HasEdge(v, local, e.label));
-      }
-    }
+  // G_v is the subgraph induced by the candidates' union: KMatch on the
+  // data graph through the candidate lists finds exactly the matches of a
+  // copy of it (Q(G) = Q(G_v)).
+  std::set<NodeId> gv;
+  for (const std::vector<Candidate>& list : filter.candidates) {
+    for (const Candidate& c : list) gv.insert(c.node);
   }
+  EXPECT_EQ(filter.stats.gv_nodes, gv.size());
+  EXPECT_EQ(KMatch(q, filter, options),
+            test::KMatchOnGvCopy(index.data_graph(), q, filter, options,
+                                 nullptr));
 }
 
 TEST_P(Prop42Test, CandidateSimilaritiesRespectTheta) {
@@ -138,9 +137,8 @@ TEST_P(Prop42Test, CandidateSimilaritiesRespectTheta) {
     if (filter.no_match) continue;
     for (NodeId u = 0; u < q.num_nodes(); ++u) {
       for (const Candidate& c : filter.candidates[u]) {
-        NodeId orig = filter.gv.to_original[c.node];
         double expected = sim.Similarity(
-            w.o, q.NodeLabel(u), w.g.NodeLabel(orig), /*theta_floor=*/0.5);
+            w.o, q.NodeLabel(u), w.g.NodeLabel(c.node), /*theta_floor=*/0.5);
         EXPECT_NEAR(c.sim, expected, 1e-12);
         EXPECT_GE(c.sim, theta - 1e-12);
       }

@@ -40,7 +40,6 @@ void ExpectIdenticalResult(const QueryResult& a, const QueryResult& b) {
   EXPECT_EQ(a.filter_stats.pruned_nodes, b.filter_stats.pruned_nodes);
   EXPECT_EQ(a.filter_stats.seed_visits, b.filter_stats.seed_visits);
   EXPECT_EQ(a.filter_stats.gv_nodes, b.filter_stats.gv_nodes);
-  EXPECT_EQ(a.filter_stats.gv_edges, b.filter_stats.gv_edges);
   EXPECT_EQ(a.verify_stats.search_steps, b.verify_stats.search_steps);
   EXPECT_EQ(a.verify_stats.matches_found, b.verify_stats.matches_found);
   EXPECT_EQ(a.verify_stats.truncated, b.verify_stats.truncated);

@@ -278,7 +278,6 @@ TEST(ShardedQueryServiceTest, MergedStatsSumTheShards) {
     filter.pruned_nodes += r.filter_stats.pruned_nodes;
     filter.sig_node_rejections += r.filter_stats.sig_node_rejections;
     filter.gv_nodes += r.filter_stats.gv_nodes;
-    filter.gv_edges += r.filter_stats.gv_edges;
     verify.search_steps += r.verify_stats.search_steps;
     verify.candidate_checks += r.verify_stats.candidate_checks;
     verify.matches_found += r.verify_stats.matches_found;
@@ -295,7 +294,6 @@ TEST(ShardedQueryServiceTest, MergedStatsSumTheShards) {
   EXPECT_EQ(mf.pruned_nodes, filter.pruned_nodes);
   EXPECT_EQ(mf.sig_node_rejections, filter.sig_node_rejections);
   EXPECT_EQ(mf.gv_nodes, filter.gv_nodes);
-  EXPECT_EQ(mf.gv_edges, filter.gv_edges);
   EXPECT_EQ(mk.search_steps, verify.search_steps);
   EXPECT_EQ(mk.candidate_checks, verify.candidate_checks);
   EXPECT_EQ(mk.matches_found, verify.matches_found);

@@ -17,18 +17,22 @@
 #ifndef OSQ_TESTS_TEST_UTIL_H_
 #define OSQ_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/filtering.h"
+#include "core/kmatch.h"
 #include "core/match.h"
 #include "core/ontology_index.h"
 #include "core/query_engine.h"
 #include "graph/graph.h"
 #include "graph/label_dictionary.h"
 #include "graph/query_graph.h"
+#include "graph/subgraph.h"
 #include "ontology/ontology_graph.h"
 
 namespace osq {
@@ -164,6 +168,36 @@ inline std::set<std::pair<std::vector<NodeId>, int64_t>> Canon(
     out.insert({m.mapping, static_cast<int64_t>(m.score * 1e9 + 0.5)});
   }
   return out;
+}
+
+// KMatch's reference on a copy of G_v: KMatchOnGraph over the subgraph of
+// `g` induced by the candidates' union, with the candidates renumbered
+// into its ids (both ascend with g's ids, so list order is unchanged);
+// matches come back in g's ids.
+inline std::vector<Match> KMatchOnGvCopy(const Graph& g, const Graph& query,
+                                         const FilterResult& filter,
+                                         const QueryOptions& options,
+                                         KMatchStats* stats) {
+  std::vector<NodeId> all;
+  for (const std::vector<Candidate>& list : filter.candidates) {
+    for (const Candidate& c : list) all.push_back(c.node);
+  }
+  Subgraph gv = InducedSubgraph(g, all);
+  std::vector<std::vector<Candidate>> local = filter.candidates;
+  for (std::vector<Candidate>& list : local) {
+    for (Candidate& c : list) {
+      c.node = static_cast<NodeId>(
+          std::lower_bound(gv.to_original.begin(), gv.to_original.end(),
+                           c.node) -
+          gv.to_original.begin());
+    }
+  }
+  std::vector<Match> matches =
+      KMatchOnGraph(query, gv.graph, local, options, stats);
+  for (Match& m : matches) {
+    for (NodeId& v : m.mapping) v = gv.to_original[v];
+  }
+  return matches;
 }
 
 // True when the engine's incrementally maintained candidate index equals

@@ -18,6 +18,11 @@ Rows are keyed by (name, threads).  Two kinds of checks:
      This keeps effectiveness counters alive, not just timings — e.g. the
      node-level signature rejections of the high-degree filter shape:
          --min-extra BM_GviewFilterHighDegree,sig_node_rejections,1
+  4. Extra ceilings: --max-extra NAME,KEY,CEIL[,THREADS] (repeatable)
+     requires the fresh row NAME to carry a numeric extra KEY <= CEIL.
+     This holds a work counter down — e.g. the candidates the high-degree
+     filter shape admits only to prune them again:
+         --max-extra BM_GviewFilterHighDegree,pruned_nodes,CEIL
 
 Baseline rows with no counterpart in the fresh report are listed but not
 failed (the baseline aggregates several bench binaries; a single run covers
@@ -75,20 +80,19 @@ def parse_min_ratio(spec):
     return parts[0], parts[1], ratio, threads
 
 
-def parse_min_extra(spec):
+def parse_extra(spec, flag):
     parts = spec.split(",")
     if len(parts) not in (3, 4):
-        print(f"bench_check: bad --min-extra {spec!r} "
-              "(want NAME,KEY,FLOOR[,THREADS])", file=sys.stderr)
+        print(f"bench_check: bad {flag} {spec!r} "
+              "(want NAME,KEY,BOUND[,THREADS])", file=sys.stderr)
         sys.exit(2)
     threads = int(parts[3]) if len(parts) == 4 else 1
     try:
-        floor = float(parts[2])
+        bound = float(parts[2])
     except ValueError:
-        print(f"bench_check: bad floor in --min-extra {spec!r}",
-              file=sys.stderr)
+        print(f"bench_check: bad bound in {flag} {spec!r}", file=sys.stderr)
         sys.exit(2)
-    return parts[0], parts[1], floor, threads
+    return parts[0], parts[1], bound, threads
 
 
 def main():
@@ -108,6 +112,10 @@ def main():
                     metavar="NAME,KEY,FLOOR[,THREADS]",
                     help="require the fresh row NAME to carry extra "
                          "KEY >= FLOOR (repeatable)")
+    ap.add_argument("--max-extra", action="append", default=[],
+                    metavar="NAME,KEY,CEIL[,THREADS]",
+                    help="require the fresh row NAME to carry extra "
+                         "KEY <= CEIL (repeatable)")
     args = ap.parse_args()
 
     fresh = load_rows(args.fresh)
@@ -136,7 +144,8 @@ def main():
                 f"{1.0 + args.tolerance:g})")
     for key in sorted(baseline.keys() - fresh.keys()):
         print(f"  skipped {key[0]} (threads={key[1]}): not in fresh report")
-    if compared == 0 and not args.min_ratio and not args.min_extra:
+    if (compared == 0 and not args.min_ratio and not args.min_extra
+            and not args.max_extra):
         print("bench_check: fresh report shares no rows with the baseline",
               file=sys.stderr)
         sys.exit(2)
@@ -163,25 +172,31 @@ def main():
                 f"ratio {num}/{den} (threads={threads}) = {got:.2f}x "
                 f"below floor {ratio:g}x")
 
-    for spec in args.min_extra:
-        name, extra_key, floor, threads = parse_min_extra(spec)
+    extra_checks = ([("--min-extra", spec) for spec in args.min_extra] +
+                    [("--max-extra", spec) for spec in args.max_extra])
+    for flag, spec in extra_checks:
+        name, extra_key, bound, threads = parse_extra(spec, flag)
+        is_floor = flag == "--min-extra"
         row_key = (name, threads)
         if row_key not in fresh:
-            failures.append(f"min-extra {spec}: row {name} "
+            failures.append(f"{flag} {spec}: row {name} "
                             f"(threads={threads}) missing from fresh report")
             continue
         value = fresh[row_key].get(extra_key)
         if not isinstance(value, (int, float)):
-            failures.append(f"min-extra {spec}: row {name} "
+            failures.append(f"{flag} {spec}: row {name} "
                             f"(threads={threads}) has no numeric {extra_key}")
             continue
-        verdict = "ok" if value >= floor else "FAILED"
+        ok = value >= bound if is_floor else value <= bound
+        kind = "floor" if is_floor else "ceiling"
+        verdict = "ok" if ok else "FAILED"
         print(f"  {verdict:<7} extra {name}.{extra_key} (threads={threads}): "
-              f"{value:g} (floor {floor:g})")
-        if value < floor:
+              f"{value:g} ({kind} {bound:g})")
+        if not ok:
+            side = "below floor" if is_floor else "above ceiling"
             failures.append(
                 f"extra {name}.{extra_key} (threads={threads}) = {value:g} "
-                f"below floor {floor:g}")
+                f"{side} {bound:g}")
 
     if failures:
         print("bench_check: FAILED", file=sys.stderr)

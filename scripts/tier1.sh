@@ -31,7 +31,8 @@
 #   clang-format --check; see DESIGN.md §10.
 # - OSQ_BENCH_CHECK=1 adds an opt-in bench regression stage: one
 #   bench_micro_match run checked against BENCH_match.json (including live
-#   signature rejections on both worlds),
+#   signature rejections on both worlds and a ceiling on the candidates
+#   the high-degree world admits only to prune them again),
 #   one bench_load run checked against BENCH_load.json (including the
 #   >=10x rebuild-vs-snapshot-load cold-start floor), and one bench_shard
 #   run checked against BENCH_shard.json (including the structural sharding
@@ -98,7 +99,8 @@ if [[ "${OSQ_BENCH_CHECK:-0}" == "1" ]]; then
   python3 scripts/bench_check.py build/bench_fresh.json \
     --baseline BENCH_match.json \
     --min-extra BM_GviewFilter,sig_node_rejections,1 \
-    --min-extra BM_GviewFilterHighDegree,sig_node_rejections,1
+    --min-extra BM_GviewFilterHighDegree,sig_node_rejections,1 \
+    --max-extra BM_GviewFilterHighDegree,pruned_nodes,3
 
   echo "== tier-1 (opt-in): cold-start check vs BENCH_load.json =="
   build/bench/bench_load --json build/bench_load_fresh.json

@@ -46,6 +46,9 @@ class ScratchSlots {
     return slot < state_.count ? slot : kNone;
   }
 
+  // Cache hint for the Find / Insert of `id`; changes nothing observable.
+  void Prefetch(uint32_t id) const { __builtin_prefetch(&state_.stamp[id]); }
+
   // Number of ids inserted under this lease.
   uint32_t size() const { return state_.count; }
 

@@ -27,42 +27,32 @@ void SortAndCombine(LabelCounts* counts) {
   counts->resize(out);
 }
 
-}  // namespace
-
-uint32_t CandidateIndex::PairBit(LabelId edge_label, LabelId node_label) {
-  // splitmix64-style finalizer over the packed pair; top-quality avalanche
-  // is overkill, but it is cheap and keeps the 64 buckets well spread for
-  // the small dense label ids the dictionary hands out.
-  uint64_t x =
-      (static_cast<uint64_t>(edge_label) << 32) | static_cast<uint64_t>(node_label);
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return static_cast<uint32_t>(x & 63);
+// The masks of query edge (label `edge_label`) towards the node whose
+// candidate-label table is `sims`.
+EdgeMasks MasksOfEdge(LabelId edge_label,
+                      const std::unordered_map<LabelId, double>& sims) {
+  EdgeMasks e;
+  for (const auto& [label, unused_sim] : sims) {
+    e.masks.push_back(PairMask(edge_label, label));
+  }
+  std::sort(e.masks.begin(), e.masks.end());
+  e.masks.erase(std::unique(e.masks.begin(), e.masks.end()), e.masks.end());
+  for (uint64_t mask : e.masks) e.any |= mask;
+  return e;
 }
+
+}  // namespace
 
 SignatureRequirement BuildSignatureRequirement(
     const Graph& query, NodeId u,
     const std::vector<std::unordered_map<LabelId, double>>& label_sims) {
   SignatureRequirement req;
   for (const AdjEntry& e : query.OutEdges(u)) {
-    uint64_t mask = 0;
-    // OR is commutative, so the unordered iteration cannot make the mask
-    // nondeterministic.
-    for (const auto& [label, unused_sim] : label_sims[e.node]) {
-      mask |= uint64_t{1} << CandidateIndex::PairBit(e.label, label);
-    }
-    req.out_masks.push_back({e.label, mask});
+    req.out_masks.push_back(MasksOfEdge(e.label, label_sims[e.node]));
     req.out_counts.push_back({e.label, 1});
   }
   for (const AdjEntry& e : query.InEdges(u)) {
-    uint64_t mask = 0;
-    for (const auto& [label, unused_sim] : label_sims[e.node]) {
-      mask |= uint64_t{1} << CandidateIndex::PairBit(e.label, label);
-    }
-    req.in_masks.push_back({e.label, mask});
+    req.in_masks.push_back(MasksOfEdge(e.label, label_sims[e.node]));
     req.in_counts.push_back({e.label, 1});
   }
   SortAndCombine(&req.out_counts);
@@ -74,10 +64,10 @@ NodeSignature CandidateIndex::ComputeNodeSignature(const Graph& g,
                                                    NodeId v) {
   NodeSignature sig;
   for (const AdjEntry& e : g.OutEdges(v)) {
-    sig.out_bits |= uint64_t{1} << PairBit(e.label, g.NodeLabel(e.node));
+    sig.out_bits |= PairMask(e.label, g.NodeLabel(e.node));
   }
   for (const AdjEntry& e : g.InEdges(v)) {
-    sig.in_bits |= uint64_t{1} << PairBit(e.label, g.NodeLabel(e.node));
+    sig.in_bits |= PairMask(e.label, g.NodeLabel(e.node));
   }
   return sig;
 }

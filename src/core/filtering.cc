@@ -60,6 +60,8 @@ class CandidateSets {
     uint32_t slot = slots_.Find(id);
     if (slot != ScratchSlots::kNone) bits_[Word(slot, set)] &= ~Bit(set);
   }
+  // Cache hint for the next Has / Add of `id`.
+  void Prefetch(uint32_t id) const { slots_.Prefetch(id); }
 
  private:
   size_t Word(uint32_t slot, size_t set) const {
@@ -80,15 +82,18 @@ class CandidateSets {
 // source's set (forward) is stale[2 i], for its target's set stale[2 i + 1];
 // a test runs only while stale, i.e. until it has run since its other
 // endpoint's set last shrank (a caller may pass a test as fresh when its
-// sets were formed along that edge).  The fixpoint polls `check` per
-// examined element; an interrupted fixpoint keeps the current sets — a
-// sound over-approximation, since any prefix of the pruning sequence only
-// removed impossible elements.  False when some set runs empty.
-template <typename Supported, typename Drop>
+// sets were formed along that edge).  ahead(list, i, forward) runs before
+// list[i] is tested, to prefetch for the elements after it.  The fixpoint
+// polls `check` per examined element; an interrupted fixpoint keeps the
+// current sets — a sound over-approximation, since any prefix of the
+// pruning sequence only removed impossible elements.  False when some set
+// runs empty.
+template <typename Supported, typename Drop, typename Ahead>
 bool RefineToFixpoint(const std::vector<EdgeTriple>& qedges,
                       std::vector<char> stale,
                       std::vector<std::vector<uint32_t>>* sets,
-                      CancelCheck* check, Supported supported, Drop drop) {
+                      CancelCheck* check, Supported supported, Drop drop,
+                      Ahead ahead) {
   // Prunes `holder`'s set against one query edge; true when it shrank.
   auto prune = [&](const EdgeTriple& e, bool forward) {
     NodeId holder = forward ? e.from : e.to;
@@ -102,6 +107,7 @@ bool RefineToFixpoint(const std::vector<EdgeTriple>& qedges,
         for (; i < list.size(); ++i) list[kept++] = list[i];
         break;
       }
+      ahead(list, i, forward);
       if (supported(list[i], other, forward, e.label)) {
         list[kept++] = list[i];
       } else {
@@ -154,6 +160,13 @@ struct StageInputs {
 // query node, then refines them to the fixpoint.
 class NodeStage {
  public:
+  // Prefetch distances of the candidate loops (see Seed, Expand and
+  // PrefetchAhead).
+  static constexpr size_t kSeedBlock = 32;
+  static constexpr size_t kOffsetsAhead = 16;
+  static constexpr size_t kAdjacencyAhead = 8;
+  static constexpr size_t kReachAhead = 4;
+
   NodeStage(const StageInputs& in, const Graph& g, const CandidateIndex& cindex,
             FilterStats* stats)
       : in_(in),
@@ -240,6 +253,9 @@ class NodeStage {
         [&](NodeId v, NodeId holder) {
           sets_.Remove(v, holder);
           ++stats_->pruned_nodes;
+        },
+        [&](const std::vector<NodeId>& list, size_t i, bool forward) {
+          PrefetchAhead(list, i, forward);
         });
     if (!nonempty) return false;
     stats_->stopped = MergeStopReason(stats_->stopped, check_.reason());
@@ -284,12 +300,55 @@ class NodeStage {
   // the signature test rejects those that cannot satisfy u's incident
   // query edges.  A node has one label, so the lists are disjoint and each
   // entry is examined once without Visit's examined-set insert.
+  //
+  // Each list is read in blocks of kSeedBlock entries, so that no test
+  // waits on one cache miss at a time: a block is mask-tested while the
+  // next block's signatures are prefetched; then the survivors' offsets,
+  // adjacency and set stamps are prefetched, and only then do they run the
+  // degree test and the insert.  Every admission and rejection is the one
+  // Admit would make, in the same order.
   void Seed(NodeId u) {
+    const SignatureRequirement& req = in_.reqs[u];
+    const bool out = !req.out_counts.empty();
+    const bool in = !req.in_counts.empty();
+    std::array<NodeId, kSeedBlock> passed;
     for (LabelId l : in_.sim_labels[u]) {
-      for (NodeId v : cindex_.NodesWithLabel(l)) {
-        if (check_.Stop()) return;
-        ++stats_->seed_visits;
-        Admit(u, v);
+      const std::vector<NodeId>& list = cindex_.NodesWithLabel(l);
+      for (size_t i = 0; i < std::min(list.size(), kSeedBlock); ++i) {
+        cindex_.PrefetchSignature(list[i]);
+      }
+      for (size_t begin = 0; begin < list.size(); begin += kSeedBlock) {
+        const size_t end = std::min(begin + kSeedBlock, list.size());
+        for (size_t i = end; i < std::min(end + kSeedBlock, list.size());
+             ++i) {
+          cindex_.PrefetchSignature(list[i]);
+        }
+        size_t num_passed = 0;
+        for (size_t i = begin; i < end; ++i) {
+          if (check_.Stop()) return;
+          ++stats_->seed_visits;
+          if (cindex_.MasksPass(list[i], req)) {
+            passed[num_passed++] = list[i];
+          } else {
+            ++stats_->sig_node_rejections;
+          }
+        }
+        for (size_t i = 0; i < num_passed; ++i) {
+          if (out) g_.PrefetchOffsets(passed[i], true);
+          if (in) g_.PrefetchOffsets(passed[i], false);
+          sets_.Prefetch(passed[i]);
+        }
+        for (size_t i = 0; i < num_passed; ++i) {
+          if (out) g_.PrefetchAdjacency(passed[i], true);
+          if (in) g_.PrefetchAdjacency(passed[i], false);
+        }
+        for (size_t i = 0; i < num_passed; ++i) {
+          if (!CandidateIndex::DegreesPass(g_, passed[i], req)) {
+            ++stats_->sig_node_rejections;
+          } else if (sets_.Add(passed[i], u)) {
+            can_[u].push_back(passed[i]);
+          }
+        }
       }
     }
   }
@@ -298,12 +357,26 @@ class NodeStage {
   // the neighbours of can_[w] along e, kept when they hold a theta-passing
   // label for u and pass u's signature test.  Lossless: a match maps e to
   // a data edge from the image of w into the image of u.
+  //
+  // Look-ahead: PrefetchAhead's offsets and adjacency, and, kReachAhead
+  // candidates ahead of the one being expanded, the set stamp, label and
+  // signature of each of its neighbours along e's label.
   void Expand(NodeId u, const EdgeTriple& e) {
     bool forward = e.to == u;
     NodeId w = forward ? e.from : e.to;
     const std::vector<LabelId>& labels = in_.sim_labels[u];
-    for (NodeId x : can_[w]) {
-      bool stopped = AnyNeighbor(x, forward, e.label, [&](NodeId c) {
+    const std::vector<NodeId>& from = can_[w];
+    for (size_t i = 0; i < from.size(); ++i) {
+      PrefetchAhead(from, i, forward);
+      if (i + kReachAhead < from.size()) {
+        AnyNeighbor(from[i + kReachAhead], forward, e.label, [&](NodeId c) {
+          sets_.Prefetch(c);
+          g_.PrefetchLabel(c);
+          cindex_.PrefetchSignature(c);
+          return false;
+        });
+      }
+      bool stopped = AnyNeighbor(from[i], forward, e.label, [&](NodeId c) {
         if (!Visit(u, c)) return Stopped();
         if (std::binary_search(labels.begin(), labels.end(),
                                g_.NodeLabel(c))) {
@@ -312,6 +385,20 @@ class NodeStage {
         return false;
       });
       if (stopped) return;
+    }
+  }
+
+  // The look-ahead of a loop over `list` that reads, at position i, the
+  // adjacency of list[i] in one direction: the offsets of the entry
+  // kOffsetsAhead ahead, and the adjacency of the one kAdjacencyAhead
+  // ahead, whose offsets were hinted that many iterations before.
+  void PrefetchAhead(const std::vector<NodeId>& list, size_t i,
+                     bool forward) const {
+    if (i + kOffsetsAhead < list.size()) {
+      g_.PrefetchOffsets(list[i + kOffsetsAhead], forward);
+    }
+    if (i + kAdjacencyAhead < list.size()) {
+      g_.PrefetchAdjacency(list[i + kAdjacencyAhead], forward);
     }
   }
 

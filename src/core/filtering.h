@@ -32,6 +32,17 @@
 //
 // No stage allocates or clears anything sized by |V| per query: candidate-set membership lives in per-thread, epoch-stamped
 // scratch (common/scratch_slots.h).
+//
+// The reads of those |V|-sized arrays (a node's signature, CSR offsets,
+// adjacency, scratch stamp) are cache misses, so the candidate loops
+// prefetch a fixed distance ahead: seeding tests each label list in
+// blocks of 32 entries, the next block's signatures prefetched and a
+// block's survivors' offsets, adjacency and stamps prefetched before
+// their degree test and insert; expansion prefetches offsets 16
+// candidates ahead, adjacency 8 ahead and, 4 ahead, the stamp, label and
+// signature of each neighbour along the query edge's label; the fixpoint
+// prefetches offsets 16 and adjacency 8 ahead.  A prefetch is only a
+// hint: the candidate lists and counters are those without it.
 
 #ifndef OSQ_CORE_FILTERING_H_
 #define OSQ_CORE_FILTERING_H_

@@ -28,10 +28,12 @@ static_assert(std::endian::native == std::endian::little,
 
 constexpr char kMagic[8] = {'O', 'S', 'Q', 'S', 'N', 'P', '2', '\0'};
 // Version 3 dropped v2's concept-graph section and block aggregates;
-// version 4 stores each node signature as its two words, without v3's
-// per-node degree counts.  A file in an older layout fails the version
-// check.
-constexpr uint32_t kVersion = 4;
+// version 4 stored each node signature as its two words, without v3's
+// per-node degree counts; version 5 keeps that layout but sets three Bloom
+// bits per label pair (PairMask), so a v4 word, one bit per pair, would
+// fail true matches under the containment test.  A file in an older
+// layout fails the version check.
+constexpr uint32_t kVersion = 5;
 constexpr uint32_t kMaxSections = 64;
 
 enum SectionType : uint32_t {

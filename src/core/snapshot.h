@@ -1,4 +1,4 @@
-// Binary engine snapshots (format version 4) — the one way an index is
+// Binary engine snapshots (format version 5) — the one way an index is
 // saved and loaded.
 //
 // One mmap-able file holds everything a serving process needs to answer
@@ -18,7 +18,7 @@
 //
 // File layout (all integers little-endian; every section offset 8-aligned):
 //
-//   SnapshotHeader   { magic "OSQSNP2\0", version 4, section_count,
+//   SnapshotHeader   { magic "OSQSNP2\0", version 5, section_count,
 //                      file_size, payload_hash }
 //   SectionEntry[n]  { type, offset, size }
 //   sections...      (see SectionType; each internally self-describing)
@@ -30,11 +30,13 @@
 // the file fails closed.  Structural validation (bounds, alignment, overlap,
 // monotone CSR offsets, sorted adjacency) runs before any pointer into the
 // mapping is trusted.  The candidate-index section is the node count
-// followed by (out_bits u64, in_bits u64) per node.  Error taxonomy: a
-// file that is not a version-4 snapshot at all (bad magic, or another
-// version such as the retired v2 layout with its concept-graph section or
-// the v3 layout with per-node degree counts) is InvalidArgument; a
-// version-4 file that is damaged or inconsistent is Corruption.
+// followed by (out_bits u64, in_bits u64) per node, three Bloom bits per
+// (edge label, neighbour label) pair.  Error taxonomy: a file that is not
+// a version-5 snapshot at all (bad magic, or another version such as the
+// retired v2 layout with its concept-graph section, the v3 layout with
+// per-node degree counts, or the v4 layout with one bit per pair) is
+// InvalidArgument; a version-5 file that is damaged or inconsistent is
+// Corruption.
 
 #ifndef OSQ_CORE_SNAPSHOT_H_
 #define OSQ_CORE_SNAPSHOT_H_

@@ -133,23 +133,45 @@ class Graph {
   bool HasEdgeAnyLabel(NodeId from, NodeId to) const;
 
   // Out-neighbors of v as (node, edge label) pairs sorted by (node, label).
+  // While no node is thawed in a direction, its slot array is not read.
   AdjSpan OutEdges(NodeId v) const {
-    int32_t s = out_slot_[v];
-    if (s >= 0) {
-      const std::vector<AdjEntry>& d = dyn_out_[static_cast<size_t>(s)];
-      return {d.data(), d.data() + d.size()};
+    if (!dyn_out_.empty()) {
+      int32_t s = out_slot_[v];
+      if (s >= 0) {
+        const std::vector<AdjEntry>& d = dyn_out_[static_cast<size_t>(s)];
+        return {d.data(), d.data() + d.size()};
+      }
     }
     return CsrSpan(v, out_offsets_, out_entries_);
   }
   // In-neighbors of v: entry.node is the source of an edge into v.
   AdjSpan InEdges(NodeId v) const {
-    int32_t s = in_slot_[v];
-    if (s >= 0) {
-      const std::vector<AdjEntry>& d = dyn_in_[static_cast<size_t>(s)];
-      return {d.data(), d.data() + d.size()};
+    if (!dyn_in_.empty()) {
+      int32_t s = in_slot_[v];
+      if (s >= 0) {
+        const std::vector<AdjEntry>& d = dyn_in_[static_cast<size_t>(s)];
+        return {d.data(), d.data() + d.size()};
+      }
     }
     return CsrSpan(v, in_offsets_, in_entries_);
   }
+
+  // Cache hints for the filter's candidate loops (core/filtering.cc): v's
+  // CSR offsets, the first line of its CSR adjacency (which reads the
+  // offsets, so hint those first) and its label.  They change nothing
+  // observable; a thawed node's overlay is not hinted.
+  void PrefetchOffsets(NodeId v, bool out) const {
+    if (v < csr_nodes_) {
+      __builtin_prefetch((out ? out_offsets_ : in_offsets_) + v);
+    }
+  }
+  void PrefetchAdjacency(NodeId v, bool out) const {
+    if (v < csr_nodes_) {
+      __builtin_prefetch(out ? out_entries_ + out_offsets_[v]
+                             : in_entries_ + in_offsets_[v]);
+    }
+  }
+  void PrefetchLabel(NodeId v) const { __builtin_prefetch(&labels_[v]); }
 
   size_t OutDegree(NodeId v) const { return OutEdges(v).size(); }
   size_t InDegree(NodeId v) const { return InEdges(v).size(); }

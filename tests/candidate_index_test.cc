@@ -89,27 +89,27 @@ SmallWorld MakeSmallWorld(uint64_t seed) {
   return w;
 }
 
-// The pair bits of one direction of a node's adjacency.
+// The pair masks of one direction of a node's adjacency, ORed.
 uint64_t OracleBits(const Graph& g, Graph::AdjSpan adj) {
   uint64_t bits = 0;
-  for (const AdjEntry& e : adj) {
-    bits |= uint64_t{1} << CandidateIndex::PairBit(e.label,
-                                                   g.NodeLabel(e.node));
-  }
+  for (const AdjEntry& e : adj) bits |= PairMask(e.label, g.NodeLabel(e.node));
   return bits;
 }
 
 // Independent oracle for one direction of NodePasses, straight from the
-// adjacency: its pair bits must meet every mask, and its per-label degrees
-// must reach every count.
+// adjacency: each edge needs one of its masks wholly inside the
+// adjacency's pair bits, and its per-label degrees must reach every count.
 bool OracleSidePasses(const Graph& g, Graph::AdjSpan adj,
-                      const std::vector<std::pair<LabelId, uint64_t>>& masks,
+                      const std::vector<EdgeMasks>& edges,
                       const LabelCounts& counts) {
   uint64_t bits = OracleBits(g, adj);
   std::map<LabelId, uint32_t> degree;
   for (const AdjEntry& e : adj) ++degree[e.label];
-  for (const auto& [unused_label, mask] : masks) {
-    if ((bits & mask) == 0) return false;
+  for (const EdgeMasks& e : edges) {
+    if (std::none_of(e.masks.begin(), e.masks.end(),
+                     [&](uint64_t m) { return (bits & m) == m; })) {
+      return false;
+    }
   }
   for (const auto& [label, need] : counts) {
     if (degree[label] < need) return false;
@@ -117,31 +117,43 @@ bool OracleSidePasses(const Graph& g, Graph::AdjSpan adj,
   return true;
 }
 
+// An edge's masks in the form BuildSignatureRequirement gives them:
+// sorted, de-duplicated, with their OR.
+EdgeMasks MakeEdgeMasks(std::vector<uint64_t> masks) {
+  EdgeMasks e;
+  std::sort(masks.begin(), masks.end());
+  masks.erase(std::unique(masks.begin(), masks.end()), masks.end());
+  for (uint64_t m : masks) e.any |= m;
+  e.masks = std::move(masks);
+  return e;
+}
+
 // One direction of a random requirement for node v: up to three distinct
 // edge labels, mostly v's own so the degree demand sits near its real
-// degree, each with a count of 1-3 and a mask that either covers v's pair
-// bit for that label, is all ones, or is one random bit (which mostly
-// misses).
+// degree, each with a count of 1-3 and one to three masks, each either
+// the pair mask of one of v's own adjacency entries (contained) or that
+// of a random pair (which mostly is not).
 void RandomSide(const Graph& g, Graph::AdjSpan adj,
                 const std::vector<LabelId>& edge_labels, Rng* rng,
-                std::vector<std::pair<LabelId, uint64_t>>* masks,
-                LabelCounts* counts) {
+                std::vector<EdgeMasks>* masks, LabelCounts* counts) {
   std::map<LabelId, uint32_t> picked;
   size_t num = rng->Index(4);
   for (size_t i = 0; i < num; ++i) {
     LabelId label = edge_labels[rng->Index(edge_labels.size())];
-    uint64_t mask = uint64_t{1} << rng->Index(64);
+    const AdjEntry* own = nullptr;
     if (!adj.empty() && rng->Bernoulli(0.7)) {
-      const AdjEntry& e = adj[rng->Index(adj.size())];
-      label = e.label;
-      if (rng->Bernoulli(0.5)) {
-        mask = uint64_t{1} << CandidateIndex::PairBit(e.label,
-                                                       g.NodeLabel(e.node));
-      }
-    } else if (rng->Bernoulli(0.3)) {
-      mask = ~uint64_t{0};
+      own = &adj[rng->Index(adj.size())];
+      label = own->label;
     }
-    masks->push_back({label, mask});
+    std::vector<uint64_t> edge_masks;
+    size_t num_masks = 1 + rng->Index(3);
+    for (size_t m = 0; m < num_masks; ++m) {
+      edge_masks.push_back(
+          own != nullptr && rng->Bernoulli(0.4)
+              ? PairMask(own->label, g.NodeLabel(own->node))
+              : PairMask(label, static_cast<LabelId>(rng->Index(1 << 20))));
+    }
+    masks->push_back(MakeEdgeMasks(std::move(edge_masks)));
     picked[label] = static_cast<uint32_t>(1 + rng->Index(3));
   }
   counts->assign(picked.begin(), picked.end());
@@ -219,6 +231,109 @@ TEST(CandidateIndexTest, NodeSignaturesMatchAdjacency) {
   ASSERT_GT(applied, 40u);
   ASSERT_FALSE(g.fully_frozen());
   EXPECT_GT(ExpectNodePassesMatchesAdjacency(w.index, labels, &rng), 0u);
+}
+
+// No false negatives: on random graphs every node passes the requirement
+// of a query node built from its own adjacency (a star with one leaf per
+// adjacency entry, each leaf's label table holding its data neighbour's
+// label among random others).
+TEST(CandidateIndexTest, EveryNodePassesTheRequirementOfItsOwnAdjacency) {
+  for (uint64_t seed : {3u, 5u, 8u}) {
+    Rng rng(seed);
+    GraphBuilder b;
+    const size_t n = 300;
+    for (size_t v = 0; v < n; ++v) {
+      b.AddNode(static_cast<LabelId>(rng.Index(1 << 16)));
+    }
+    for (size_t i = 0; i < 3 * n; ++i) {
+      NodeId from = static_cast<NodeId>(rng.Index(n));
+      NodeId to = static_cast<NodeId>(rng.Index(n));
+      if (from != to) {
+        b.AddEdge(from, to, static_cast<LabelId>(rng.Index(6)));
+      }
+    }
+    Graph g = std::move(b).Build();
+    CandidateIndex ci = CandidateIndex::Build(g, /*num_threads=*/1);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      Graph star;
+      star.AddNode(g.NodeLabel(v));
+      std::vector<std::unordered_map<LabelId, double>> sims(1);
+      sims[0].emplace(g.NodeLabel(v), 1.0);
+      auto add_leaf = [&](const AdjEntry& e, bool out) {
+        NodeId leaf = star.AddNode(g.NodeLabel(e.node));
+        if (out) {
+          star.AddEdge(0, leaf, e.label);
+        } else {
+          star.AddEdge(leaf, 0, e.label);
+        }
+        std::unordered_map<LabelId, double> table;
+        table.emplace(g.NodeLabel(e.node), 1.0);
+        for (size_t k = rng.Index(4); k > 0; --k) {
+          table.emplace(static_cast<LabelId>(rng.Index(1 << 16)), 0.9);
+        }
+        sims.push_back(std::move(table));
+      };
+      for (const AdjEntry& e : g.OutEdges(v)) add_leaf(e, true);
+      for (const AdjEntry& e : g.InEdges(v)) add_leaf(e, false);
+      EXPECT_TRUE(
+          ci.NodePasses(g, v, BuildSignatureRequirement(star, 0, sims)))
+          << "seed " << seed << " node " << v;
+    }
+  }
+}
+
+// The retired one-bit pair encoding: a splitmix64 finalizer of the packed
+// pair, one bit per pair.
+uint32_t OneBitPair(LabelId edge_label, LabelId node_label) {
+  uint64_t x = (static_cast<uint64_t>(edge_label) << 32) | node_label;
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return static_cast<uint32_t>(x & 63);
+}
+
+// A Bloom collision the one-bit test let through: a node whose only
+// out-neighbour carries label `a` shares its one-bit pair with the query's
+// label `b`, so the one-bit union test passes it.  The three-bit masks of
+// the two pairs share a bit, so an overlap test would pass it too; the
+// containment test rejects it.
+TEST(CandidateIndexTest, ThreeBitMasksRejectAOneBitCollision) {
+  const LabelId person = 1;
+  const LabelId likes = 7;
+  const LabelId a = 2;
+  LabelId b = a + 1;
+  auto overlap_not_contained = [&](LabelId x) {
+    uint64_t common = PairMask(likes, a) & PairMask(likes, x);
+    return common != 0 && common != PairMask(likes, x);
+  };
+  while (OneBitPair(likes, b) != OneBitPair(likes, a) ||
+         !overlap_not_contained(b)) {
+    ++b;
+  }
+  Graph g;
+  g.AddNode(person);
+  g.AddNode(a);
+  g.AddEdge(0, 1, likes);
+  CandidateIndex ci = CandidateIndex::Build(g, /*num_threads=*/1);
+
+  Graph q;
+  q.AddNode(person);
+  q.AddNode(b);
+  q.AddEdge(0, 1, likes);
+  std::vector<std::unordered_map<LabelId, double>> sims(2);
+  sims[0].emplace(person, 1.0);
+  sims[1].emplace(b, 1.0);
+  SignatureRequirement req = BuildSignatureRequirement(q, 0, sims);
+
+  uint64_t one_bit_sig = uint64_t{1} << OneBitPair(likes, a);
+  uint64_t one_bit_mask = uint64_t{1} << OneBitPair(likes, b);
+  EXPECT_NE(one_bit_sig & one_bit_mask, 0u);
+  EXPECT_FALSE(ci.NodePasses(g, 0, req));
+  // With the neighbour's true label in the table, the node passes.
+  sims[1].emplace(a, 0.9);
+  EXPECT_TRUE(ci.NodePasses(g, 0, BuildSignatureRequirement(q, 0, sims)));
 }
 
 std::set<NodeId> CandidateNodes(const FilterResult& r, NodeId q) {

@@ -1,5 +1,7 @@
 #include "core/snapshot.h"
 
+#include <cstdint>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -280,6 +282,28 @@ TEST(SnapshotTest, PrePopulatedDictionaryMustAgree) {
     agreeing.Intern(f.dict.Name(id));
   }
   EXPECT_TRUE(LoadEngineSnapshot(path, &agreeing, &loaded).ok());
+}
+
+// A version-4 file (one Bloom bit per label pair) is refused, not read:
+// under the three-bit containment test its signatures would reject true
+// matches.  The header's version field is the u32 at byte 8.
+TEST(SnapshotTest, VersionFourSnapshotIsRefused) {
+  test::TravelFixture f = test::MakeTravelFixture();
+  QueryEngine engine = MakeTravelEngine(f);
+  const std::string path = TempPath("osq_snapshot_v4.snp");
+  ASSERT_TRUE(SaveEngineSnapshot(engine, f.dict, path).ok());
+  {
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    const uint32_t v4 = 4;
+    file.seekp(8);
+    file.write(reinterpret_cast<const char*>(&v4), sizeof(v4));
+  }
+  LabelDictionary dict;
+  std::unique_ptr<QueryEngine> loaded;
+  Status s = LoadEngineSnapshot(path, &dict, &loaded);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("version 4"), std::string::npos) << s.message();
+  EXPECT_EQ(loaded, nullptr);
 }
 
 TEST(SnapshotTest, MissingFileIsIoError) {
